@@ -1,0 +1,108 @@
+"""Byte-level golden outputs of ``run_experiment`` for a fixed set of configs.
+
+Each config's ``write_task_summaries`` and ``write_records_csv`` output (plus
+the strategy sidecar and the similarity statistics where a config produces
+them) is hashed with SHA-256 and compared with ``data/golden_digests.json``.
+A refactor of the task loop must keep every digest. To re-record after an
+intended change of numbers, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from metagames.harness import run_experiment, write_records_csv, write_task_summaries
+
+DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+BASE = [[0.2, -0.6], [-0.6, 1.0]]
+
+
+def _matrix(**overrides):
+    cfg = {
+        "T": 4,
+        "m": 30,
+        "seed": 5,
+        "game": {"family": "perturbed-base", "base": BASE, "delta": 0.05},
+        "learner": {"algo": "ogd", "eta": 0.05},
+        "init": "ftl-average",
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+CONFIGS = {
+    "ogd-fixed-logged": _matrix(log_every=3, metrics_every=6, dump_strategies=True),
+    "ogd-doubling": _matrix(
+        learner={"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}, log_every=10
+    ),
+    "ogd-ewoo": _matrix(learner={"algo": "ogd", "eta": "auto", "eta_mode": "ewoo"}),
+    "ne-average-similarity": {
+        "T": 8,
+        "m": 12,
+        "seed": 3,
+        "game": {"family": "lower-bound-prior", "prior": [0.5, 0.25, 0.25]},
+        "learner": {"algo": "ogd", "eta": "auto"},
+        "init": "ne-average",
+        "meta": {"similarity_report": True},
+    },
+    "ogd-alternating": _matrix(
+        learner={"algo": "ogd", "eta": 0.05, "alternating": True}, log_every=5, metrics_every=5
+    ),
+    "ogd-zero-first": _matrix(learner={"algo": "ogd", "eta": 0.05, "first_prediction": "zero"}),
+    "opthedge-cold": _matrix(learner={"algo": "opthedge", "eta": 0.1}, init="cold", log_every=10),
+    "omd-logbar-cold": _matrix(learner={"algo": "omd-logbar", "eta": 0.1}, init="cold"),
+    "potential-drift-gd": {
+        "T": 3,
+        "m": 20,
+        "seed": 2,
+        "game": {"family": "potential-drift", "dim": 2, "alpha": 0.01},
+        "learner": {"algo": "gd", "eta": 0.05},
+        "init": "last-iterate",
+    },
+}
+
+
+def _sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _similarity_text(sim):
+    fields = {"v_opt2": sim.v_opt2, "v_kl": sim.v_kl, "v_ne2_worst": sim.v_ne2_worst}
+    return json.dumps(
+        {k: None if v is None else np.asarray(v, dtype=float).tolist() for k, v in fields.items()},
+        sort_keys=True,
+    )
+
+
+def digests(name, tmp_dir):
+    cfg = CONFIGS[name]
+    res = run_experiment(json.loads(json.dumps(cfg)))
+    tasks = Path(tmp_dir) / f"{name}-tasks.csv"
+    records = Path(tmp_dir) / f"{name}-records.csv"
+    write_task_summaries(tasks, res.task_summaries)
+    write_records_csv(records, res.records, res.config.dump_strategies)
+    out = {"tasks": _sha(tasks), "records": _sha(records)}
+    sidecar = Path(str(records) + ".strategies.json")
+    if sidecar.exists():
+        out["strategies"] = _sha(sidecar)
+    out["similarity"] = hashlib.sha256(_similarity_text(res.similarity).encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digests(name, tmp_path):
+    golden = json.loads(DIGESTS.read_text())
+    assert digests(name, tmp_path) == golden[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {name: digests(name, tmp) for name in sorted(CONFIGS)}
+    DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}", file=sys.stderr)
