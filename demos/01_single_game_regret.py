@@ -10,7 +10,7 @@ import numpy as np
 
 from metagames.games import MatrixGame, lipschitz_constant
 from metagames.geometry import Simplex
-from metagames.harness import make_learner, play_matrix_task
+from metagames.harness import make_learner, play_task
 from metagames.learners import external_regret, rvu_terms
 from metagames.metrics import duality_gap, path_lengths, saddle_point
 
@@ -25,7 +25,7 @@ print(f"game: 4x5 random payoffs, spectral norm L = {L:.3f}, eta = 1/(4L) = {eta
 
 xl = make_learner("ogd", Simplex(4), eta)
 yl = make_learner("ogd", Simplex(5), eta)
-play_matrix_task(game, xl, yl, m)
+play_task(game, [xl, yl], m)
 
 for name, lrn, d in (("x", xl, 4), ("y", yl, 5)):
     reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), Simplex(d))

@@ -11,7 +11,7 @@ import numpy as np
 
 from metagames.games import MatrixGame, lipschitz_constant
 from metagames.geometry import Simplex
-from metagames.harness import make_learner, play_matrix_task
+from metagames.harness import make_learner, play_task
 from metagames.learners import (
     AlphaWeights,
     OptAdaGradLearner,
@@ -41,7 +41,7 @@ eta = 1.0 / (4.0 * lipschitz_constant(game))
 xl = make_learner("ogd", Simplex(3), eta)
 yl = make_learner("ogd", Simplex(3), eta)
 m = 300
-play_matrix_task(game, xl, yl, m)
+play_task(game, [xl, yl], m)
 xs, ys = np.asarray(xl.path[1:]), np.asarray(yl.path[1:])
 
 for name, weights in (

@@ -74,7 +74,7 @@ def _cmd_run(args):
     harness.write_task_summaries(out / "tasks.csv", res.task_summaries)
     if res.records:
         harness.write_records_csv(out / "records.csv", res.records, res.config.dump_strategies)
-    summary_keys = [k for k in ("dualgap_avg", "negap_avg", "regret_sum") if k in res.task_summaries[0]]
+    summary_keys = [k for k in ("dualgap_avg", "negap_avg") if k in res.task_summaries[0]]
     means = {k: float(np.mean(res.task_column(k))) for k in summary_keys}
     (out / "summary.json").write_text(json.dumps(means, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}/tasks.csv ({len(res.task_summaries)} tasks); task means: {means}")
@@ -168,7 +168,7 @@ def _cmd_report(args):
     }
     # Bound-slack audit on a fresh single task of the same family.
     from metagames.games import MatrixGame, lipschitz_constant
-    from metagames.harness import make_learner, play_matrix_task
+    from metagames.harness import make_learner, play_task
     from metagames.learners import external_regret
 
     games = res.games
@@ -178,7 +178,7 @@ def _cmd_report(args):
         eta = 1.0 / (4.0 * L)
         xl = make_learner("ogd", game.sets[0], eta)
         yl = make_learner("ogd", game.sets[1], eta)
-        play_matrix_task(game, xl, yl, obj.get("m", 100))
+        play_task(game, [xl, yl], obj.get("m", 100))
         audit = {}
         for name, lrn, sset in (("x", xl, game.sets[0]), ("y", yl, game.sets[1])):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), sset)

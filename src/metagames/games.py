@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -358,7 +358,6 @@ class SequenceConfig:
     dim: int = 3
     # potential-drift
     alpha: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 _FAMILIES = ("perturbed-base", "lower-bound-prior", "potential-drift")

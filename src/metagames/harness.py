@@ -18,7 +18,6 @@ import numpy as np
 from metagames.errors import ConfigError
 from metagames.games import (
     MatrixGame,
-    NormalFormGame,
     PotentialGame,
     SequenceConfig,
     lipschitz_constant,
@@ -27,10 +26,11 @@ from metagames.games import (
 )
 from metagames.geometry import ENTROPIC, EUCLIDEAN, LOG_BARRIER, Regularizer
 from metagames.learners import (
+    SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
+    doubling_trick_eta,
     external_regret,
-    rvu_terms,
 )
 from metagames.meta import (
     EwooState,
@@ -39,6 +39,8 @@ from metagames.meta import (
     TaskOutcome,
     anchor_variance,
     ewoo_next_eta,
+    kl_anchor_variance,
+    ne_similarity_worst,
 )
 from metagames.metrics import duality_gap, ne_gap, path_lengths, saddle_point
 
@@ -70,56 +72,44 @@ class RunRecord:
         )
 
 
-def free_first_predictions(game, learners):
-    """The one free oracle call at task start: predict with u_k at the
-    initial profile. Learners without predictions (plain GD) are skipped."""
-    profile = [lrn.init for lrn in learners]
-    for k, lrn in enumerate(learners):
-        if hasattr(lrn, "set_prediction"):
-            lrn.set_prediction(utility_gradient(game, k, profile))
+def play_task(game, learners, m, free_first=True, alternating=False, observer=None):
+    """Self-play on any game for m rounds; the one per-round play loop.
 
-
-def play_matrix_task(game: MatrixGame, x_learner, y_learner, m, free_first=True, alternating=False):
-    """Self-play on a two-player zero-sum matrix game for m iterations."""
-    A = game.A
-    if free_first:
-        x_learner.set_prediction(-A @ y_learner.init)
-        y_learner.set_prediction(A.T @ x_learner.init)
-    for _ in range(m):
-        x = x_learner.play()
-        if alternating:
-            # The second mover predicts with the first mover's current move.
-            y_learner.set_prediction(A.T @ x)
-        y = y_learner.play()
-        x_learner.update(-A @ y)
-        y_learner.update(A.T @ x)
-    return x_learner, y_learner
-
-
-def play_normal_form_task(game, learners, m, free_first=True):
-    """Simultaneous self-play on an n-player game for m iterations."""
-    if free_first:
-        free_first_predictions(game, learners)
+    Utilities come from ``utility_gradient``, so matrix, normal-form and
+    potential games share this loop. With ``free_first`` every learner that
+    takes predictions is given u_k at the starting profile: the one free
+    oracle call of a task. Learners in 'secondary-anchor' mode are given u_k
+    at the secondary iterates before every round. With ``alternating`` (two
+    players) the second mover predicts with the first mover's current move.
+    ``observer(i, profile, utilities)``, when given, sees round i after the
+    utilities are known and before the learners update. Returns the learners.
+    """
     n = len(learners)
-    for _ in range(m):
+    predicts = [hasattr(lrn, "set_prediction") for lrn in learners]
+    anchored = [
+        k for k, lrn in enumerate(learners) if getattr(lrn, "mode", None) == SECONDARY_ANCHOR
+    ]
+    if free_first:
+        start = [lrn.init for lrn in learners]
+        for k, lrn in enumerate(learners):
+            if predicts[k]:
+                lrn.set_prediction(utility_gradient(game, k, start))
+    for i in range(1, m + 1):
+        if anchored:
+            hats = [lrn.x_hat for lrn in learners]
+            for k in anchored:
+                learners[k].set_prediction(utility_gradient(game, k, hats))
+        if alternating and predicts[1]:
+            # The second mover's own entry of the profile is ignored.
+            first = learners[0].play()
+            learners[1].set_prediction(utility_gradient(game, 1, [first, first]))
         profile = [lrn.play() for lrn in learners]
         utilities = [utility_gradient(game, k, profile) for k in range(n)]
+        if observer is not None:
+            observer(i, profile, utilities)
         for lrn, u in zip(learners, utilities):
             lrn.update(u)
     return learners
-
-
-def play_secondary_anchor_task(game: MatrixGame, x_learner, y_learner, m):
-    """OMD with predictions evaluated at the previous secondary iterates."""
-    A = game.A
-    for _ in range(m):
-        x_learner.set_prediction(-A @ y_learner.x_hat)
-        y_learner.set_prediction(A.T @ x_learner.x_hat)
-        x = x_learner.play()
-        y = y_learner.play()
-        x_learner.update(-A @ y)
-        y_learner.update(A.T @ x)
-    return x_learner, y_learner
 
 
 def _default_eta(game, n_players):
@@ -237,6 +227,13 @@ class ExperimentConfig:
             raise ConfigError(f"learner.eta_mode: unknown mode {cfg.eta_mode!r}")
         if cfg.first_prediction not in ("oracle", "zero"):
             raise ConfigError(f"learner.first_prediction: {cfg.first_prediction!r}")
+        if cfg.prediction not in ("recency", "secondary-anchor", "zero"):
+            # An 'alternating' prediction exists only for the second mover, so
+            # it is switched on by learner.alternating instead.
+            raise ConfigError(
+                f"learner.prediction: {cfg.prediction!r} is not one of recency, "
+                "secondary-anchor, zero (use learner.alternating for alternating updates)"
+            )
         return cfg
 
 
@@ -262,24 +259,27 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
     return float(cfg.eta)
 
 
+MAX_RESTARTS = 60  # doubling restarts per task
+
+
 def run_experiment(config) -> ExperimentResult:
     """Run one arm of a meta-learning experiment.
 
     Per task: draw the game, initialize per the configured mode, self-play
-    m iterations, log regrets/gaps, and fold the task outcome into the
-    meta state. Deterministic under the config seed.
+    m iterations with ``play_task``, log regrets/gaps, and fold the task
+    outcome into the meta state. Zero-sum matrix tasks are played by the
+    configured learner; potential-game tasks by plain gradient ascent at a
+    fixed rate. Deterministic under the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
-    first = games[0]
-    if isinstance(first, PotentialGame):
-        return _run_potential_experiment(cfg, games)
-    if isinstance(first, NormalFormGame):
-        return _run_normal_form_experiment(cfg, games)
-    return _run_matrix_experiment(cfg, games)
-
-
-def _run_matrix_experiment(cfg, games):
+    potential = isinstance(games[0], PotentialGame)
+    if potential and cfg.eta_mode != "fixed":
+        raise ConfigError(
+            f"learner.eta_mode: {cfg.eta_mode!r} needs an RVU learner; "
+            "potential-game runs use plain gradient ascent (fixed rate only)"
+        )
+    algo = "gd" if potential else cfg.algo
     sets = games[0].sets
     initializer = Initializer(cfg.init_mode, sets)
     eta = None if cfg.eta == "auto" else float(cfg.eta)
@@ -291,87 +291,151 @@ def _run_matrix_experiment(cfg, games):
         ewoo_state = None
     records = []
     summaries = []
-    optima = [[], []]
-    max_restarts = 60
+    optima = []
+    nash_points = []
 
     for t, game in enumerate(games):
         inits = initializer.initialization()
-        task_eta = _task_eta(cfg, game, 2, eta, ewoo_state)
-        restarts = 0
-        while True:
-            # Doubling trick: rerun the task at half the rate whenever the
-            # local RVU residual turns positive; only the final attempt is
-            # logged.
-            attempt_records = []
-            xl = make_learner(cfg.algo, sets[0], task_eta, init=inits[0], prediction=cfg.prediction)
-            yl = make_learner(cfg.algo, sets[1], task_eta, init=inits[1], prediction=cfg.prediction)
-            _play_matrix_logged(cfg, game, xl, yl, t, attempt_records)
-            if cfg.eta_mode != "doubling" or restarts >= max_restarts:
+        task_eta = _task_eta(cfg, game, len(sets), eta, ewoo_state)
+        for restarts in range(MAX_RESTARTS + 1):
+            # Doubling trick: rerun the task at half the rate while the local
+            # RVU residual is positive; only the final attempt is logged.
+            task_records = []
+            learners = [
+                make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                for s, x0 in zip(sets, inits)
+            ]
+            play_task(
+                game,
+                learners,
+                cfg.m,
+                free_first=cfg.first_prediction == "oracle",
+                alternating=cfg.alternating_updates,
+                observer=_round_logger(cfg, game, t, learners, task_records)
+                if cfg.log_every
+                else None,
+            )
+            if cfg.eta_mode != "doubling" or restarts == MAX_RESTARTS:
                 break
-            _, pred_x, path_x = rvu_terms(xl, xl.init)
-            _, pred_y, path_y = rvu_terms(yl, yl.init)
-            residual = task_eta * (pred_x + pred_y) - (path_x + path_y) / (8.0 * task_eta)
-            if residual <= 0:
+            halved = doubling_trick_eta(learners, task_eta)
+            if halved == task_eta:
                 break
-            task_eta /= 2.0
-            restarts += 1
-        records.extend(attempt_records)
+            task_eta = halved
+        records.extend(task_records)
         if cfg.eta_mode == "doubling":
             eta = task_eta  # keep the calibrated rate for later tasks
 
-        x_hist, y_hist = np.asarray(xl.path[1:]), np.asarray(yl.path[1:])
-        u_x, u_y = xl.utility_array(), yl.utility_array()
-        reg_x, opt_x = external_regret(x_hist, u_x, sets[0])
-        reg_y, opt_y = external_regret(y_hist, u_y, sets[1])
-        x_bar, y_bar = np.mean(x_hist, axis=0), np.mean(y_hist, axis=0)
-        gap = duality_gap(game, x_bar, y_bar)
-        gaps_at_avg = ne_gap(game, [x_bar, y_bar])
-        p1, _ = path_lengths(xl.primary_array())
-        p2, _ = path_lengths(yl.primary_array())
-        summaries.append(
-            {
-                "task": t,
-                "eta": task_eta,
-                "regret_x": reg_x,
-                "regret_y": reg_y,
-                "dualgap_avg": gap,
-                "negap_avg": float(np.max(gaps_at_avg)),
-                "pathlen2": p1 + p2,
-                "init_dist2": float(
-                    np.sum((opt_x - xl.init) ** 2) + np.sum((opt_y - yl.init) ** 2)
-                ),
-                "inits": [xl.init.tolist(), yl.init.tolist()],
-                "optima": [opt_x.tolist(), opt_y.tolist()],
-            }
-        )
-        optima[0].append(opt_x)
-        optima[1].append(opt_y)
-        nash = None
-        if cfg.init_mode == "ne-average":
-            ne_x, ne_y, _ = saddle_point(game)
-            nash = [ne_x, ne_y]
-        initializer.observe(
-            TaskOutcome(
-                optima=[opt_x, opt_y],
-                last_iterates=[x_hist[-1], y_hist[-1]],
-                nash=nash,
-            )
-        )
+        if potential:
+            row, outcome = _potential_summary(game, learners)
+        else:
+            nash = None
+            if cfg.init_mode == "ne-average":
+                nash = list(saddle_point(game)[:2])
+                nash_points.append(np.concatenate(nash))
+            row, outcome = _zero_sum_summary(game, learners, nash)
+            optima.append(outcome.optima)
+        summaries.append({"task": t, "eta": task_eta, **row})
+        initializer.observe(outcome)
         if ewoo_state is not None:
-            breg = 0.5 * summaries[-1]["init_dist2"]
-            ewoo_state.record(breg, 1.0)
+            ewoo_state.record(0.5 * row["init_dist2"], 1.0)
 
-    sim = SimilarityStats(v_opt2=np.asarray([anchor_variance(a) for a in optima]))
-    if cfg.similarity_report:
-        from metagames.meta import kl_anchor_variance, ne_similarity_worst
-
-        sim.v_kl = np.asarray([kl_anchor_variance(np.asarray(a)) for a in optima])
-        if cfg.init_mode == "ne-average" and initializer.count:
-            nes = [
-                np.concatenate([saddle_point(g)[0], saddle_point(g)[1]]) for g in games
-            ]
-            sim.v_ne2_worst = ne_similarity_worst(nes)
+    sim = SimilarityStats()
+    if not potential:
+        per_player = [np.asarray(a) for a in zip(*optima)]
+        sim.v_opt2 = np.asarray([anchor_variance(a) for a in per_player])
+        if cfg.similarity_report:
+            sim.v_kl = np.asarray([kl_anchor_variance(a) for a in per_player])
+            if nash_points:
+                sim.v_ne2_worst = ne_similarity_worst(nash_points)
     return ExperimentResult(cfg, records, summaries, sim, games)
+
+
+def _round_logger(cfg, game, t, learners, records):
+    """Per-round observer for ``play_task`` that appends a RunRecord per
+    player every ``log_every`` rounds and at the last round.
+
+    Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
+    the duality gap of the running average is defined for zero-sum games
+    only.
+    """
+    m = cfg.m
+    cum_u = [np.zeros_like(lrn.init) for lrn in learners]
+    sums = [np.zeros_like(lrn.init) for lrn in learners]
+    realized = [0.0] * len(learners)
+    path2 = [0.0] * len(learners)
+    prev = [lrn.init.copy() for lrn in learners]
+    zero_sum = isinstance(game, MatrixGame)
+
+    def observe(i, profile, utilities):
+        for k, (s, u) in enumerate(zip(profile, utilities)):
+            sums[k] += s
+            cum_u[k] += u
+            realized[k] += float(s @ u)
+            path2[k] += float(np.sum((s - prev[k]) ** 2))
+            prev[k] = s
+        if i % cfg.log_every and i != m:
+            return
+        gap, gaps = float("nan"), [float("nan")] * len(profile)
+        if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
+            if zero_sum:
+                gap = duality_gap(game, sums[0] / i, sums[1] / i)
+            gaps = ne_gap(game, profile)
+        for k, (s, lrn) in enumerate(zip(profile, learners)):
+            records.append(
+                RunRecord(
+                    task=t,
+                    iter=i,
+                    player=k,
+                    regret_cum=float(np.max(cum_u[k]) - realized[k]),
+                    dualgap=float(gap),
+                    negap=float(gaps[k]),
+                    pathlen2=path2[k],
+                    eta=lrn.eta,
+                    init_mode=cfg.init_mode,
+                    strategy=s.copy() if cfg.dump_strategies else None,
+                )
+            )
+
+    return observe
+
+
+def _zero_sum_summary(game, learners, nash):
+    """Task-summary row and meta outcome of a two-player zero-sum task."""
+    xl, yl = learners
+    sets = game.sets
+    x_hist, y_hist = np.asarray(xl.path[1:]), np.asarray(yl.path[1:])
+    reg_x, opt_x = external_regret(x_hist, xl.utility_array(), sets[0])
+    reg_y, opt_y = external_regret(y_hist, yl.utility_array(), sets[1])
+    x_bar, y_bar = np.mean(x_hist, axis=0), np.mean(y_hist, axis=0)
+    p1, _ = path_lengths(xl.primary_array())
+    p2, _ = path_lengths(yl.primary_array())
+    row = {
+        "regret_x": reg_x,
+        "regret_y": reg_y,
+        "dualgap_avg": duality_gap(game, x_bar, y_bar),
+        "negap_avg": float(np.max(ne_gap(game, [x_bar, y_bar]))),
+        "pathlen2": p1 + p2,
+        "init_dist2": float(np.sum((opt_x - xl.init) ** 2) + np.sum((opt_y - yl.init) ** 2)),
+        "inits": [xl.init.tolist(), yl.init.tolist()],
+        "optima": [opt_x.tolist(), opt_y.tolist()],
+    }
+    outcome = TaskOutcome(
+        optima=[opt_x, opt_y], last_iterates=[x_hist[-1], y_hist[-1]], nash=nash
+    )
+    return row, outcome
+
+
+def _potential_summary(game, learners):
+    """Task-summary row and meta outcome of a potential-game task; the last
+    iterates stand in for the optima."""
+    paths = [np.asarray(lrn.path) for lrn in learners]
+    last = [p[-1] for p in paths]
+    row = {
+        "pathlen2": float(sum(np.sum(np.diff(p, axis=0) ** 2) for p in paths)),
+        "phi_gain": game.potential(last) - game.potential([p[0] for p in paths]),
+        "negap_last": float(np.max(ne_gap(game.base, last))),
+    }
+    return row, TaskOutcome(optima=last, last_iterates=last)
 
 
 def default_experiment_config():
@@ -396,176 +460,6 @@ def default_experiment_config():
         ],
         "eta_grid": [0.1, 0.01, 0.001],
     }
-
-
-def _play_matrix_logged(cfg, game, xl, yl, t, records):
-    A = game.A
-    m = cfg.m
-    if cfg.first_prediction == "oracle":
-        xl.set_prediction(-A @ yl.init)
-        yl.set_prediction(A.T @ xl.init)
-    cum_u = [np.zeros(game.d_x), np.zeros(game.d_y)]
-    realized = [0.0, 0.0]
-    path2 = [0.0, 0.0]
-    x_sum = np.zeros(game.d_x)
-    y_sum = np.zeros(game.d_y)
-    prev = [xl.init.copy(), yl.init.copy()]
-    for i in range(1, m + 1):
-        x = xl.play()
-        if cfg.alternating_updates:
-            yl.set_prediction(A.T @ x)
-        y = yl.play()
-        u_x, u_y = -A @ y, A.T @ x
-        x_sum += x
-        y_sum += y
-        for k, (lrn, u, s) in enumerate(((xl, u_x, x), (yl, u_y, y))):
-            cum_u[k] += u
-            realized[k] += float(s @ u)
-            path2[k] += float(np.sum((s - prev[k]) ** 2))
-        prev = [x, y]
-        xl.update(u_x)
-        yl.update(u_y)
-        if cfg.log_every and (i % cfg.log_every == 0 or i == m):
-            want_metrics = cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m)
-            if want_metrics:
-                gap = duality_gap(game, x_sum / i, y_sum / i)
-                gaps = ne_gap(game, [x, y])
-            else:
-                gap, gaps = float("nan"), (float("nan"), float("nan"))
-            for k, (s, lrn) in enumerate(((x, xl), (y, yl))):
-                records.append(
-                    RunRecord(
-                        task=t,
-                        iter=i,
-                        player=k,
-                        regret_cum=float(np.max(cum_u[k]) - realized[k]),
-                        dualgap=float(gap),
-                        negap=float(gaps[k]),
-                        pathlen2=path2[k],
-                        eta=lrn.eta,
-                        init_mode=cfg.init_mode,
-                        strategy=s.copy() if cfg.dump_strategies else None,
-                    )
-                )
-
-
-def _run_normal_form_experiment(cfg, games):
-    sets = games[0].sets
-    n = games[0].n
-    initializer = Initializer(cfg.init_mode, sets)
-    eta = None if cfg.eta == "auto" else float(cfg.eta)
-    if cfg.eta_mode == "ewoo":
-        D = cfg.ewoo_D if cfg.ewoo_D is not None else np.sqrt(sum(s.diameter**2 for s in sets))
-        rho = cfg.ewoo_rho if cfg.ewoo_rho is not None else cfg.T ** (-0.25)
-        ewoo_state = EwooState.from_radius(float(D), float(rho))
-    else:
-        ewoo_state = None
-    records = []
-    summaries = []
-    optima = [[] for _ in range(n)]
-    max_restarts = 60
-    for t, game in enumerate(games):
-        inits = initializer.initialization()
-        task_eta = _task_eta(cfg, game, n, eta, ewoo_state)
-        restarts = 0
-        while True:
-            learners = [
-                make_learner(cfg.algo, sets[k], task_eta, init=inits[k], prediction=cfg.prediction)
-                for k in range(n)
-            ]
-            play_normal_form_task(
-                game, learners, cfg.m, free_first=cfg.first_prediction == "oracle"
-            )
-            if cfg.eta_mode != "doubling" or restarts >= max_restarts:
-                break
-            residual = 0.0
-            for lrn in learners:
-                _, pred, path = rvu_terms(lrn, lrn.init)
-                residual += task_eta * pred - path / (8.0 * task_eta)
-            if residual <= 0:
-                break
-            task_eta /= 2.0
-            restarts += 1
-        if cfg.eta_mode == "doubling":
-            eta = task_eta
-        regs, opts = [], []
-        for k, lrn in enumerate(learners):
-            r, o = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), sets[k])
-            regs.append(r)
-            opts.append(o)
-            optima[k].append(o)
-        profile_avg = [np.mean(np.asarray(lrn.path[1:]), axis=0) for lrn in learners]
-        summaries.append(
-            {
-                "task": t,
-                "eta": task_eta,
-                "regret_sum": float(np.sum(regs)),
-                "regrets": regs,
-                "negap_avg": float(np.max(ne_gap(game, profile_avg))),
-                "social_welfare_avg": _mean_welfare(game, learners),
-            }
-        )
-        initializer.observe(
-            TaskOutcome(optima=opts, last_iterates=[lrn.path[-1] for lrn in learners])
-        )
-        if ewoo_state is not None:
-            breg = 0.5 * float(
-                sum(np.sum((o - lrn.init) ** 2) for o, lrn in zip(opts, learners))
-            )
-            ewoo_state.record(breg, 1.0)
-    sim = SimilarityStats(v_opt2=np.asarray([anchor_variance(a) for a in optima]))
-    return ExperimentResult(cfg, records, summaries, sim, games)
-
-
-def _mean_welfare(game, learners):
-    profiles = list(zip(*[lrn.path[1:] for lrn in learners]))
-    total = 0.0
-    for profile in profiles:
-        for k in range(game.n):
-            total += float(utility_gradient(game, k, list(profile)) @ profile[k])
-    return total / len(profiles)
-
-
-def _run_potential_experiment(cfg, games):
-    sets = games[0].sets
-    n = games[0].n
-    if cfg.eta_mode != "fixed":
-        raise ConfigError(
-            f"learner.eta_mode: {cfg.eta_mode!r} needs an RVU learner; "
-            "potential-game runs use plain gradient ascent (fixed rate only)"
-        )
-    initializer = Initializer(cfg.init_mode, sets)
-    summaries = []
-    for t, game in enumerate(games):
-        inits = initializer.initialization()
-        task_eta = (
-            _default_eta(game.base, n) if cfg.eta == "auto" else float(cfg.eta)
-        )
-        learners = [GDLearner(sets[k], task_eta, init=inits[k]) for k in range(n)]
-        for _ in range(cfg.m):
-            profile = [lrn.play() for lrn in learners]
-            utilities = [utility_gradient(game, k, profile) for k in range(n)]
-            for lrn, u in zip(learners, utilities):
-                lrn.update(u)
-        paths = [np.asarray(lrn.path) for lrn in learners]
-        joint_path2 = float(sum(np.sum(np.diff(p, axis=0) ** 2) for p in paths))
-        phi_start = game.potential([p[0] for p in paths])
-        phi_end = game.potential([p[-1] for p in paths])
-        summaries.append(
-            {
-                "task": t,
-                "eta": task_eta,
-                "pathlen2": joint_path2,
-                "phi_gain": phi_end - phi_start,
-                "negap_last": float(np.max(ne_gap(game.base, [p[-1] for p in paths]))),
-            }
-        )
-        initializer.observe(
-            TaskOutcome(
-                optima=[p[-1] for p in paths], last_iterates=[p[-1] for p in paths]
-            )
-        )
-    return ExperimentResult(cfg, [], summaries, SimilarityStats(), games)
 
 
 def write_records_csv(path, records, dump_strategies=False):

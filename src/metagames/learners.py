@@ -35,9 +35,6 @@ ALTERNATING = "alternating"
 
 _MODES = (RECENCY, SECONDARY_ANCHOR, ZERO, ALTERNATING)
 
-# Modes whose predictions come from the driver, not the learner's own memory.
-EXTERNAL_MODES = (SECONDARY_ANCHOR, ALTERNATING)
-
 
 def cold_start(strategy_set, regularizer=None):
     """Minimizer of the regularizer over the set (uniform on a simplex)."""
@@ -441,6 +438,17 @@ def alpha_regret(strategies, utilities, weights: AlphaWeights, strategy_set=None
     return float(cum @ comparator) - realized, comparator
 
 
+def _prediction_term(learner):
+    """sum_i ||u^(i) - m^(i)||^2 of a finished run."""
+    return float(np.sum((learner.utility_array() - learner.prediction_array()) ** 2))
+
+
+def _primary_path_term(learner):
+    """sum_i ||x^(i) - x^(i-1)||^2 of a finished run."""
+    diffs = np.diff(learner.primary_array(), axis=0)
+    return float(np.sum(diffs * diffs))
+
+
 def rvu_terms(learner, comparator, constant="eighth"):
     """Evaluate the three RVU ingredients for a finished OMD run.
 
@@ -451,16 +459,12 @@ def rvu_terms(learner, comparator, constant="eighth"):
     """
     from metagames.geometry import bregman as _bregman
 
-    us = learner.utility_array()
-    ms = learner.prediction_array()
-    pred = float(np.sum((us - ms) ** 2))
+    pred = _prediction_term(learner)
     breg = _bregman(learner.reg, np.asarray(comparator, dtype=float), learner.init)
-    prim = learner.primary_array()
     if constant == "eighth":
-        diffs = np.diff(prim, axis=0)
-        path = float(np.sum(diffs * diffs))
-        return breg, pred, path
+        return breg, pred, _primary_path_term(learner)
     if constant == "half":
+        prim = learner.primary_array()
         hats = learner.secondary_array()
         a = prim[1:] - hats[1:]
         b = prim[1:] - hats[:-1]
@@ -468,13 +472,17 @@ def rvu_terms(learner, comparator, constant="eighth"):
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
-def doubling_trick_eta(learner, comparator=None):
-    """Halve the learning rate when the local RVU residual turns positive.
+def doubling_trick_eta(learners, eta):
+    """The doubling rule: the rate for the next attempt at a task.
 
-    Inspect a finished run: returns the halved eta if the measured
-    prediction-error term exceeds the path-length credit, else the current
-    eta.
+    Inspects the finished runs of one task played at rate ``eta`` and returns
+    eta/2 when the joint local RVU residual
+    eta * sum(prediction terms) - sum(path terms) / (8 eta) is positive, else
+    eta. The Bregman term does not enter the residual, so it is never
+    evaluated (it is undefined for entropic learners started on the
+    boundary).
     """
-    _, pred, path = rvu_terms(learner, learner.init)
-    residual = learner.eta * pred - path / (8.0 * learner.eta)
-    return learner.eta / 2.0 if residual > 0 else learner.eta
+    pred = sum(_prediction_term(lrn) for lrn in learners)
+    path = sum(_primary_path_term(lrn) for lrn in learners)
+    residual = eta * pred - path / (8.0 * eta)
+    return eta / 2.0 if residual > 0 else eta

@@ -97,13 +97,6 @@ class Initializer:
         return outcome.nash
 
 
-def next_initialization(initializer: Initializer, task_outcome: Optional[TaskOutcome]):
-    """Fold a finished task (if any) and return the next per-player points."""
-    if task_outcome is not None:
-        initializer.observe(task_outcome)
-    return initializer.initialization()
-
-
 def _adaptive_simpson(f, a, b, tol=1e-8, max_depth=40):
     """Adaptive Simpson quadrature with interval splitting."""
 

@@ -20,16 +20,10 @@ from metagames.geometry import Box, ProductSet, Simplex
 
 @dataclass
 class GapReport:
-    """Bundle of equilibrium-quality measurements; gaps are >= -1e-9."""
+    """Time-averaged welfare against the robust price-of-anarchy floor."""
 
-    duality_gap: Optional[float] = None
-    ne_gap_per_player: Optional[np.ndarray] = None
-    cce_gap: Optional[float] = None
-    ce_gap: Optional[float] = None
-    svi_residual: Optional[float] = None
     welfare: Optional[float] = None
     robust_poa_bound: Optional[float] = None
-    path_length_second_order: Optional[float] = None
     extras: dict = field(default_factory=dict)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,7 +235,6 @@ class StackelbergConfig:
     gamma: float = 1e-3
     alpha: float = None  # boundary offset; default 1/sqrt(mT)
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extreme_points=None):

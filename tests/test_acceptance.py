@@ -25,8 +25,7 @@ from metagames.harness import (
     compare_arms,
     emit_plot,
     make_learner,
-    play_matrix_task,
-    play_normal_form_task,
+    play_task,
     run_experiment,
     write_records_csv,
     write_task_summaries,
@@ -94,7 +93,7 @@ def test_c01_c02_rvu_suite_and_dualgap_identity():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(d1), eta)
         yl = make_learner("ogd", Simplex(d2), eta)
-        play_matrix_task(game, xl, yl, m)
+        play_task(game, [xl, yl], m)
         regs = []
         for lrn, ss in ((xl, Simplex(d1)), (yl, Simplex(d2))):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), ss)
@@ -130,7 +129,7 @@ def test_c03_sum_of_regrets_meta_bound():
     for g in games:
         inits = init.initialization()
         lrns = [make_learner("ogd", sets[k], eta, init=inits[k]) for k in range(n)]
-        play_normal_form_task(g, lrns, m)
+        play_task(g, lrns, m)
         opts = []
         for k, lrn in enumerate(lrns):
             r, o = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), sets[k])
@@ -157,7 +156,7 @@ def test_c04_path_length_bounds():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(d1), eta)
         yl = make_learner("ogd", Simplex(d2), eta)
-        play_matrix_task(game, xl, yl, m)
+        play_task(game, [xl, yl], m)
         _, ox = external_regret(np.asarray(xl.path[1:]), xl.utility_array(), Simplex(d1))
         _, oy = external_regret(np.asarray(yl.path[1:]), yl.utility_array(), Simplex(d2))
         p1, _ = path_lengths(xl.primary_array())
@@ -222,7 +221,7 @@ def test_c06_last_iterate_meta_bound():
         inits = init.initialization()
         xl = make_learner("ogd", sets[0], eta, init=inits[0])
         yl = make_learner("ogd", sets[1], eta, init=inits[1])
-        play_matrix_task(g, xl, yl, m)
+        play_task(g, [xl, yl], m)
         zp = np.hstack([xl.primary_array(), yl.primary_array()])
         zh = np.hstack([xl.secondary_array(), yl.secondary_array()])
         a = np.linalg.norm(zp[1:] - zh[1:], axis=1)
@@ -505,7 +504,7 @@ def test_c15_welfare():
     eta = 1.0 / (4.0 * lipschitz_constant(game))
     m = 500
     lrns = [make_learner("ogd", Simplex(2), eta, init=np.array([0.3, 0.7])) for _ in range(2)]
-    play_normal_form_task(game, lrns, m)
+    play_task(game, lrns, m)
     profiles = list(zip(*[l.path[1:] for l in lrns]))
     sw = [
         sum(float(utility_gradient(game, k, list(p)) @ p[k]) for k in range(2))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from metagames.cli import main
 
 BASE_CONFIG = {
@@ -39,6 +41,22 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
 def test_run_bad_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"game": {"family": "unknown-family"}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_alternating_prediction_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"learner": {"algo": "ogd", "eta": 0.05, "prediction": "alternating"}}
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "learner.prediction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["opthedge", "omd-logbar"])
+def test_run_doubling_from_boundary_init(tmp_path, algo):
+    # ftl-average starts task 2 at a vertex, where the entropic and
+    # log-barrier Bregman terms are undefined; the doubling rule needs none
+    cfg = write_config(tmp_path, {"learner": {"algo": algo, "eta": 0.9, "eta_mode": "doubling"}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_run_arms_comparison(tmp_path):

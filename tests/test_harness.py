@@ -40,6 +40,10 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict(
             small_config(learner={"algo": "ogd", "eta": 0.1, "eta_mode": "sometimes"})
         )
+    with pytest.raises(ConfigError, match="learner.prediction"):
+        ExperimentConfig.from_dict(
+            small_config(learner={"algo": "ogd", "eta": 0.1, "prediction": "alternating"})
+        )
 
 
 def test_run_deterministic_byte_identical(tmp_path):
@@ -99,15 +103,50 @@ def test_t1_cold_equals_single_run():
     res = run_experiment(cfg)
     assert len(res.task_summaries) == 1
     from metagames.geometry import Simplex
-    from metagames.harness import make_learner, play_matrix_task
+    from metagames.harness import make_learner, play_task
     from metagames.learners import external_regret
 
     game = res.games[0]
     xl = make_learner("ogd", Simplex(2), 0.05)
     yl = make_learner("ogd", Simplex(2), 0.05)
-    play_matrix_task(game, xl, yl, 40)
+    play_task(game, [xl, yl], 40)
     rx, _ = external_regret(np.asarray(xl.path[1:]), xl.utility_array(), Simplex(2))
     assert abs(rx - res.task_summaries[0]["regret_x"]) < 1e-12
+
+
+def test_secondary_anchor_run_matches_play_task():
+    # run_experiment feeds secondary-anchor predictions every round, exactly
+    # as play_task and as the written-out OMD loop below do
+    cfg = small_config(
+        T=1, m=50, init="cold", learner={"algo": "ogd", "eta": 0.05, "prediction": "secondary-anchor"}
+    )
+    res = run_experiment(cfg)
+    from metagames.geometry import Simplex
+    from metagames.harness import make_learner, play_task
+    from metagames.learners import external_regret
+
+    game = res.games[0]
+    A = game.A
+
+    def pair():
+        return [
+            make_learner("ogd", Simplex(2), 0.05, prediction="secondary-anchor") for _ in range(2)
+        ]
+
+    played = play_task(game, pair(), 50)
+    xl, yl = pair()
+    for _ in range(50):
+        xl.set_prediction(-A @ yl.x_hat)
+        yl.set_prediction(A.T @ xl.x_hat)
+        x, y = xl.play(), yl.play()
+        xl.update(-A @ y)
+        yl.update(A.T @ x)
+    for k, key in enumerate(("regret_x", "regret_y")):
+        regrets = [
+            external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), Simplex(2))[0]
+            for lrn in (played[k], (xl, yl)[k])
+        ]
+        assert regrets[0] == regrets[1] == res.task_summaries[0][key]
 
 
 def test_ftl_init_after_one_task_is_first_optimum():
@@ -172,13 +211,13 @@ def test_eta_modes_scope():
     }
     with pytest.raises(ConfigError):
         run_experiment(pot)
-    # normal-form pipeline supports ewoo
-    nf_like = small_config(learner={"algo": "ogd", "eta": "auto", "eta_mode": "ewoo"})
-    res = run_experiment(nf_like)
+    # the matrix pipeline supports ewoo
+    matrix = small_config(learner={"algo": "ogd", "eta": "auto", "eta_mode": "ewoo"})
+    res = run_experiment(matrix)
     assert res.task_summaries[-1]["eta"] > 0
 
 
-def test_normal_form_experiment_runs():
+def test_potential_drift_experiment_runs():
     cfg = {
         "T": 3,
         "m": 30,
@@ -186,11 +225,17 @@ def test_normal_form_experiment_runs():
         "game": {"family": "potential-drift", "dim": 2, "alpha": 0.01},
         "learner": {"algo": "gd", "eta": 0.05},
         "init": "last-iterate",
+        "log_every": 10,
+        "metrics_every": 10,
     }
     res = run_experiment(cfg)
     assert len(res.task_summaries) == 3
     for row in res.task_summaries:
         assert row["pathlen2"] >= 0.0
+    # per-round logging is the same observer as on matrix games; the duality
+    # gap is defined for zero-sum games only
+    assert len(res.records) == 3 * 3 * 2
+    assert all(np.isnan(r.dualgap) and r.negap >= -1e-12 for r in res.records)
 
 
 def test_emit_plot_errors_and_padding(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from metagames.errors import InvalidInputError
 from metagames.games import MatrixGame, lipschitz_constant
 from metagames.geometry import Box, Regularizer, Simplex, bregman, project_l2
-from metagames.harness import make_learner, play_matrix_task, play_secondary_anchor_task
+from metagames.harness import make_learner, play_task
 from metagames.learners import (
     AlphaWeights,
     EGLearner,
@@ -35,7 +35,7 @@ def test_omd_zero_utilities_fixed():
 def test_ogd_matching_pennies_stays_at_equilibrium():
     xl = make_learner("ogd", Simplex(2), 0.1)
     yl = make_learner("ogd", Simplex(2), 0.1)
-    play_matrix_task(MP, xl, yl, 1)
+    play_task(MP, [xl, yl], 1)
     np.testing.assert_allclose(xl.path[-1], [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(yl.path[-1], [0.5, 0.5], atol=1e-15)
 
@@ -85,7 +85,7 @@ def test_external_regret_ties_lexicographic():
 def test_matching_pennies_uniform_zero_regret():
     xl = make_learner("ogd", Simplex(2), 0.1)
     yl = make_learner("ogd", Simplex(2), 0.1)
-    play_matrix_task(MP, xl, yl, 50)
+    play_task(MP, [xl, yl], 50)
     rx, _ = external_regret(np.asarray(xl.path[1:]), xl.utility_array(), Simplex(2))
     ry, _ = external_regret(np.asarray(yl.path[1:]), yl.utility_array(), Simplex(2))
     assert abs(rx) < 1e-12 and abs(ry) < 1e-12
@@ -159,7 +159,7 @@ def test_rvu_inequality_random_games():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(d1), eta)
         yl = make_learner("ogd", Simplex(d2), eta)
-        play_matrix_task(game, xl, yl, 150)
+        play_task(game, [xl, yl], 150)
         for lrn, ss in ((xl, Simplex(d1)), (yl, Simplex(d2))):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), ss)
             breg, pred, path = rvu_terms(lrn, opt)
@@ -177,7 +177,7 @@ def test_sum_of_regrets_bound():
         eta = 1.0 / (4.0 * L)  # n = 2 so sqrt(n-1) = 1
         xl = make_learner("ogd", Simplex(4), eta)
         yl = make_learner("ogd", Simplex(4), eta)
-        play_matrix_task(game, xl, yl, 200)
+        play_task(game, [xl, yl], 200)
         rx, ox = external_regret(np.asarray(xl.path[1:]), xl.utility_array(), Simplex(4))
         ry, oy = external_regret(np.asarray(yl.path[1:]), yl.utility_array(), Simplex(4))
         dx = bregman(Regularizer("euclidean"), ox, xl.init)
@@ -192,7 +192,7 @@ def test_regret_sum_nonnegative_at_nash():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(3), eta)
         yl = make_learner("ogd", Simplex(3), eta)
-        play_matrix_task(game, xl, yl, 100)
+        play_task(game, [xl, yl], 100)
         sx, sy, _ = saddle_point(game)
         rx, _ = external_regret(np.asarray(xl.path[1:]), xl.utility_array(), comparator=sx)
         ry, _ = external_regret(np.asarray(yl.path[1:]), yl.utility_array(), comparator=sy)
@@ -210,7 +210,7 @@ def test_weighted_rvu_bound():
             xl = make_learner("ogd", Simplex(3), eta)
             yl = make_learner("ogd", Simplex(3), eta)
             m = 60
-            play_matrix_task(game, xl, yl, m)
+            play_task(game, [xl, yl], m)
             weights = AlphaWeights.from_schedule(schedule, m)
             for lrn in (xl, yl):
                 areg, comp = alpha_regret(
@@ -252,7 +252,7 @@ def test_weighted_sum_of_alpha_regrets_corollary():
         eta = 1.0 / (4.0 * L)
         xl = make_learner("ogd", Simplex(3), eta)
         yl = make_learner("ogd", Simplex(3), eta)
-        play_matrix_task(game, xl, yl, m)
+        play_task(game, [xl, yl], m)
         for schedule, rhs in (
             ("linear", 4.0 * L * omega_sq / m),
             ("quadratic", 12.0 * L * omega_sq * (m**2 + 1) / (m * (m + 1) * (2 * m + 1))),
@@ -423,7 +423,7 @@ def test_omd_approaches_nash_bilinear():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(3), eta, prediction="secondary-anchor")
         yl = make_learner("ogd", Simplex(3), eta, prediction="secondary-anchor")
-        play_secondary_anchor_task(game, xl, yl, 80)
+        play_task(game, [xl, yl], 80)
         sx, sy, _ = saddle_point(game)
         xh = xl.secondary_array()
         yh = yl.secondary_array()
@@ -469,14 +469,28 @@ def test_strongly_convex_contraction():
 
 
 def test_doubling_trick_halts_on_positive_residual():
+    from metagames.errors import DomainError
     from metagames.learners import doubling_trick_eta
 
-    lrn = OMDLearner(Simplex(2), 0.9)
     rng = np.random.default_rng(11)
-    for _ in range(30):
-        lrn.play()
-        lrn.update(rng.choice([-1.0, 1.0], size=2))
-    assert doubling_trick_eta(lrn) in (0.45, 0.9)
+    # an entropic learner started on the boundary, where the Bregman term of
+    # the RVU bound is undefined; the doubling rule never evaluates it
+    learners = [
+        OMDLearner(Simplex(2), 0.9),
+        OMDLearner(Simplex(2), 0.9, Regularizer("entropic"), init=np.array([1.0, 0.0])),
+    ]
+    for lrn in learners:
+        for _ in range(30):
+            lrn.play()
+            lrn.update(rng.choice([-1.0, 1.0], size=2))
+    with pytest.raises(DomainError):
+        rvu_terms(learners[1], learners[1].init)
+    pred = sum(np.sum((lrn.utility_array() - lrn.prediction_array()) ** 2) for lrn in learners)
+    path = sum(np.sum(np.diff(lrn.primary_array(), axis=0) ** 2) for lrn in learners)
+    residual = 0.9 * pred - path / (8.0 * 0.9)
+    assert residual > 0
+    assert doubling_trick_eta(learners, 0.9) == 0.45
+    assert doubling_trick_eta(learners[:1], 1e-6) == 1e-6  # path credit wins
 
 
 def test_box_learner_and_best_point():

@@ -15,7 +15,6 @@ from metagames.meta import (
     nash_set_projection,
     ne_similarity_best,
     ne_similarity_worst,
-    next_initialization,
     potential_similarity,
     shannon_entropy,
 )
@@ -25,12 +24,11 @@ from metagames.metrics import saddle_point
 def test_initializer_modes():
     sets = [Simplex(2)]
     init = Initializer("ftl-average", sets)
-    pts = next_initialization(init, None)
-    np.testing.assert_allclose(pts[0], [0.5, 0.5])
-    pts = next_initialization(init, TaskOutcome(optima=[np.array([1.0, 0.0])]))
-    np.testing.assert_allclose(pts[0], [1.0, 0.0])
-    pts = next_initialization(init, TaskOutcome(optima=[np.array([0.0, 1.0])]))
-    np.testing.assert_allclose(pts[0], [0.5, 0.5])
+    np.testing.assert_allclose(init.initialization()[0], [0.5, 0.5])
+    init.observe(TaskOutcome(optima=[np.array([1.0, 0.0])]))
+    np.testing.assert_allclose(init.initialization()[0], [1.0, 0.0])
+    init.observe(TaskOutcome(optima=[np.array([0.0, 1.0])]))
+    np.testing.assert_allclose(init.initialization()[0], [0.5, 0.5])
 
     cold = Initializer("cold", [Simplex(3)])
     np.testing.assert_allclose(cold.initialization()[0], [1 / 3] * 3)

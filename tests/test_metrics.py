@@ -6,7 +6,7 @@ import pytest
 from metagames.errors import InvalidInputError
 from metagames.games import MatrixGame, NormalFormGame, SmoothnessMeta, lower_bound_family
 from metagames.geometry import ProductSet, Simplex
-from metagames.harness import make_learner, play_matrix_task
+from metagames.harness import make_learner, play_task
 from metagames.metrics import (
     cce_ce_gap,
     check_smoothness,
@@ -201,7 +201,7 @@ def test_refined_path_bound_with_lp_nash():
         eta = 1.0 / (4.0 * lipschitz_constant(game))
         xl = make_learner("ogd", Simplex(3), eta)
         yl = make_learner("ogd", Simplex(3), eta)
-        play_matrix_task(game, xl, yl, 300)
+        play_task(game, [xl, yl], 300)
         zp = np.hstack([xl.primary_array(), yl.primary_array()])
         zh = np.hstack([xl.secondary_array(), yl.secondary_array()])
         _, refined = path_lengths(zp, zh)

@@ -10,8 +10,7 @@ from metagames.geometry import Simplex
 from metagames.harness import (
     ExperimentConfig,
     make_learner,
-    play_matrix_task,
-    play_normal_form_task,
+    play_task,
     run_experiment,
 )
 from metagames.learners import external_regret
@@ -47,7 +46,7 @@ def test_opthedge_cce_pipeline():
         inits = init.initialization()
         xl = make_learner("opthedge", Simplex(d), eta_t, init=inits[0])
         yl = make_learner("opthedge", Simplex(d), eta_t, init=inits[1])
-        play_matrix_task(g, xl, yl, m)
+        play_task(g, [xl, yl], m)
         tilded = []
         for lrn, ss in ((xl, Simplex(d)), (yl, Simplex(d))):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), ss)
@@ -71,7 +70,7 @@ def test_opthedge_cce_gap_monotone():
     rng = np.random.default_rng(1)
     game = NormalFormGame([rng.uniform(-1, 1, (3, 3)) for _ in range(2)])
     learners = [make_learner("opthedge", Simplex(3), 0.1) for _ in range(2)]
-    play_normal_form_task(game, learners, 1000)
+    play_task(game, learners, 1000)
     gaps = []
     for m in (100, 1000):
         mu = np.zeros((3, 3))
