@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (one experiment or arm comparison), ``sweep`` (grid of
 config overrides), ``plot`` (records CSV to SVG), ``report`` (similarity
-stats and bound-slack audit). Exit codes: 0 ok, 2 config error, 3 numeric
-error.
+stats and bound-slack audit). Exit codes: 0 ok, 2 config error or invalid
+input (``ConfigError``, ``InvalidInputError``, ``DomainError``), 3 numeric
+error (``NumericError``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from metagames import harness
-from metagames.errors import ConfigError, NumericError
+from metagames.errors import ConfigError, DomainError, InvalidInputError, NumericError
 from metagames.learners import rvu_terms
 
 DEFAULT_REPORT_CONFIG = {
@@ -74,7 +75,7 @@ def _cmd_run(args):
     harness.write_task_summaries(out / "tasks.csv", res.task_summaries)
     if res.records:
         harness.write_records_csv(out / "records.csv", res.records, res.config.dump_strategies)
-    summary_keys = [k for k in ("dualgap_avg", "negap_avg") if k in res.task_summaries[0]]
+    summary_keys = [k for k in harness.GAP_KEYS if k in res.task_summaries[0]]
     means = {k: float(np.mean(res.task_column(k))) for k in summary_keys}
     (out / "summary.json").write_text(json.dumps(means, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}/tasks.csv ({len(res.task_summaries)} tasks); task means: {means}")
@@ -108,7 +109,7 @@ def _cmd_sweep(args):
         results = list(pool.map(one, combos))
     rows = []
     for combo, res in zip(combos, results):
-        key = "dualgap_avg" if "dualgap_avg" in res.task_summaries[0] else "negap_avg"
+        key = harness.gap_key(res.task_summaries[0])
         rows.append(
             {
                 "params": dict(zip(keys, combo)),
@@ -132,6 +133,11 @@ def _cmd_plot(args):
     for needed in ("task", "player", "regret_cum"):
         if needed not in cols:
             raise ConfigError(f"records file lacks a {needed!r} column")
+    if args.column not in cols:
+        raise ConfigError(
+            f"--column: {args.column!r} is not a column of {path.name}; "
+            f"columns: {', '.join(header)}"
+        )
     series_map = {}
     for line in lines[1:]:
         f = line.split(",")
@@ -231,6 +237,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (InvalidInputError, DomainError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config errors exit with 2 and numeric
-errors with 3.
+The CLI maps every one of these onto an exit code with a one-line message:
+config errors and invalid input (``ConfigError``, ``InvalidInputError``,
+``DomainError``) exit with 2, numeric errors (``NumericError``) with 3.
 """
 
 

@@ -213,39 +213,38 @@ def bregman(reg, x, xp):
 
 
 def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
-    """Log-barrier prox on the simplex via bisection on the dual multiplier.
+    """Log-barrier prox on the simplex via safeguarded Newton on the dual.
 
-    First-order conditions give x_a = 1 / (eta * (nu - g_a) + 1 / anchor_a);
-    the simplex multiplier nu is found by bisecting sum(x(nu)) = 1.
+    First-order conditions give x_a = 1 / (eta * nu + b_a) with
+    b = 1 / anchor - eta * g; the simplex multiplier nu is the root of the
+    convex, strictly decreasing f(nu) = sum(x(nu)) - 1. At the root every
+    x_a <= 1 and some x_a >= 1/d, which brackets it:
+    lo = max(1 - b) / eta has f(lo) >= 0 and hi = max(d - b) / eta has
+    f(hi) <= 0. Newton starts from the first-order guess
+    (anchor^2 . g) / sum(anchor^2) and falls back to the bracket midpoint
+    whenever a step leaves the bracket, which shrinks on every step.
     """
-    inv_anchor = 1.0 / anchor
-
-    def coords(nu):
-        denom = eta * (nu - g) + inv_anchor
-        return 1.0 / denom
-
-    # sum(x(nu)) is strictly decreasing on (nu_lo, inf) and blows up at
-    # nu_lo, so the root is bracketed once the upper end gives sum < 1.
-    nu_lo = float(np.max(g - inv_anchor / eta))
-    nu_hi = max(nu_lo + 1.0, float(np.max(g)) + (len(g) + 1.0) / eta)
-    for _ in range(200):
-        if np.sum(coords(nu_hi)) < 1.0:
-            break
-        nu_hi = nu_lo + 2.0 * (nu_hi - nu_lo)
+    b = 1.0 / anchor - eta * g
+    b_min = float(np.min(b))
+    lo = (1.0 - b_min) / eta
+    hi = (len(b) - b_min) / eta
+    a2 = anchor * anchor
+    nu = min(max(float(a2 @ g) / float(np.sum(a2)), lo), hi)
     for _ in range(max_iter):
-        nu = 0.5 * (nu_lo + nu_hi)
-        s = float(np.sum(coords(nu)))
+        x = 1.0 / (eta * nu + b)
+        s = float(np.sum(x))
         if abs(s - 1.0) <= tol:
-            x = coords(nu)
-            return x / np.sum(x)
+            return x / s
         if s > 1.0:
-            nu_lo = nu
+            lo = nu
         else:
-            nu_hi = nu
-    residual = abs(float(np.sum(coords(0.5 * (nu_lo + nu_hi)))) - 1.0)
+            hi = nu
+        nu += (s - 1.0) / (eta * float(x @ x))
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
     raise NumericError(
-        f"log-barrier prox bisection did not converge: residual={residual:.3e}, "
-        f"eta={eta}, bracket=({nu_lo}, {nu_hi})"
+        f"log-barrier prox Newton solve did not converge: residual={abs(s - 1.0):.3e}, "
+        f"eta={eta}, bracket=({lo}, {hi})"
     )
 
 
@@ -254,7 +253,8 @@ def prox_step(reg, strategy_set, anchor, g, eta):
 
     Solves argmax_{x in set} { <x, g> - (1/eta) D(x || anchor) } exactly:
     euclidean by l2 projection of anchor + eta*g, entropic by the closed-form
-    multiplicative update, log-barrier by one-dimensional dual bisection.
+    multiplicative update, log-barrier by a safeguarded Newton solve of the
+    one-dimensional dual.
     """
     if eta <= 0:
         raise InvalidInputError(f"eta must be positive, got {eta}")

@@ -249,6 +249,16 @@ class ExperimentResult:
         return np.asarray([row[key] for row in self.task_summaries])
 
 
+# Gap columns of a task-summary row, headline first: zero-sum rows carry the
+# first two, potential-drift rows only the last.
+GAP_KEYS = ("dualgap_avg", "negap_avg", "negap_last")
+
+
+def gap_key(row):
+    """The headline gap column of a task-summary row."""
+    return next(k for k in GAP_KEYS if k in row)
+
+
 def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
     if cfg.eta_mode == "ewoo" and ewoo_state is not None:
         return ewoo_next_eta(ewoo_state)
@@ -535,10 +545,10 @@ def compare_arms(config):
     T = results[0].config.T
     if checkpoints is None:
         checkpoints = [T]
-    gap_key = "dualgap_avg" if "dualgap_avg" in results[0].task_summaries[0] else "negap_avg"
-    table = {"arms": names, "checkpoints": checkpoints, "metric": gap_key, "rows": []}
+    key = gap_key(results[0].task_summaries[0])
+    table = {"arms": names, "checkpoints": checkpoints, "metric": key, "rows": []}
     for cp in checkpoints:
-        gaps = [float(np.mean(res.task_column(gap_key)[:cp])) for res in results]
+        gaps = [float(np.mean(res.task_column(key)[:cp])) for res in results]
         ratios = [g / gaps[0] if gaps[0] != 0 else float("inf") for g in gaps]
         table["rows"].append({"checkpoint": cp, "gaps": gaps, "ratios": ratios})
     return dict(zip(names, results)), table

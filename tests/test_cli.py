@@ -71,6 +71,47 @@ def test_run_arms_comparison(tmp_path):
     assert (out / "tasks_meta.csv").exists()
 
 
+POTENTIAL_CONFIG = {
+    "T": 2,
+    "m": 5,
+    "seed": 0,
+    "game": {"family": "potential-drift", "dim": 2, "alpha": 0.01},
+    "learner": {"algo": "gd", "eta": 0.05},
+    "init": "last-iterate",
+}
+
+
+def test_potential_drift_run_arms_and_sweep(tmp_path):
+    cfg = tmp_path / "pot.json"
+    cfg.write_text(
+        json.dumps(
+            dict(POTENTIAL_CONFIG, arms=[{"name": "last"}, {"name": "cold", "init": "cold"}])
+        )
+    )
+    out = tmp_path / "cmp"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "comparison.json").read_text())["metric"] == "negap_last"
+
+    cfg.write_text(json.dumps(POTENTIAL_CONFIG))
+    single = tmp_path / "single"
+    assert main(["run", "--config", str(cfg), "--out", str(single)]) == 0
+    assert list(json.loads((single / "summary.json").read_text())) == ["negap_last"]
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"learner.eta": [0.1, 0.01]}))
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(sweep)]) == 0
+    assert {r["metric"] for r in json.loads((sweep / "sweep.json").read_text())} == {"negap_last"}
+
+
+def test_run_negative_eta_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"learner": {"algo": "ogd", "eta": -0.1}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "-0.1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = write_config(tmp_path)
     grid = tmp_path / "grid.json"
@@ -88,6 +129,17 @@ def test_plot_subcommand(tmp_path):
     fig = tmp_path / "fig.svg"
     assert main(["plot", str(out / "records.csv"), "-o", str(fig)]) == 0
     assert fig.read_text().startswith("<svg")
+
+
+def test_plot_unknown_column_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    main(["run", "--config", str(cfg), "--out", str(out)])
+    fig = tmp_path / "fig.svg"
+    assert main(["plot", str(out / "records.csv"), "-o", str(fig), "--column", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "regret_cum" in err
+    assert not fig.exists()
 
 
 def test_report_subcommand(tmp_path):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metagames.errors import DomainError, InvalidInputError
+from metagames.errors import DomainError, InvalidInputError, NumericError
 from metagames.geometry import (
+    INTERIOR_FLOOR,
     Box,
     ProductSet,
     Regularizer,
     Simplex,
+    _prox_log_barrier_simplex,
     bregman,
+    lift_interior,
     project_l2,
     prox_step,
 )
@@ -189,6 +194,75 @@ def test_prox_three_point_inequality():
                     bregman(reg, w, anchor) - bregman(reg, w, xp) - bregman(reg, xp, anchor)
                 ) / eta
                 assert lhs <= rhs + 1e-8
+
+
+def bisection_log_barrier_prox(anchor, g, eta, tol=1e-10):
+    """Reference log-barrier prox: bisection on the simplex multiplier nu.
+
+    x_a(nu) = 1 / (eta * (nu - g_a) + 1 / anchor_a); sum(x(nu)) is strictly
+    decreasing and blows up at the lower end of its domain.
+    """
+    inv_anchor = 1.0 / anchor
+
+    def coords(nu):
+        return 1.0 / (eta * (nu - g) + inv_anchor)
+
+    nu_lo = float(np.max(g - inv_anchor / eta))
+    nu_hi = max(nu_lo + 1.0, float(np.max(g)) + (len(g) + 1.0) / eta)
+    while np.sum(coords(nu_hi)) >= 1.0:
+        nu_hi = nu_lo + 2.0 * (nu_hi - nu_lo)
+    for _ in range(200):
+        nu = 0.5 * (nu_lo + nu_hi)
+        x = coords(nu)
+        s = float(np.sum(x))
+        if abs(s - 1.0) <= tol:
+            return x / np.sum(x)
+        if s > 1.0:
+            nu_lo = nu
+        else:
+            nu_hi = nu
+    raise AssertionError("reference bisection did not converge")
+
+
+@st.composite
+def log_barrier_prox_inputs(draw):
+    d = draw(st.integers(min_value=2, max_value=8))
+    # log10 of the unnormalized anchor weights: after normalization and the
+    # interior lift, coordinates reach down to INTERIOR_FLOOR.
+    low = float(np.log10(INTERIOR_FLOOR)) - 1.0
+    exps = draw(st.lists(st.floats(low, 0.0), min_size=d, max_size=d))
+    weights = 10.0 ** np.array(exps)
+    anchor = lift_interior(weights / np.sum(weights))
+    g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    eta = 10.0 ** draw(st.floats(-4.0, 1.0))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d)))
+    return anchor, g, eta, w / np.sum(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_barrier_prox_inputs())
+def test_prox_log_barrier_properties(inputs):
+    anchor, g, eta, w = inputs
+    x = prox_step(LOG, Simplex(len(g)), anchor, g, eta)
+    assert x.min() > 0.0
+    assert abs(x.sum() - 1.0) <= 1e-12
+    # KKT: 1/x_a - 1/anchor_a + eta*g_a equals eta*nu for every coordinate.
+    kkt = 1.0 / x - 1.0 / anchor + eta * g
+    scale = np.max(1.0 / x + 1.0 / anchor + eta * np.abs(g))
+    assert np.ptp(kkt) <= 1e-8 * scale
+    np.testing.assert_allclose(x, bisection_log_barrier_prox(anchor, g, eta), rtol=1e-9, atol=0)
+    # Three-point inequality against an interior comparator; the Bregman
+    # terms grow like 1/anchor, so the slack is relative to their size.
+    terms = (bregman(LOG, w, anchor), bregman(LOG, w, x), bregman(LOG, x, anchor))
+    lhs = (w - x) @ g
+    rhs = (terms[0] - terms[1] - terms[2]) / eta
+    assert lhs <= rhs + 1e-8 * (1.0 + abs(lhs) + sum(terms) / eta)
+
+
+def test_prox_log_barrier_reports_non_convergence():
+    anchor, g = np.array([0.3, 0.7]), np.array([1.0, -1.0])
+    with pytest.raises(NumericError, match=r"residual=.*eta=0\.5, bracket=\("):
+        _prox_log_barrier_simplex(anchor, g, 0.5, max_iter=1)
 
 
 def test_prox_rejects_bad_eta():

@@ -173,6 +173,23 @@ def test_compare_arms_identical_arms_ratio_one():
         np.testing.assert_array_equal(x.A, y.A)
 
 
+def test_compare_arms_potential_drift():
+    # potential-drift rows carry only the NE gap of the last iterates
+    cfg = {
+        "T": 2,
+        "m": 5,
+        "seed": 0,
+        "game": {"family": "potential-drift", "dim": 2, "alpha": 0.01},
+        "learner": {"algo": "gd", "eta": 0.05},
+        "arms": [{"name": "last", "init": "last-iterate"}, {"name": "cold", "init": "cold"}],
+    }
+    results, table = compare_arms(cfg)
+    assert table["metric"] == "negap_last"
+    assert table["arms"] == ["last", "cold"]
+    gaps = table["rows"][0]["gaps"]
+    assert gaps[1] == float(np.mean(results["cold"].task_column("negap_last")))
+
+
 def test_compare_arms_needs_two():
     with pytest.raises(ConfigError):
         compare_arms(small_config(arms=[{"name": "only"}]))
