@@ -1,10 +1,12 @@
-"""Byte-level golden outputs of ``run_experiment`` for a fixed set of configs.
+"""Byte-level golden outputs for a fixed set of configs.
 
-Each config's ``write_task_summaries`` and ``write_records_csv`` output (plus
-the strategy sidecar and the similarity statistics where a config produces
-them) is hashed with SHA-256 and compared with ``data/golden_digests.json``.
-A refactor of the task loop must keep every digest. To re-record after an
-intended change of numbers, run ``PYTHONPATH=src python tests/test_golden.py``.
+Each ``run_experiment`` config's ``write_task_summaries`` and
+``write_records_csv`` output (plus the strategy sidecar and the similarity
+statistics where a config produces them) is hashed with SHA-256 and compared
+with ``data/golden_digests.json``. So are the records and summary of
+``run_meta_stackelberg`` runs and the paths and rate of ``holder_run`` runs.
+A refactor must keep every digest. To re-record after an intended change of
+numbers, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -15,7 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagames.games import SecurityGame
 from metagames.harness import run_experiment, write_records_csv, write_task_summaries
+from metagames.holder_vi import amplitude_rotation_operator, componentwise_power_operator, holder_run
+from metagames.stackelberg import StackelbergConfig, build_extreme_points, run_meta_stackelberg
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
@@ -66,6 +71,18 @@ CONFIGS = {
 }
 
 
+STACKELBERG_CONFIGS = {
+    f"stackelberg-{init}-{eta}": StackelbergConfig(m=40, initializer=init, eta=eta, seed=11)
+    for init in ("ftl-average", "uniform")
+    for eta in ("ewoo", 0.05)
+}
+
+HOLDER_CONFIGS = {
+    "holder-power-4-0.5": (lambda: componentwise_power_operator(4, 0.5), [0.9, -0.7, 0.5, 0.8]),
+    "holder-rotation-2.0": (lambda: amplitude_rotation_operator(beta=2.0), [0.9, 0.0]),
+}
+
+
 def _sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -93,10 +110,53 @@ def digests(name, tmp_dir):
     return out
 
 
+def _sha_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stackelberg_digests(name):
+    rng = np.random.default_rng(23)
+    d, k, T = 3, 2, 6
+    types = [(rng.uniform(-1, 0, d), rng.uniform(0, 1, d)) for _ in range(k)]
+    game = SecurityGame(types, rng.uniform(0, 1, d), rng.uniform(-1, 0, d))
+    E = build_extreme_points([game], gamma=1e-3)
+    cfg = STACKELBERG_CONFIGS[name]
+    script = rng.integers(0, k, size=(T, cfg.m)).tolist()
+    records, summary = run_meta_stackelberg([game] * T, script, cfg, extreme_points=E)
+    summary = {key: v for key, v in summary.items() if key != "extreme_points"}
+    return {
+        "records": _sha_text(json.dumps(records, sort_keys=True)),
+        "summary": _sha_text(json.dumps(summary, sort_keys=True)),
+    }
+
+
+def holder_digests(name):
+    make_op, z0 = HOLDER_CONFIGS[name]
+    z0 = np.asarray(z0, dtype=float)
+    out = holder_run(make_op(), z0, 300, radius_bound=float(np.linalg.norm(z0)))
+    return {
+        "primary": hashlib.sha256(np.ascontiguousarray(out["primary"]).tobytes()).hexdigest(),
+        "secondary": hashlib.sha256(np.ascontiguousarray(out["secondary"]).tobytes()).hexdigest(),
+        "eta": repr(float(out["eta"])),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
     golden = json.loads(DIGESTS.read_text())
     assert digests(name, tmp_path) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(STACKELBERG_CONFIGS))
+def test_golden_stackelberg_digests(name):
+    golden = json.loads(DIGESTS.read_text())
+    assert stackelberg_digests(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(HOLDER_CONFIGS))
+def test_golden_holder_digests(name):
+    golden = json.loads(DIGESTS.read_text())
+    assert holder_digests(name) == golden[name]
 
 
 if __name__ == "__main__":
@@ -104,5 +164,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: digests(name, tmp) for name in sorted(CONFIGS)}
+    recorded.update({name: stackelberg_digests(name) for name in STACKELBERG_CONFIGS})
+    recorded.update({name: holder_digests(name) for name in HOLDER_CONFIGS})
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)
