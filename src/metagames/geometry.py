@@ -248,12 +248,25 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     )
 
 
+def mwu_step(dist, g, eta):
+    """Multiplicative-weights step of a distribution along utilities ``g``.
+
+    Returns dist * exp(eta * g), normalized. Weights are floored at 1e-300
+    before the log, and the logits are shifted by their maximum before
+    exponentiating.
+    """
+    logits = np.log(np.maximum(dist, 1e-300)) + eta * g
+    logits -= np.max(logits)
+    w = np.exp(logits)
+    return w / np.sum(w)
+
+
 def prox_step(reg, strategy_set, anchor, g, eta):
     """One regularized argmax step from ``anchor`` along utility gradient ``g``.
 
     Solves argmax_{x in set} { <x, g> - (1/eta) D(x || anchor) } exactly:
-    euclidean by l2 projection of anchor + eta*g, entropic by the closed-form
-    multiplicative update, log-barrier by a safeguarded Newton solve of the
+    euclidean by l2 projection of anchor + eta*g, entropic by ``mwu_step``
+    from the lifted anchor, log-barrier by a safeguarded Newton solve of the
     one-dimensional dual.
     """
     if eta <= 0:
@@ -268,8 +281,5 @@ def prox_step(reg, strategy_set, anchor, g, eta):
         raise DomainError(f"{reg.kind} prox is defined on the simplex only")
     anchor = lift_interior(anchor)
     if reg.kind == ENTROPIC:
-        logits = np.log(anchor) + eta * g
-        logits -= np.max(logits)
-        w = np.exp(logits)
-        return w / np.sum(w)
+        return mwu_step(anchor, g, eta)
     return _prox_log_barrier_simplex(anchor, g, eta)

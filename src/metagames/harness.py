@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -156,11 +156,8 @@ class ExperimentConfig:
     metrics_every: int = 0  # 0 = end of task only
     log_every: int = 0  # 0 = task summaries only
     dump_strategies: bool = False
-    out: Optional[str] = None
-    arms: list = field(default_factory=list)
     ewoo_D: Optional[float] = None
     ewoo_rho: Optional[float] = None
-    ewoo_cprime: float = 1.0
     similarity_report: bool = False
 
     @staticmethod
@@ -197,6 +194,11 @@ class ExperimentConfig:
         if not isinstance(meta_block, dict):
             raise ConfigError("config.meta: expected an object")
         ewoo_block = meta_block.get("ewoo", {})
+        if "Cprime" in ewoo_block:
+            raise ConfigError(
+                "config.meta.ewoo.Cprime: not used by matrix runs; "
+                "set config.meta.ewoo.D for the EWOO radius"
+            )
         eta_mode = obj.get("learner", {}).get("eta_mode")
         if eta_mode is None:
             eta_mode = "ewoo" if ewoo_block.get("enabled", False) else "fixed"
@@ -216,13 +218,15 @@ class ExperimentConfig:
             metrics_every=int(obj.get("metrics_every", 0)),
             log_every=int(obj.get("log_every", 0)),
             dump_strategies=bool(obj.get("dump_strategies", False)),
-            out=obj.get("out"),
-            arms=obj.get("arms", []),
             ewoo_D=ewoo_block.get("D"),
             ewoo_rho=ewoo_block.get("rho"),
-            ewoo_cprime=float(ewoo_block.get("Cprime", 1.0)),
             similarity_report=bool(meta_block.get("similarity_report", False)),
         )
+        if cfg.metrics_every > 0 and cfg.log_every == 0:
+            raise ConfigError(
+                "config.metrics_every: gaps are measured on logged rounds only; "
+                "set config.log_every > 0"
+            )
         if cfg.eta_mode not in ("fixed", "doubling", "ewoo"):
             raise ConfigError(f"learner.eta_mode: unknown mode {cfg.eta_mode!r}")
         if cfg.first_prediction not in ("oracle", "zero"):
@@ -572,9 +576,11 @@ def emit_plot(series, spec=None, out=None):
     """Render line series to a deterministic standalone SVG.
 
     ``series`` is a list of {'label', 'xs', 'ys'} dicts; ``spec`` may set
-    title/xlabel/ylabel/logy. Returns the SVG text (and writes it when
-    ``out`` is given).
+    title/xlabel/ylabel/logy. Title and labels are XML-escaped. Returns the
+    SVG text (and writes it when ``out`` is given).
     """
+    import html  # loads its entity tables (about 0.5 MB); only plots need it
+
     spec = dict(spec or {})
     if not series:
         raise ConfigError("emit_plot: empty series list")
@@ -615,11 +621,12 @@ def emit_plot(series, spec=None, out=None):
     if "title" in spec:
         parts.append(
             f'<text x="{ml + pw / 2:.1f}" y="{mt - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{spec["title"]}</text>'
+            f'font-family="sans-serif" font-size="14">{html.escape(str(spec["title"]))}</text>'
         )
     for label, x_ax in ((spec.get("xlabel"), True), (spec.get("ylabel"), False)):
         if not label:
             continue
+        label = html.escape(str(label))
         if x_ax:
             parts.append(
                 f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
@@ -660,7 +667,7 @@ def emit_plot(series, spec=None, out=None):
         )
         parts.append(
             f'<text x="{ml + pw + 33}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{s.get("label", f"series{idx}")}</text>'
+            f'font-size="11">{html.escape(str(s.get("label", f"series{idx}")))}</text>'
         )
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"

@@ -9,7 +9,8 @@ import numpy as np
 
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import VIOperator
-from metagames.geometry import Box, project_l2
+from metagames.geometry import Box
+from metagames.learners import EGLearner
 
 
 @dataclass(frozen=True)
@@ -49,49 +50,26 @@ def holder_eta(schedule: HolderSchedule):
     return float(base ** ((1.0 - a) / 2.0))
 
 
-def ogd_on_operator(operator: VIOperator, z0, eta, m, prediction="secondary"):
-    """Constrained OGD against a VI operator.
-
-    prediction='secondary' predicts with F at the previous secondary iterate;
-    'recency' uses F at the previous primary iterate. Returns dict with the
-    primary path z^(0..m), secondary path zhat^(0..m), and operator values
-    along the primary path.
-    """
-    if prediction not in ("secondary", "recency"):
-        raise ConfigError(f"unknown prediction rule {prediction!r}")
-    sset = operator.set
-    z = np.asarray(z0, dtype=float).copy()
-    z_hat = z.copy()
-    path = [z.copy()]
-    hat_path = [z_hat.copy()]
-    F_vals = [operator(z)]
-    pred = F_vals[0]
-    for _ in range(m):
-        z = project_l2(sset, z_hat - eta * pred)
-        F_z = operator(z)
-        z_hat = project_l2(sset, z_hat - eta * F_z)
-        path.append(z.copy())
-        hat_path.append(z_hat.copy())
-        F_vals.append(F_z)
-        pred = operator(z_hat) if prediction == "secondary" else F_z
-    return {
-        "primary": np.asarray(path),
-        "secondary": np.asarray(hat_path),
-        "operator_values": np.asarray(F_vals),
-    }
-
-
 def holder_run(operator: VIOperator, z0, m, radius_bound=None):
-    """Run OGD with the Holder schedule; returns the trajectory and eta."""
+    """Constrained OGD at the Holder-schedule rate.
+
+    OGD that predicts with F at the previous secondary iterate is the
+    extra-gradient iteration, so this runs ``EGLearner``. Returns the primary
+    path z^(0..m) (z^(0) and then the extrapolated points), the secondary
+    path zhat^(0..m) and eta.
+    """
     if operator.holder is None:
         raise ConfigError("operator carries no (H, alpha) metadata")
     H, alpha = operator.holder
     if radius_bound is None:
         radius_bound = operator.set.diameter
     eta = holder_eta(HolderSchedule(H, alpha, radius_bound, m))
-    out = ogd_on_operator(operator, z0, eta, m, prediction="secondary")
-    out["eta"] = eta
-    return out
+    eg = EGLearner(operator, eta, init=z0).run(m)
+    return {
+        "primary": np.asarray(eg.path[:1] + eg.hat_path),
+        "secondary": np.asarray(eg.path),
+        "eta": eta,
+    }
 
 
 def weak_mvi_run(operator: VIOperator, z0, m, eta):

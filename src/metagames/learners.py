@@ -6,7 +6,7 @@ descent update
     x^(i)    = prox(xhat^(i-1), m^(i), eta)      (played iterate)
     xhat^(i) = prox(xhat^(i-1), u^(i), eta)      (secondary iterate)
 
-with a configurable prediction rule for m^(i). Plain mirror descent, MWU,
+with a configurable prediction rule for m^(i). Plain mirror descent,
 extra-gradient, projected gradient ascent, and the preconditioned variant
 are thin relatives of the same prox kernel.
 """
@@ -31,9 +31,8 @@ from metagames.geometry import (
 RECENCY = "recency"
 SECONDARY_ANCHOR = "secondary-anchor"
 ZERO = "zero"
-ALTERNATING = "alternating"
 
-_MODES = (RECENCY, SECONDARY_ANCHOR, ZERO, ALTERNATING)
+_MODES = (RECENCY, SECONDARY_ANCHOR, ZERO)
 
 
 def cold_start(strategy_set, regularizer=None):
@@ -50,8 +49,9 @@ class OMDLearner:
 
     Drive it as: ``play()`` to obtain x^(i), then ``update(u)`` with the
     observed utility. Prediction modes 'recency' and 'zero' are internal;
-    'secondary-anchor' and 'alternating' expect the driver to call
-    ``set_prediction`` before each ``play``. History keeps the full primary
+    'secondary-anchor' expects the driver to call ``set_prediction`` before
+    each ``play``, as does alternation (``harness.play_task`` with
+    ``alternating=True``) in any mode. History keeps the full primary
     path (including x^(0)), the secondary path, utilities, and predictions.
     """
 
@@ -168,16 +168,6 @@ class GDLearner:
 
     def utility_array(self):
         return np.asarray(self.utilities)
-
-
-def mwu_step(dist, losses, eta):
-    """Multiplicative-weights update of a distribution against a loss vector."""
-    dist = np.asarray(dist, dtype=float)
-    losses = np.asarray(losses, dtype=float)
-    logits = np.log(np.maximum(dist, 1e-300)) - eta * losses
-    logits -= np.max(logits)
-    w = np.exp(logits)
-    return w / np.sum(w)
 
 
 class PreconditionerSchedule:

@@ -16,7 +16,16 @@ import numpy as np
 
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import SecurityGame
-from metagames.meta import EwooState, ewoo_next_eta, shannon_entropy
+from metagames.geometry import ENTROPIC, Regularizer, Simplex, bregman, mwu_step
+from metagames.meta import (
+    COLD,
+    FTL_AVERAGE,
+    EwooState,
+    Initializer,
+    TaskOutcome,
+    ewoo_next_eta,
+    shannon_entropy,
+)
 from metagames.swapregret import boundary_offset_comparator
 
 
@@ -227,6 +236,10 @@ def stackelberg_regret(game: SecurityGame, coverages, attacker_types, extreme_po
     return float(best - realized)
 
 
+# Config initializer names and the meta.Initializer modes they run.
+_INITIALIZERS = {"ftl-average": FTL_AVERAGE, "uniform": COLD}
+
+
 @dataclass
 class StackelbergConfig:
     m: int = 100
@@ -236,6 +249,19 @@ class StackelbergConfig:
     alpha: float = None  # boundary offset; default 1/sqrt(mT)
     seed: int = 0
 
+    def __post_init__(self):
+        finite_rate = isinstance(self.eta, (int, float)) and 0 < self.eta < math.inf
+        for name, ok, rule in (
+            ("m", isinstance(self.m, (int, np.integer)) and self.m >= 1, "an integer >= 1"),
+            ("alpha", self.alpha is None or 0 < self.alpha <= 1, "in (0, 1]"),
+            ("eta", self.eta == "ewoo" or finite_rate, "'ewoo' or a finite positive number"),
+            ("initializer", self.initializer in _INITIALIZERS, "ftl-average or uniform"),
+            ("gamma", 0 < self.gamma < math.inf, "a finite positive number"),
+        ):
+            if not ok:
+                got = getattr(self, name)
+                raise ConfigError(f"StackelbergConfig.{name}: must be {rule}, got {got!r}")
+
 
 def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extreme_points=None):
     """MWU over extreme points with meta-learned initialization and rate.
@@ -244,7 +270,9 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     defender observes the full utility vector over the extreme-point set
     every round (the revealed type makes it computable), samples its
     commitment from the MWU distribution, and logs expected and realized
-    Stackelberg regret.
+    Stackelberg regret. Each task starts from a one-player
+    ``meta.Initializer`` over the extreme points, fed the boundary-offset
+    optimum in hindsight of every finished task.
     """
     T = len(games)
     d = games[0].d
@@ -263,8 +291,8 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     rho = T ** (-0.25)
     ewoo = EwooState.from_radius(D, rho)
 
-    init_mean = np.full(n_points, 1.0 / n_points)
-    seen = 0
+    initializer = Initializer(_INITIALIZERS[config.initializer], [Simplex(n_points)])
+    entropic = Regularizer(ENTROPIC)
     records = []
     opt_hindsight_dists = []
     for t in range(T):
@@ -278,18 +306,10 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
         payoff_table = np.asarray(
             [[defender_payoff(game, f, x) for x in E.points] for f in range(game.k)]
         )
-        if config.initializer == "ftl-average":
-            y0 = init_mean.copy() if seen > 0 else np.full(n_points, 1.0 / n_points)
-        elif config.initializer == "uniform":
-            y0 = np.full(n_points, 1.0 / n_points)
-        else:
-            raise ConfigError(f"unknown initializer {config.initializer!r}")
-        if config.eta == "ewoo":
-            eta_t = ewoo_next_eta(ewoo)
-        else:
-            eta_t = float(config.eta)
+        (y0,) = initializer.initialization()
+        eta_t = ewoo_next_eta(ewoo) if config.eta == "ewoo" else float(config.eta)
 
-        y = y0.copy()
+        y = y0
         cum_utility = np.zeros(n_points)
         expected_value = 0.0
         realized_value = 0.0
@@ -301,19 +321,14 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
             choice = min(choice, n_points - 1)
             realized_value += float(u_vec[choice])
             cum_utility += u_vec
-            logits = np.log(np.maximum(y, 1e-300)) + eta_t * u_vec
-            logits -= np.max(logits)
-            y = np.exp(logits)
-            y /= np.sum(y)
+            y = mwu_step(y, u_vec, eta_t)
 
         best_idx = int(np.argmax(cum_utility))
         best_value = float(cum_utility[best_idx])
         y_opt = np.zeros(n_points)
         y_opt[best_idx] = 1.0
         y_tilde = boundary_offset_comparator(y_opt, alpha)
-        kl = float(
-            np.sum(y_tilde[y_tilde > 0] * np.log(y_tilde[y_tilde > 0] / y0[y_tilde > 0]))
-        )
+        kl = bregman(entropic, y_tilde, y0)
         regret_expected = best_value - expected_value
         regret_realized = best_value - realized_value
         mwu_bound = eta_t * m + kl / eta_t + 2.0 * alpha * m
@@ -330,8 +345,7 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
         )
         opt_hindsight_dists.append(y_tilde)
         # Meta updates: FTL mean over offset optima, EWOO over bound losses.
-        seen += 1
-        init_mean = init_mean + (y_tilde - init_mean) / seen if seen > 1 else y_tilde.copy()
+        initializer.observe(TaskOutcome(optima=[y_tilde]))
         ewoo.record(kl / m, float(m))
 
     mean_dist = np.mean(np.asarray(opt_hindsight_dists), axis=0)

@@ -13,6 +13,7 @@ from metagames.geometry import (
     _prox_log_barrier_simplex,
     bregman,
     lift_interior,
+    mwu_step,
     project_l2,
     prox_step,
 )
@@ -148,6 +149,23 @@ def test_prox_entropic_equals_multiplicative_weights():
         closed = anchor * np.exp(eta * g)
         closed /= closed.sum()
         np.testing.assert_allclose(prox_step(ENT, s, anchor, g, eta), closed, atol=1e-12)
+
+
+def test_mwu_examples():
+    # utilities are gains: a loss vector enters negated
+    uniform = np.array([0.5, 0.5])
+    np.testing.assert_allclose(mwu_step(uniform, np.zeros(2), 0.3), uniform, atol=1e-15)
+    np.testing.assert_allclose(
+        mwu_step(uniform, -np.array([1.0, 0.0]), np.log(2)), [1 / 3, 2 / 3], atol=1e-12
+    )
+    dist = np.full(3, 1 / 3)
+    losses = np.array([1.0, 0.2, 0.9])
+    for _ in range(1000):
+        dist = mwu_step(dist, -losses, 0.05)
+    assert dist[1] > 0.999
+    # a zero weight is floored at 1e-300 rather than turning the step into NaN
+    out = mwu_step(np.array([0.0, 1.0]), np.array([5.0, 0.0]), 1.0)
+    assert out[0] < 1e-290 and out[1] == 1.0
 
 
 def test_prox_euclidean_composes_with_projection():

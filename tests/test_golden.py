@@ -19,7 +19,11 @@ import pytest
 
 from metagames.games import SecurityGame
 from metagames.harness import run_experiment, write_records_csv, write_task_summaries
-from metagames.holder_vi import amplitude_rotation_operator, componentwise_power_operator, holder_run
+from metagames.holder_vi import (
+    amplitude_rotation_operator,
+    componentwise_power_operator,
+    holder_run,
+)
 from metagames.stackelberg import StackelbergConfig, build_extreme_points, run_meta_stackelberg
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"

@@ -44,6 +44,9 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict(
             small_config(learner={"algo": "ogd", "eta": 0.1, "prediction": "alternating"})
         )
+    with pytest.raises(ConfigError, match="config.metrics_every"):
+        ExperimentConfig.from_dict(small_config(metrics_every=10))
+    ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
 
 
 def test_run_deterministic_byte_identical(tmp_path):
@@ -263,6 +266,21 @@ def test_emit_plot_errors_and_padding(tmp_path):
     out = tmp_path / "plot.svg"
     emit_plot([{"label": "c", "xs": [0, 1], "ys": [1.0, 2.0]}], out=out)
     assert out.read_text().startswith("<svg")
+
+
+def test_emit_plot_escapes_text():
+    import xml.etree.ElementTree as ET
+
+    text = emit_plot(
+        [
+            {"label": "a<b", "xs": [0, 1], "ys": [1.0, 2.0]},
+            {"label": "c&d", "xs": [0, 1], "ys": [2.0, 1.0]},
+        ],
+        {"title": "a&b.csv", "xlabel": "x<1", "ylabel": "y & z"},
+    )
+    root = ET.fromstring(text)
+    texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a&b.csv", "x<1", "y & z", "a<b", "c&d"} <= texts
 
 
 def test_emit_plot_golden_snapshot():

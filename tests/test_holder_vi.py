@@ -11,7 +11,6 @@ from metagames.holder_vi import (
     g_of_alpha,
     holder_eta,
     holder_run,
-    ogd_on_operator,
     weak_mvi_run,
 )
 from metagames.metrics import path_lengths, svi_residual
@@ -132,12 +131,19 @@ def test_weak_mvi_eta_band_enforced():
         weak_mvi_run(op, np.zeros(2), m=10, eta=0.3)  # above 1/(4L)
 
 
-def test_ogd_on_operator_prediction_modes():
+def test_holder_run_is_ogd_with_secondary_prediction():
+    # z^(i) = proj(zhat^(i-1) - eta F(zhat^(i-1))), zhat^(i) = proj(zhat^(i-1) - eta F(z^(i)))
     op = componentwise_power_operator(2, 0.5)
     z0 = np.array([0.5, -0.5])
-    a = ogd_on_operator(op, z0, 0.1, 50, prediction="secondary")
-    b = ogd_on_operator(op, z0, 0.1, 50, prediction="recency")
-    assert a["primary"].shape == (51, 2)
-    assert not np.allclose(a["primary"][-1], b["primary"][-1], atol=1e-12)
-    with pytest.raises(ConfigError):
-        ogd_on_operator(op, z0, 0.1, 5, prediction="psychic")
+    out = holder_run(op, z0, 50)
+    assert out["primary"].shape == out["secondary"].shape == (51, 2)
+    np.testing.assert_array_equal(out["primary"][0], z0)
+    np.testing.assert_array_equal(out["secondary"][0], z0)
+    eta = out["eta"]
+    for i in range(1, 51):
+        prev = out["secondary"][i - 1]
+        z = np.clip(prev - eta * op(prev), -1.0, 1.0)
+        np.testing.assert_allclose(out["primary"][i], z, atol=1e-15)
+        np.testing.assert_allclose(
+            out["secondary"][i], np.clip(prev - eta * op(z), -1.0, 1.0), atol=1e-15
+        )

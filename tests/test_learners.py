@@ -14,7 +14,6 @@ from metagames.learners import (
     PreconditionerSchedule,
     alpha_regret,
     external_regret,
-    mwu_step,
     optimum_in_hindsight,
     project_simplex_weighted,
     rvu_terms,
@@ -108,19 +107,6 @@ def test_alpha_regret_uniform_reduces_to_external():
     r0, _ = external_regret(strat, utils, Simplex(3))
     r1, _ = alpha_regret(strat, utils, AlphaWeights.uniform(6), Simplex(3))
     assert abs(r0 - r1) < 1e-12
-
-
-def test_mwu_examples():
-    uniform = np.array([0.5, 0.5])
-    np.testing.assert_allclose(mwu_step(uniform, np.zeros(2), 0.3), uniform, atol=1e-15)
-    np.testing.assert_allclose(
-        mwu_step(uniform, np.array([1.0, 0.0]), np.log(2)), [1 / 3, 2 / 3], atol=1e-12
-    )
-    dist = np.full(3, 1 / 3)
-    losses = np.array([1.0, 0.2, 0.9])
-    for _ in range(1000):
-        dist = mwu_step(dist, losses, 0.05)
-    assert dist[1] > 0.999
 
 
 def test_gd_examples():

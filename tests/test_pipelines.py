@@ -131,7 +131,7 @@ def test_meta_config_block():
             "learner": {"algo": "ogd", "eta": 0.05},
             "meta": {
                 "initializer": "ftl-average",
-                "ewoo": {"enabled": True, "D": 2.0, "rho": 0.25, "Cprime": 1.0},
+                "ewoo": {"enabled": True, "D": 2.0, "rho": 0.25},
                 "similarity_report": True,
             },
         }
@@ -144,6 +144,16 @@ def test_meta_config_block():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(
             {"T": 2, "m": 5, "game": {"family": "perturbed-base", "base": [[0.0]]}, "meta": 7}
+        )
+    # no run reads Cprime, so it is rejected rather than ignored
+    with pytest.raises(ConfigError, match="config.meta.ewoo.Cprime"):
+        ExperimentConfig.from_dict(
+            {
+                "T": 2,
+                "m": 5,
+                "game": {"family": "perturbed-base", "base": [[0.0]]},
+                "meta": {"ewoo": {"enabled": True, "Cprime": 1.0}},
+            }
         )
 
 

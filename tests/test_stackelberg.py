@@ -170,6 +170,22 @@ def test_run_config_errors():
     two = two_target_game()
     with pytest.raises(ConfigError):
         run_meta_stackelberg([single, two], [[0] * 5] * 2, cfg, extreme_points=E)
+    # each bad field is rejected by name, before any run
+    bad = [
+        ("alpha", 0.0),
+        ("alpha", -0.1),
+        ("alpha", 1.5),
+        ("m", 0),
+        ("eta", "auto"),
+        ("eta", -0.1),
+        ("eta", float("inf")),
+        ("initializer", "ne-average"),
+        ("gamma", 0.0),
+        ("gamma", -0.5),
+    ]
+    for field, value in bad:
+        with pytest.raises(ConfigError, match=f"StackelbergConfig.{field}"):
+            StackelbergConfig(**{field: value})
 
 
 def test_security_game_json_roundtrip():
