@@ -7,6 +7,7 @@ byte-identical CSV/JSON/SVG outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -194,11 +195,17 @@ class ExperimentConfig:
         if not isinstance(meta_block, dict):
             raise ConfigError("config.meta: expected an object")
         ewoo_block = meta_block.get("ewoo", {})
+        if not isinstance(ewoo_block, dict):
+            raise ConfigError("config.meta.ewoo: expected an object")
         if "Cprime" in ewoo_block:
             raise ConfigError(
                 "config.meta.ewoo.Cprime: not used by matrix runs; "
                 "set config.meta.ewoo.D for the EWOO radius"
             )
+        for key in ("D", "rho"):
+            val = ewoo_block.get(key)
+            if key in ewoo_block and (type(val) not in (int, float) or not 0 < val < math.inf):
+                raise ConfigError(f"config.meta.ewoo.{key}: need a finite number > 0, got {val!r}")
         eta_mode = obj.get("learner", {}).get("eta_mode")
         if eta_mode is None:
             eta_mode = "ewoo" if ewoo_block.get("enabled", False) else "fixed"
@@ -300,7 +307,10 @@ def run_experiment(config) -> ExperimentResult:
     if cfg.eta_mode == "ewoo":
         D = cfg.ewoo_D if cfg.ewoo_D is not None else np.sqrt(sum(s.diameter**2 for s in sets))
         rho = cfg.ewoo_rho if cfg.ewoo_rho is not None else cfg.T ** (-0.25)
-        ewoo_state = EwooState.from_radius(float(D), float(rho))
+        try:
+            ewoo_state = EwooState.from_radius(float(D), float(rho))
+        except ConfigError as exc:
+            raise ConfigError(f"config.meta.ewoo.D={D}, config.meta.ewoo.rho={rho}: {exc}") from exc
     else:
         ewoo_state = None
     records = []

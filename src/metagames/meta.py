@@ -7,6 +7,7 @@ snapshots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,6 +26,17 @@ NE_AVERAGE = "ne-average"
 CUSTOM_ANCHOR = "custom-anchor"
 
 INITIALIZER_MODES = (COLD, FTL_AVERAGE, LAST_ITERATE, PREV_OPTIMUM, NE_AVERAGE, CUSTOM_ANCHOR)
+
+# EWOO posterior mean: a 32-point Gauss-Legendre rule on each piece between
+# knots at the ends, the mode, the mode +- these multiples of the posterior
+# width, and decades above the lower end (see ewoo_next_eta).
+_EWOO_KNOT_MULTIPLES = (1.0, 8.0, 40.0)
+
+
+@functools.cache
+def _gauss_legendre():
+    # On first use only: the eigenvalue solve pages in about 1 MB of LAPACK.
+    return np.polynomial.legendre.leggauss(32)
 
 
 @dataclass
@@ -97,34 +109,6 @@ class Initializer:
         return outcome.nash
 
 
-def _adaptive_simpson(f, a, b, tol=1e-8, max_depth=40):
-    """Adaptive Simpson quadrature with interval splitting."""
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl = f(lmid)
-        fr = f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth >= max_depth:
-            raise NumericError("adaptive Simpson hit the recursion cap")
-        if abs(left + right - whole) <= 15.0 * tol * max(abs(left + right), 1e-300):
-            return left + right + (left + right - whole) / 15.0
-        half = tol / 2.0
-        return recurse(lo, mid, flo, fl, fmid, left, depth + 1) + recurse(
-            mid, hi, fmid, fr, fhi, right, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 0)
-
-
 @dataclass
 class EwooState:
     """Posterior-mean selection of a scalar learning rate.
@@ -142,26 +126,28 @@ class EwooState:
     gammas: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise ConfigError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < self.lo < self.hi < math.inf:
+            raise ConfigError(f"need finite 0 < lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
 
     @staticmethod
     def from_radius(D, rho):
         """Standard parameterization: domain [rho*D, sqrt(D^2 + rho^2 D^2)]
         and beta = (2/D) * min(1, rho^2/D^2)."""
+        if not 0 < D * D < math.inf:
+            raise ConfigError(f"D^2 must be finite and > 0, got D={D}")
         eps = rho * D
         return EwooState(
             lo=eps,
             hi=math.sqrt(D * D + eps * eps),
-            beta=(2.0 / D) * min(1.0, rho**2 / D**2),
+            beta=(2.0 / D) * min(1.0, rho * rho / (D * D)),
             epsilon=eps,
         )
 
     def record(self, b_square, gamma):
-        if b_square < 0 or gamma <= 0:
-            raise InvalidInputError("need B^2 >= 0 and gamma > 0")
+        if not (0 <= b_square < math.inf and 0 < gamma < math.inf):
+            raise InvalidInputError(f"need finite B^2 >= 0 and gamma > 0, got {b_square}, {gamma}")
         self.b_squares.append(float(b_square))
         self.gammas.append(float(gamma))
 
@@ -172,46 +158,49 @@ class EwooState:
         return a * eta + b / eta
 
 
-def ewoo_next_eta(state: EwooState, tol=1e-8):
+def ewoo_next_eta(state: EwooState):
     """Posterior-mean learning rate for the next task.
 
     With no recorded tasks the posterior is flat and the interval mean is
     returned. The sum of recorded losses is a*eta + b/eta, so the exponent
-    is shifted by its minimum over the domain before quadrature.
+    is shifted by its minimum over the domain, and both integrals come from
+    one evaluation of the weight on a fixed Gauss-Legendre rule.
     """
     if not state.gammas:
         return 0.5 * (state.lo + state.hi)
     a = sum(state.gammas)
     b = sum(g * (bs + state.epsilon**2) for g, bs in zip(state.gammas, state.b_squares))
-
-    def loss(eta):
-        return a * eta + b / eta
-
     eta_min = math.sqrt(b / a) if b > 0 else state.lo
     eta_min = min(max(eta_min, state.lo), state.hi)
-    shift = state.beta * loss(eta_min)
+    shift = state.beta * (a * eta_min + b / eta_min)
 
-    def weight(eta):
-        return math.exp(-(state.beta * loss(eta) - shift))
-
-    # Concentrated posteriors become narrower than the initial Simpson
-    # samples; split the domain around the mode at a few curvature widths.
+    # The posterior can be far narrower than [lo, hi], so the rule is placed
+    # on pieces split around the mode at multiples of its width: the smaller
+    # of the curvature width and the slope width (finite only when the mode
+    # is clipped to an end). b/eta varies on the scale of eta itself, so the
+    # pieces are also split at decades above lo; without these knots a mode
+    # at hi on a domain with hi/lo near 100 was off by up to 6e-9.
+    curvature = state.beta * 2.0 * b / eta_min**3
+    slope = state.beta * abs(a - b / eta_min**2)
+    width = 1.0 / max(math.sqrt(curvature), slope)
     knots = {state.lo, state.hi, eta_min}
-    if b > 0:
-        sigma = 1.0 / math.sqrt(state.beta * 2.0 * b / eta_min**3)
-        for k in (-8.0, -1.0, 1.0, 8.0):
-            knots.add(min(max(eta_min + k * sigma, state.lo), state.hi))
-    pieces = sorted(knots)
-    numer = 0.0
-    denom = 0.0
-    for left, right in zip(pieces[:-1], pieces[1:]):
-        if right - left <= 0:
-            continue
-        numer += _adaptive_simpson(lambda e: e * weight(e), left, right, tol)
-        denom += _adaptive_simpson(weight, left, right, tol)
+    for k in _EWOO_KNOT_MULTIPLES:
+        knots.add(min(max(eta_min - k * width, state.lo), state.hi))
+        knots.add(min(max(eta_min + k * width, state.lo), state.hi))
+    decade = 10.0 * state.lo
+    while decade < state.hi:
+        knots.add(decade)
+        decade *= 10.0
+    pieces = np.asarray(sorted(knots))
+    mid = 0.5 * (pieces[1:] + pieces[:-1])[:, None]
+    half = 0.5 * (pieces[1:] - pieces[:-1])[:, None]
+    nodes, weights = _gauss_legendre()
+    x = mid + half * nodes
+    w = np.exp(-(state.beta * (a * x + b / x) - shift)) * half * weights
+    denom = float(np.sum(w))
     if denom <= 0 or not math.isfinite(denom):
         raise NumericError("EWOO posterior normalization failed")
-    return float(numer / denom)
+    return float(np.sum(w * x) / denom)
 
 
 def cce_ewoo_state(dim, boundary_offset, m, T, cprime=1.0):

@@ -112,6 +112,24 @@ def test_run_negative_eta_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "ewoo, field",
+    [
+        ({"D": 0}, "D"),
+        ({"D": "x"}, "D"),
+        ({"D": 1e308}, "D"),
+        ({"D": 1e-320}, "D"),
+        ({"rho": 0}, "rho"),
+    ],
+)
+def test_run_bad_ewoo_radius_exits_2(tmp_path, capsys, ewoo, field):
+    cfg = write_config(tmp_path, {"meta": {"ewoo": {"enabled": True, **ewoo}}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config.meta.ewoo.{field}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = write_config(tmp_path)
     grid = tmp_path / "grid.json"

@@ -6,12 +6,15 @@ statistics where a config produces them) is hashed with SHA-256 and compared
 with ``data/golden_digests.json``. So are the records and summary of
 ``run_meta_stackelberg`` runs and the paths and rate of ``holder_run`` runs.
 A refactor must keep every digest. To re-record after an intended change of
-numbers, run ``PYTHONPATH=src python tests/test_golden.py``.
+numbers, run ``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``,
+which re-records only the named entries and prints which digests changed;
+with no names it re-records all of them.
 """
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -163,12 +166,30 @@ def test_golden_holder_digests(name):
     assert holder_digests(name) == golden[name]
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def record(names):
+    """Recompute the named digests, write them, and return those that changed."""
+    golden = json.loads(DIGESTS.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {name: digests(name, tmp) for name in sorted(CONFIGS)}
-    recorded.update({name: stackelberg_digests(name) for name in STACKELBERG_CONFIGS})
-    recorded.update({name: holder_digests(name) for name in HOLDER_CONFIGS})
-    DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}", file=sys.stderr)
+        recorded = {}
+        for name in names:
+            if name in CONFIGS:
+                recorded[name] = digests(name, tmp)
+            elif name in STACKELBERG_CONFIGS:
+                recorded[name] = stackelberg_digests(name)
+            else:
+                recorded[name] = holder_digests(name)
+    changed = sorted(name for name in recorded if recorded[name] != golden.get(name))
+    golden.update(recorded)
+    DIGESTS.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    return changed
+
+
+if __name__ == "__main__":
+    known = sorted(CONFIGS) + sorted(STACKELBERG_CONFIGS) + sorted(HOLDER_CONFIGS)
+    names = sys.argv[1:] or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        sys.exit(f"unknown digest names {unknown}; known: {', '.join(known)}")
+    changed = record(names)
+    print(f"re-recorded {len(names)} entries in {DIGESTS}", file=sys.stderr)
+    print("changed: " + (", ".join(changed) if changed else "none"), file=sys.stderr)

@@ -46,6 +46,12 @@ def test_config_validation_field_paths():
         )
     with pytest.raises(ConfigError, match="config.metrics_every"):
         ExperimentConfig.from_dict(small_config(metrics_every=10))
+    for key in ("D", "rho"):
+        for bad in (0, -1.0, "x", float("nan"), float("inf"), True, None):
+            with pytest.raises(ConfigError, match=f"config.meta.ewoo.{key}"):
+                ExperimentConfig.from_dict(small_config(meta={"ewoo": {"enabled": True, key: bad}}))
+    with pytest.raises(ConfigError, match="config.meta.ewoo: expected an object"):
+        ExperimentConfig.from_dict(small_config(meta={"ewoo": 5}))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
 
 

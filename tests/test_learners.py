@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagames.errors import InvalidInputError
 from metagames.games import MatrixGame, lipschitz_constant
@@ -18,7 +20,7 @@ from metagames.learners import (
     project_simplex_weighted,
     rvu_terms,
 )
-from metagames.metrics import saddle_point
+from metagames.metrics import duality_gap, saddle_point
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -79,6 +81,49 @@ def test_external_regret_ties_lexicographic():
     utils = np.tile(np.array([0.5, 0.5]), (3, 1))
     _, opt = external_regret(np.tile(np.array([0.5, 0.5]), (3, 1)), utils, Simplex(2))
     np.testing.assert_array_equal(opt, [1.0, 0.0])  # lowest index wins ties
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 30),
+    st.floats(-100.0, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_external_regret_invariant_under_utility_shift(d, m, shift, seed):
+    # Every strategy sums to 1, so a constant added to every utility adds
+    # the same amount to the comparator's value and to the realized value.
+    rng = np.random.default_rng(seed)
+    strategies = rng.dirichlet(np.ones(d), size=m)
+    utilities = rng.uniform(-1.0, 1.0, size=(m, d))
+    reg, _ = external_regret(strategies, utilities, Simplex(d))
+    shifted, _ = external_regret(strategies, utilities + shift, Simplex(d))
+    assert abs(shifted - reg) <= 1e-12 * (1.0 + abs(shift)) * m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.integers(1, 60),
+    st.sampled_from(["ogd", "opthedge"]),
+    st.floats(-2.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_regret_sum_equals_duality_gap_of_averages(d1, d2, m, algo, log_eta, seed):
+    # On a zero-sum bilinear game, (regret_x + regret_y)/m is the duality gap
+    # of the average strategies, whatever the learners played.
+    game = MatrixGame(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d1, d2)))
+    xl = make_learner(algo, Simplex(d1), 10.0**log_eta)
+    yl = make_learner(algo, Simplex(d2), 10.0**log_eta)
+    play_task(game, [xl, yl], m)
+    regrets = [
+        external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), Simplex(d))[0]
+        for lrn, d in ((xl, d1), (yl, d2))
+    ]
+    x_bar = np.mean(np.asarray(xl.path[1:]), axis=0)
+    y_bar = np.mean(np.asarray(yl.path[1:]), axis=0)
+    assert abs(sum(regrets) / m - duality_gap(game, x_bar, y_bar)) <= 1e-9
 
 
 def test_matching_pennies_uniform_zero_regret():
