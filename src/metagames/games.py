@@ -26,7 +26,9 @@ class MatrixGame:
         self.A = A
         self.d_x, self.d_y = A.shape
         self.n = 2
+        # Per-game memos; A is never modified after construction.
         self._lipschitz = None
+        self._saddle = None
 
     @property
     def sets(self):
@@ -92,9 +94,6 @@ class NormalFormGame:
         return np.array(
             [float(utility_gradient(self, k, profile) @ profile[k]) for k in range(self.n)]
         )
-
-    def social_welfare(self, profile):
-        return float(np.sum(self.utility(profile)))
 
 
 class PotentialGame:
@@ -381,7 +380,8 @@ def sample_game_sequence(config: SequenceConfig):
 
     perturbed-base adds uniform noise of magnitude delta to a base matrix;
     lower-bound-prior draws single-row matrices i.i.d. from a prior over row
-    indices; potential-drift random-walks an identical-interest payoff with
+    indices (draws of one row share one game object, so its memos are filled
+    once); potential-drift random-walks an identical-interest payoff with
     per-step sup-norm deviation at most alpha. Sequencing reorders the drawn
     tasks by a severity key (random keeps draw order).
     """
@@ -407,7 +407,8 @@ def sample_game_sequence(config: SequenceConfig):
         d = prior.shape[0]
         rows = rng.choice(d, size=config.T, p=prior / np.sum(prior))
         keys = rows.astype(float)
-        games = [lower_bound_family(d, int(r) + 1) for r in rows]
+        family = {r: lower_bound_family(d, r + 1) for r in np.unique(rows).tolist()}
+        games = [family[r] for r in rows.tolist()]
     else:  # potential-drift
         d = config.dim
         payoff = rng.uniform(-0.5, 0.5, size=(d, d))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,29 @@ def make_learner(algo, strategy_set, eta, init=None, prediction="recency"):
     raise ConfigError(f"learner.algo: unknown algorithm {algo!r}")
 
 
+def _number(block, key, where, default=None, integer=False, minimum=-math.inf):
+    """``block[key]`` (``default`` if absent; None means required) as a float,
+    or an int when ``integer``; a bad value is a ConfigError naming its path."""
+    if key not in block and default is None:
+        raise ConfigError(f"{where}.{key}: missing")
+    val = block.get(key, default)
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(val, bool) or not isinstance(val, kind):
+        expected = "an integer" if integer else "a number"
+        raise ConfigError(f"{where}.{key}: expected {expected}, got {val!r}")
+    if val < minimum:
+        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {val!r}")
+    return int(val) if integer else float(val)
+
+
+def _matrix(block, key):
+    """``block[key]`` as a float array, or None when absent."""
+    try:
+        return np.asarray(block[key], dtype=float) if key in block else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.game.{key}: expected numbers, got {block[key]!r}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; see ``from_dict`` for the schema."""
@@ -163,31 +187,31 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(obj):
-        def need(key, typ, where="config"):
-            if key not in obj:
-                raise ConfigError(f"{where}.{key}: missing")
-            val = obj[key]
-            if typ is int and not isinstance(val, int):
-                raise ConfigError(f"{where}.{key}: expected integer, got {val!r}")
-            return val
-
-        T = need("T", int)
-        m = need("m", int)
-        if T < 1 or m < 1:
-            raise ConfigError("config.T and config.m must be >= 1")
-        game_obj = need("game", dict)
-        if not isinstance(game_obj, dict) or "family" not in game_obj:
+        T = _number(obj, "T", "config", integer=True, minimum=1)
+        m = _number(obj, "m", "config", integer=True, minimum=1)
+        game_obj = obj.get("game")
+        if not isinstance(game_obj, dict):
+            raise ConfigError(f"config.game: expected an object, got {game_obj!r}")
+        if "family" not in game_obj:
             raise ConfigError("config.game.family: missing")
+        learner = obj.get("learner", {})
+        if not isinstance(learner, dict):
+            raise ConfigError(f"config.learner: expected an object, got {learner!r}")
+        if learner.get("eta", "auto") != "auto":
+            _number(learner, "eta", "config.learner")
+        seed = _number(obj, "seed", "config", 0, integer=True)
+        log_every = _number(obj, "log_every", "config", 0, integer=True, minimum=0)
+        metrics_every = _number(obj, "metrics_every", "config", 0, integer=True, minimum=0)
         seq = SequenceConfig(
             family=game_obj["family"],
             T=T,
-            seed=int(obj.get("seed", 0)),
+            seed=seed,
             sequencing=game_obj.get("sequencing", "random"),
-            base=np.asarray(game_obj["base"], dtype=float) if "base" in game_obj else None,
-            delta=float(game_obj.get("delta", 0.0)),
-            prior=np.asarray(game_obj["prior"], dtype=float) if "prior" in game_obj else None,
-            dim=int(game_obj.get("dim", 3)),
-            alpha=float(game_obj.get("alpha", 0.0)),
+            base=_matrix(game_obj, "base"),
+            delta=_number(game_obj, "delta", "config.game", 0.0),
+            prior=_matrix(game_obj, "prior"),
+            dim=_number(game_obj, "dim", "config.game", 3, integer=True),
+            alpha=_number(game_obj, "alpha", "config.game", 0.0),
         )
         # The meta block groups the cross-task knobs; flat keys still win so
         # arm overrides stay terse.
@@ -206,24 +230,24 @@ class ExperimentConfig:
             val = ewoo_block.get(key)
             if key in ewoo_block and (type(val) not in (int, float) or not 0 < val < math.inf):
                 raise ConfigError(f"config.meta.ewoo.{key}: need a finite number > 0, got {val!r}")
-        eta_mode = obj.get("learner", {}).get("eta_mode")
+        eta_mode = learner.get("eta_mode")
         if eta_mode is None:
             eta_mode = "ewoo" if ewoo_block.get("enabled", False) else "fixed"
         init_mode = obj.get("init", meta_block.get("initializer", "cold"))
         cfg = ExperimentConfig(
             T=T,
             m=m,
-            seed=int(obj.get("seed", 0)),
+            seed=seed,
             game=seq,
-            algo=obj.get("learner", {}).get("algo", "ogd"),
-            eta=obj.get("learner", {}).get("eta", "auto"),
+            algo=learner.get("algo", "ogd"),
+            eta=learner.get("eta", "auto"),
             eta_mode=eta_mode,
             init_mode=init_mode,
-            prediction=obj.get("learner", {}).get("prediction", "recency"),
-            first_prediction=obj.get("learner", {}).get("first_prediction", "oracle"),
-            alternating_updates=bool(obj.get("learner", {}).get("alternating", False)),
-            metrics_every=int(obj.get("metrics_every", 0)),
-            log_every=int(obj.get("log_every", 0)),
+            prediction=learner.get("prediction", "recency"),
+            first_prediction=learner.get("first_prediction", "oracle"),
+            alternating_updates=bool(learner.get("alternating", False)),
+            metrics_every=metrics_every,
+            log_every=log_every,
             dump_strategies=bool(obj.get("dump_strategies", False)),
             ewoo_D=ewoo_block.get("D"),
             ewoo_rho=ewoo_block.get("rho"),
@@ -460,30 +484,6 @@ def _potential_summary(game, learners):
         "negap_last": float(np.max(ne_gap(game.base, last))),
     }
     return row, TaskOutcome(optima=last, last_iterates=last)
-
-
-def default_experiment_config():
-    """The default experiment: a three-arm initializer comparison on matrix
-    games at full scale (T = 200, m = 1000) with the usual rate grid."""
-    return {
-        "T": 200,
-        "m": 1000,
-        "seed": 0,
-        "game": {
-            "family": "perturbed-base",
-            "base": [[0.2, -0.6], [-0.6, 1.0]],
-            "delta": 0.02,
-            "sequencing": "random",
-        },
-        "learner": {"algo": "ogd", "eta": 0.01},
-        "init": "ftl-average",
-        "arms": [
-            {"name": "meta-avg", "init": "ftl-average"},
-            {"name": "last-iterate", "init": "last-iterate"},
-            {"name": "cold", "init": "cold"},
-        ],
-        "eta_grid": [0.1, 0.01, 0.001],
-    }
 
 
 def write_records_csv(path, records, dump_strategies=False):

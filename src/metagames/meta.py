@@ -151,12 +151,6 @@ class EwooState:
         self.b_squares.append(float(b_square))
         self.gammas.append(float(gamma))
 
-    def regularized_loss(self, eta):
-        """sum_t gamma_t * (eta + (B_t^2 + eps^2)/eta) over recorded tasks."""
-        a = sum(self.gammas)
-        b = sum(g * (bs + self.epsilon**2) for g, bs in zip(self.gammas, self.b_squares))
-        return a * eta + b / eta
-
 
 def ewoo_next_eta(state: EwooState):
     """Posterior-mean learning rate for the next task.

@@ -81,10 +81,14 @@ def saddle_point(game: MatrixGame):
 
     This matches the utility-oracle convention (A is the x-player's loss),
     so the returned pair is the comparator used by the path-length and
-    last-iterate bounds. Returns (x*, y*, value).
+    last-iterate bounds. Returns (x*, y*, value). The LPs run once per game
+    object; later calls return fresh copies of the memoized strategies.
     """
-    x, y, neg_value = _solve_row_max(-game.A)
-    return x, y, -neg_value
+    if game._saddle is None:
+        x, y, neg_value = _solve_row_max(-game.A)
+        game._saddle = (x, y, -neg_value)
+    x, y, value = game._saddle
+    return x.copy(), y.copy(), value
 
 
 def duality_gap(game: MatrixGame, x, y):

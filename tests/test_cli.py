@@ -43,6 +43,23 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, path",
+    [
+        ({"learner": 5}, "config.learner"),
+        ({"seed": "x"}, "config.seed"),
+        ({"log_every": -3}, "config.log_every"),
+        ({"game": {"family": "perturbed-base", "delta": "x"}}, "config.game.delta"),
+    ],
+)
+def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):
+    cfg = write_config(tmp_path, extra)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_run_alternating_prediction_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"learner": {"algo": "ogd", "eta": 0.05, "prediction": "alternating"}}

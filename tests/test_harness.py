@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagames import games, metrics
 from metagames.errors import ConfigError
 from metagames.harness import (
     CSV_HEADER,
@@ -52,6 +53,22 @@ def test_config_validation_field_paths():
                 ExperimentConfig.from_dict(small_config(meta={"ewoo": {"enabled": True, key: bad}}))
     with pytest.raises(ConfigError, match="config.meta.ewoo: expected an object"):
         ExperimentConfig.from_dict(small_config(meta={"ewoo": 5}))
+    bad_fields = [
+        ("config.learner", {"learner": 5}),
+        ("config.learner.eta", {"learner": {"algo": "ogd", "eta": "x"}}),
+        ("config.seed", {"seed": "x"}),
+        ("config.seed", {"seed": 1.5}),
+        ("config.log_every", {"log_every": -3}),
+        ("config.log_every", {"log_every": "x"}),
+        ("config.metrics_every", {"metrics_every": -1, "log_every": 5}),
+        ("config.game", {"game": 5}),
+    ]
+    for key in ("delta", "alpha", "dim", "base"):
+        game = {"family": "perturbed-base", "base": BASE, key: "x"}
+        bad_fields.append((f"config.game.{key}", {"game": game}))
+    for path, overrides in bad_fields:
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ":"):
+            ExperimentConfig.from_dict(small_config(**overrides))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
 
 
@@ -166,6 +183,47 @@ def test_ftl_init_after_one_task_is_first_optimum():
     np.testing.assert_allclose(
         res.task_summaries[1]["inits"], res.task_summaries[0]["optima"], atol=1e-15
     )
+
+
+LOWER_BOUND_NE = {
+    "T": 30,
+    "m": 5,
+    "seed": 123,
+    "game": {"family": "lower-bound-prior", "prior": [0.5, 0.25, 0.25]},
+    "learner": {"algo": "ogd", "eta": "auto"},
+    "init": "ne-average",
+    "meta": {"similarity_report": True},
+}
+
+
+def test_repeated_games_solved_once(monkeypatch):
+    # lower-bound-prior draws T tasks from d distinct games: the saddle-point
+    # LPs and the auto rate's power iteration run once per distinct game
+    calls = {"lp": 0, "power": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_solve_row_max", counted("lp", metrics._solve_row_max))
+    monkeypatch.setattr(
+        games,
+        "_power_iteration_spectral_norm",
+        counted("power", games._power_iteration_spectral_norm),
+    )
+    res = run_experiment(LOWER_BOUND_NE)
+    distinct = len({g.A.tobytes() for g in res.games})
+    assert distinct == len({id(g) for g in res.games}) == 3
+    assert calls == {"lp": distinct, "power": distinct}
+
+
+def test_runs_share_no_game_objects():
+    first, second = run_experiment(LOWER_BOUND_NE), run_experiment(LOWER_BOUND_NE)
+    assert not {id(g) for g in first.games} & {id(g) for g in second.games}
+    assert first.task_summaries == second.task_summaries
 
 
 def test_compare_arms_identical_arms_ratio_one():

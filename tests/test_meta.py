@@ -103,7 +103,9 @@ def test_ewoo_zero_losses_concentrates_at_regularized_argmin():
         st.record(0.0, 1.0)
     eta = ewoo_next_eta(st)
     grid = np.linspace(st.lo, st.hi, 200001)
-    argmin = grid[int(np.argmin(st.regularized_loss(grid)))]
+    # sum_t gamma_t * (eta + (B_t^2 + eps^2) / eta) over the recorded tasks
+    loss = sum(g * (grid + (bs + st.epsilon**2) / grid) for g, bs in zip(st.gammas, st.b_squares))
+    argmin = grid[int(np.argmin(loss))]
     assert abs(argmin - st.lo) < 1e-5  # the regularized argmin is the lower end
     assert st.lo <= eta <= st.lo + 0.1 * (st.hi - st.lo)
 

@@ -72,6 +72,19 @@ def test_duality_gap_zero_at_lp_saddle():
         assert -1e-9 <= gap <= 1e-9
 
 
+def test_saddle_point_returns_fresh_copies():
+    game = lower_bound_family(3, 2)
+    x, y, value = saddle_point(game)
+    want = (x.copy(), y.copy(), value)
+    x[:] = -1.0
+    y[:] = -1.0
+    x2, y2, value2 = saddle_point(game)
+    np.testing.assert_array_equal(x2, want[0])
+    np.testing.assert_array_equal(y2, want[1])
+    assert value2 == want[2]
+    assert x2 is not x and y2 is not y
+
+
 def test_duality_gap_vs_ne_gap_consistency():
     rng = np.random.default_rng(2)
     for _ in range(30):
