@@ -179,21 +179,6 @@ class SecurityGame:
             if not np.all(np.isfinite(tab)) or np.max(np.abs(tab)) > 1.0 + 1e-12:
                 raise InvalidInputError("security-game utilities must lie in [-1, 1]")
 
-    def attacker_utilities(self, type_id, coverage):
-        """Per-target expected utility of the given attacker type."""
-        c, u = self.attacker_covered[type_id], self.attacker_uncovered[type_id]
-        return coverage * c + (1.0 - coverage) * u
-
-    def defender_utility(self, coverage, target):
-        cov = coverage[target]
-        return float(
-            cov * self.defender_covered[target] + (1.0 - cov) * self.defender_uncovered[target]
-        )
-
-    def defender_utilities(self, coverage):
-        """Defender's expected utility for every possible attacked target."""
-        return coverage * self.defender_covered + (1.0 - coverage) * self.defender_uncovered
-
     def to_json_dict(self):
         return {
             "kind": "security",

@@ -155,6 +155,14 @@ def _number(block, key, where, default=None, integer=False, minimum=-math.inf):
     return int(val) if integer else float(val)
 
 
+def _flag(block, key, where):
+    """``block[key]`` (False if absent); a non-bool is a ConfigError naming its path."""
+    val = block.get(key, False)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{where}.{key}: expected true or false, got {val!r}")
+    return val
+
+
 def _matrix(block, key):
     """``block[key]`` as a float array, or None when absent."""
     try:
@@ -245,13 +253,13 @@ class ExperimentConfig:
             init_mode=init_mode,
             prediction=learner.get("prediction", "recency"),
             first_prediction=learner.get("first_prediction", "oracle"),
-            alternating_updates=bool(learner.get("alternating", False)),
+            alternating_updates=_flag(learner, "alternating", "config.learner"),
             metrics_every=metrics_every,
             log_every=log_every,
-            dump_strategies=bool(obj.get("dump_strategies", False)),
+            dump_strategies=_flag(obj, "dump_strategies", "config"),
             ewoo_D=ewoo_block.get("D"),
             ewoo_rho=ewoo_block.get("rho"),
-            similarity_report=bool(meta_block.get("similarity_report", False)),
+            similarity_report=_flag(meta_block, "similarity_report", "config.meta"),
         )
         if cfg.metrics_every > 0 and cfg.log_every == 0:
             raise ConfigError(

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from metagames.errors import InvalidInputError, NumericError
 from metagames.games import MatrixGame, NormalFormGame, SmoothnessMeta, utility_gradient
@@ -33,6 +32,8 @@ def _solve_row_max(B):
     Returns (x, y, value) where x attains the max-min and y the min-max;
     they coincide at the game value by LP duality.
     """
+    from scipy.optimize import linprog  # about 0.5 s and 45 MB; only the LPs need it
+
     B = np.asarray(B, dtype=float)
     d_x, d_y = B.shape
     # Row problem: maximize v subject to B^T x >= v, sum x = 1, x >= 0.

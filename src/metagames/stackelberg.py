@@ -16,7 +16,7 @@ import numpy as np
 
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import SecurityGame
-from metagames.geometry import ENTROPIC, Regularizer, Simplex, bregman, mwu_step
+from metagames.geometry import ENTROPIC, Regularizer, Simplex, bregman
 from metagames.meta import (
     COLD,
     FTL_AVERAGE,
@@ -29,22 +29,32 @@ from metagames.meta import (
 from metagames.swapregret import boundary_offset_comparator
 
 
+def _responses(game: SecurityGame, points):
+    """Defender utilities (n, d) of the n coverage rows of ``points``, and the
+    target (k, n) each attacker type attacks: its best response, with ties
+    within 1e-12 going to the defender-favorable, then the lowest, index."""
+    P = np.asarray(points, dtype=float)
+    D = P * game.defender_covered + (1.0 - P) * game.defender_uncovered
+    A = P * game.attacker_covered[:, None, :] + (1.0 - P) * game.attacker_uncovered[:, None, :]
+    tied = A >= np.max(A, axis=2, keepdims=True) - 1e-12
+    return D, np.argmax(np.where(tied, D, -np.inf), axis=2)  # argmax keeps the lowest index
+
+
+def payoff_table(game: SecurityGame, points):
+    """Defender utility (k, n) of each coverage row against each type's best response."""
+    D, targets = _responses(game, points)
+    return D[np.arange(D.shape[0]), targets]
+
+
 def best_response(game: SecurityGame, type_id, coverage):
     """Attacked target: argmax attacker utility, ties defender-favorable then
     lowest index."""
-    coverage = np.asarray(coverage, dtype=float)
-    att = game.attacker_utilities(type_id, coverage)
-    best = np.max(att)
-    tied = np.flatnonzero(att >= best - 1e-12)
-    if len(tied) == 1:
-        return int(tied[0])
-    defender = game.defender_utilities(coverage)[tied]
-    return int(tied[int(np.argmax(defender))])  # argmax keeps the lowest index
+    return int(_responses(game, np.asarray(coverage, dtype=float)[None])[1][type_id, 0])
 
 
 def defender_payoff(game: SecurityGame, type_id, coverage):
     """Defender utility when the given attacker type best responds."""
-    return game.defender_utility(coverage, best_response(game, type_id, coverage))
+    return float(payoff_table(game, np.asarray(coverage, dtype=float)[None])[type_id, 0])
 
 
 class AttackerSequence:
@@ -224,16 +234,36 @@ def stackelberg_regret(game: SecurityGame, coverages, attacker_types, extreme_po
     pts = extreme_points.points if isinstance(extreme_points, ExtremePointSet) else np.asarray(extreme_points)
     if pts.shape[0] == 0:
         raise InvalidInputError("empty comparator set")
-    coverages = np.asarray(coverages, dtype=float)
-    attacker_types = list(attacker_types)
-    realized = sum(
-        defender_payoff(game, f, x) for f, x in zip(attacker_types, coverages)
-    )
-    best = -np.inf
-    for x in pts:
-        total = sum(defender_payoff(game, f, x) for f in attacker_types)
-        best = max(best, total)
-    return float(best - realized)
+    coverages = np.asarray(coverages, dtype=float).reshape(-1, pts.shape[1])
+    attacker_types = np.asarray(attacker_types, dtype=int)
+    played = payoff_table(game, coverages)[attacker_types, np.arange(len(coverages))]
+    best = np.max(np.sum(payoff_table(game, pts)[attacker_types], axis=0))
+    return float(best - np.sum(played))
+
+
+def _play_mwu(U, y0, eta, sampled):
+    """One task of full-information MWU from ``y0`` on the utility rows ``U``:
+    round i plays softmax(log y0 + eta * C_i), C_i the sum of the rows before
+    i, and samples the first point whose cumulative weight reaches
+    ``sampled[i]`` times the total. Returns the expected and realized values
+    and the summed utilities. Unlike per-round ``geometry.mwu_step`` calls, no
+    weight is floored at 1e-300 mid-task."""
+    m, n = U.shape
+    Y = np.empty((m, n))
+    Y[0] = 0.0
+    np.cumsum(U[:-1], axis=0, out=Y[1:])
+    cum_utility = Y[-1] + U[-1]
+    Y *= eta
+    Y += np.log(np.maximum(y0, 1e-300))
+    Y -= np.max(Y, axis=1, keepdims=True)
+    np.exp(Y, out=Y)
+    Y /= np.sum(Y, axis=1, keepdims=True)
+    expected_value = float(np.einsum("ij,ij->", Y, U))
+    thresholds = sampled * np.sum(Y, axis=1)
+    np.cumsum(Y, axis=1, out=Y)
+    choices = np.minimum(np.count_nonzero(Y < thresholds[:, None], axis=1), n - 1)
+    realized_value = float(np.sum(U[np.arange(m), choices]))
+    return expected_value, realized_value, cum_utility
 
 
 # Config initializer names and the meta.Initializer modes they run.
@@ -295,6 +325,7 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     entropic = Regularizer(ENTROPIC)
     records = []
     opt_hindsight_dists = []
+    table_game = None
     for t in range(T):
         game = games[t]
         script = list(attacker_script[t])
@@ -302,26 +333,14 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
             raise ConfigError(f"task {t} script has {len(script)} rounds, expected {m}")
         if any(not 0 <= f < game.k for f in script):
             raise ConfigError("attacker type index out of range")
-        # Defender utility of each extreme point against each type's response.
-        payoff_table = np.asarray(
-            [[defender_payoff(game, f, x) for x in E.points] for f in range(game.k)]
-        )
+        if game is not table_game:  # consecutive tasks on one game share the table
+            payoffs = payoff_table(game, E.points)
+            table_game = game
         (y0,) = initializer.initialization()
         eta_t = ewoo_next_eta(ewoo) if config.eta == "ewoo" else float(config.eta)
-
-        y = y0
-        cum_utility = np.zeros(n_points)
-        expected_value = 0.0
-        realized_value = 0.0
-        sampled = rng.random(m)
-        for i in range(m):
-            u_vec = payoff_table[script[i]]
-            expected_value += float(y @ u_vec)
-            choice = int(np.searchsorted(np.cumsum(y), sampled[i] * np.sum(y)))
-            choice = min(choice, n_points - 1)
-            realized_value += float(u_vec[choice])
-            cum_utility += u_vec
-            y = mwu_step(y, u_vec, eta_t)
+        expected_value, realized_value, cum_utility = _play_mwu(
+            payoffs[script], y0, eta_t, rng.random(m)
+        )
 
         best_idx = int(np.argmax(cum_utility))
         best_value = float(cum_utility[best_idx])

@@ -8,8 +8,6 @@ fed the utility scaled by the mass the mix put on ``a``.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from metagames.errors import InvalidInputError, NumericError
@@ -135,23 +133,6 @@ def swap_regret(strategies, utilities):
     realized = np.diag(weighted)
     gains = np.max(weighted - realized[:, None], axis=1)
     return float(np.sum(np.maximum(gains, 0.0)))
-
-
-def swap_regret_bruteforce(strategies, utilities):
-    """Reference enumeration over all d^d swap maps (small d only)."""
-    strategies = np.asarray(strategies, dtype=float)
-    utilities = np.asarray(utilities, dtype=float)
-    d = strategies.shape[1]
-    best = 0.0
-    for phi in itertools.product(range(d), repeat=d):
-        total = 0.0
-        for x, u in zip(strategies, utilities):
-            swapped = np.zeros(d)
-            for a in range(d):
-                swapped[phi[a]] += x[a]
-            total += float((swapped - x) @ u)
-        best = max(best, total)
-    return best
 
 
 def boundary_offset_comparator(point, alpha):

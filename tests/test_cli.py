@@ -50,6 +50,10 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
         ({"seed": "x"}, "config.seed"),
         ({"log_every": -3}, "config.log_every"),
         ({"game": {"family": "perturbed-base", "delta": "x"}}, "config.game.delta"),
+        (
+            {"learner": {"algo": "ogd", "eta": 0.05, "alternating": "no"}},
+            "config.learner.alternating",
+        ),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):

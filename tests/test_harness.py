@@ -62,6 +62,9 @@ def test_config_validation_field_paths():
         ("config.log_every", {"log_every": "x"}),
         ("config.metrics_every", {"metrics_every": -1, "log_every": 5}),
         ("config.game", {"game": 5}),
+        ("config.learner.alternating", {"learner": {"eta": 0.1, "alternating": "no"}}),
+        ("config.dump_strategies", {"dump_strategies": 1}),
+        ("config.meta.similarity_report", {"meta": {"similarity_report": "yes"}}),
     ]
     for key in ("delta", "alpha", "dim", "base"):
         game = {"family": "perturbed-base", "base": BASE, key: "x"}

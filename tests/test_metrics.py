@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,22 @@ def test_solve_nash_lp_matching_pennies():
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-9)
     np.testing.assert_allclose(y, [0.5, 0.5], atol=1e-9)
     assert abs(v) < 1e-9
+
+
+def test_lp_solver_imported_on_first_solve():
+    # scipy.optimize costs about 0.5 s and 45 MB to import; only the LPs need it.
+    code = (
+        "import sys, numpy as np, metagames.cli\n"
+        "from metagames.games import MatrixGame\n"
+        "from metagames.metrics import saddle_point\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "saddle_point(MatrixGame(np.eye(2)))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_solve_nash_lp_degenerate():

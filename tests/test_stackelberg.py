@@ -1,18 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from metagames import stackelberg
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import SecurityGame
+from metagames.geometry import mwu_step
 from metagames.stackelberg import (
     ExtremePointSet,
     StackelbergConfig,
     best_response,
     build_extreme_points,
     defender_payoff,
+    payoff_table,
     run_meta_stackelberg,
     stackelberg_regret,
 )
+
+
+def loop_best_response(game, type_id, coverage):
+    """Scalar reference of the tie rule: argmax attacker utility, ties
+    defender-favorable then lowest index."""
+    c, u = game.attacker_covered[type_id], game.attacker_uncovered[type_id]
+    att = coverage * c + (1.0 - coverage) * u
+    tied = np.flatnonzero(att >= np.max(att) - 1e-12)
+    if len(tied) == 1:
+        return int(tied[0])
+    defender = defender_utilities(game, coverage)[tied]
+    return int(tied[int(np.argmax(defender))])
+
+
+def defender_utilities(game, coverage):
+    """Defender's expected utility for every possible attacked target."""
+    return coverage * game.defender_covered + (1.0 - coverage) * game.defender_uncovered
+
+
+def loop_play_mwu(U, y0, eta, sampled):
+    """Per-round reference of ``stackelberg._play_mwu``: one ``mwu_step`` per
+    round, with its 1e-300 floor, and a ``searchsorted`` draw."""
+    n = U.shape[1]
+    y = y0
+    cum_utility = np.zeros(n)
+    expected_value = 0.0
+    realized_value = 0.0
+    for i, u_vec in enumerate(U):
+        expected_value += float(y @ u_vec)
+        choice = int(np.searchsorted(np.cumsum(y), sampled[i] * np.sum(y)))
+        realized_value += float(u_vec[min(choice, n - 1)])
+        cum_utility += u_vec
+        y = mwu_step(y, u_vec, eta)
+    return expected_value, realized_value, cum_utility
 
 
 def two_target_game():
@@ -28,7 +67,7 @@ def test_best_response_examples():
     # symmetric coverage ties; the defender-favorable rule picks among ties
     tied = best_response(g, 0, np.array([0.5, 0.5]))
     assert tied in (0, 1)
-    dg = g.defender_utilities(np.array([0.5, 0.5]))
+    dg = defender_utilities(g, np.array([0.5, 0.5]))
     assert dg[tied] == np.max(dg)
     single = SecurityGame([(np.zeros(1), np.ones(1))], np.ones(1), np.zeros(1))
     assert best_response(single, 0, np.array([1.0])) == 0
@@ -53,6 +92,7 @@ def test_stackelberg_regret_examples():
     )
     reg = stackelberg_regret(g, [best] * 3, [0, 0, 0], E)
     assert abs(reg) < 1e-12
+    assert stackelberg_regret(g, [], [], E) == 0.0  # no rounds, no regret
     # single target -> single outcome -> always 0
     single = SecurityGame([(np.zeros(1), np.ones(1))], np.ones(1), np.zeros(1))
     E1 = ExtremePointSet(np.array([[1.0]]))
@@ -75,6 +115,103 @@ def test_stackelberg_regret_bruteforce_instance():
 def _random_game(rng, d, k):
     types = [(rng.uniform(-1, 0, d), rng.uniform(0, 1, d)) for _ in range(k)]
     return SecurityGame(types, rng.uniform(0, 1, d), rng.uniform(-1, 0, d))
+
+
+# Dyadic payoffs and coverages in quarters make ties exact.
+DYADIC = st.sampled_from([-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def games_and_points(draw):
+    d, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), 6
+    if draw(st.booleans()):
+        n_values, n_cuts = (2 * k + 2) * d, n * (d - 1)
+        payoffs = np.reshape(draw(st.lists(DYADIC, min_size=n_values, max_size=n_values)), (-1, d))
+        cuts = draw(st.lists(st.integers(0, 4), min_size=n_cuts, max_size=n_cuts))
+        cuts = np.sort(np.reshape(cuts, (n, d - 1)))
+        points = np.diff(np.hstack([np.zeros((n, 1)), cuts, np.full((n, 1), 4)]), axis=1) / 4.0
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        payoffs = rng.uniform(-1, 1, (2 * k + 2, d))
+        points = rng.dirichlet(np.ones(d), size=n)
+    types = [(payoffs[2 * f], payoffs[2 * f + 1]) for f in range(k)]
+    return SecurityGame(types, payoffs[-2], payoffs[-1]), points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(games_and_points())
+def test_payoff_table_matches_scalar_tie_rule(case):
+    game, points = case
+    table = payoff_table(game, points)
+    assert table.shape == (game.k, len(points))
+    for f in range(game.k):
+        for e, x in enumerate(points):
+            target = loop_best_response(game, f, x)
+            expected = defender_utilities(game, x)[target]
+            assert best_response(game, f, x) == target
+            assert table[f, e] == defender_payoff(game, f, x) == expected
+
+
+def test_play_mwu_matches_per_round_loop():
+    rng = np.random.default_rng(12)
+    for m, n in ((1, 1), (1, 5), (40, 1), (200, 37)):
+        U = rng.uniform(-1, 1, (m, n))
+        y0 = rng.dirichlet(np.ones(n))
+        sampled = rng.random(m)
+        for eta in (0.01, 0.5, 3.0):
+            exp_v, real_v, cum = stackelberg._play_mwu(U, y0, eta, sampled)
+            ref_exp, ref_real, ref_cum = loop_play_mwu(U, y0, eta, sampled)
+            tol = 1e-12 * m * np.max(np.abs(U))
+            assert abs(exp_v - ref_exp) <= tol and abs(real_v - ref_real) <= tol
+            assert cum.tobytes() == ref_cum.tobytes()
+
+
+@pytest.mark.parametrize("persistent", [True, False])
+def test_run_matches_per_round_loop(monkeypatch, persistent):
+    # The closed form keeps the argmax of the summed utilities bit for bit,
+    # so the meta layer sees the same optima: rates, initializations and
+    # bounds agree exactly; the regrets to rounding.
+    rng = np.random.default_rng(13)
+    game = _random_game(rng, 3, 2)
+    E = build_extreme_points([game], gamma=1e-3)
+    T, m = 6, 120
+    if persistent:
+        script = [[1] * m] * T
+    else:
+        script = rng.integers(0, game.k, size=(T, m)).tolist()
+    tol = 1e-12 * m * np.max(np.abs(payoff_table(game, E.points)))
+    for init in ("ftl-average", "uniform"):
+        for eta in ("ewoo", 0.05, 2.0):
+            cfg = StackelbergConfig(m=m, initializer=init, eta=eta, seed=14)
+            recs, _ = run_meta_stackelberg([game] * T, script, cfg, extreme_points=E)
+            with monkeypatch.context() as patch:
+                patch.setattr(stackelberg, "_play_mwu", loop_play_mwu)
+                ref, _ = run_meta_stackelberg([game] * T, script, cfg, extreme_points=E)
+            for r, q in zip(recs, ref):
+                for key in ("task", "eta", "init_kl", "mwu_bound", "best_point_index"):
+                    assert r[key] == q[key]
+                for key in ("regret_expected", "regret_realized"):
+                    assert abs(r[key] - q[key]) <= tol
+
+
+def test_payoff_table_built_once_per_run_of_one_game(monkeypatch):
+    rng = np.random.default_rng(15)
+    first, second = _random_game(rng, 3, 2), _random_game(rng, 3, 2)
+    E = build_extreme_points([first, second], gamma=1e-3)
+    built = []
+
+    def counted(game, points):
+        built.append(game)
+        return payoff_table(game, points)
+
+    monkeypatch.setattr(stackelberg, "payoff_table", counted)
+    m = 10
+    cfg = StackelbergConfig(m=m, initializer="ftl-average", eta="ewoo", seed=16)
+    run_meta_stackelberg([first] * 8, [[0] * m] * 8, cfg, extreme_points=E)
+    assert built == [first]
+    built.clear()
+    run_meta_stackelberg([first, first, second, first], [[1] * m] * 4, cfg, extreme_points=E)
+    assert built == [first, second, first]
 
 
 def test_extreme_points_cover_region_optima():

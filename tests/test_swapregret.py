@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,24 @@ from metagames.swapregret import (
     default_log_barrier_eta,
     stationary_distribution,
     swap_regret,
-    swap_regret_bruteforce,
 )
+
+
+def swap_regret_bruteforce(strategies, utilities):
+    """Reference enumeration over all d^d swap maps (small d only)."""
+    strategies = np.asarray(strategies, dtype=float)
+    utilities = np.asarray(utilities, dtype=float)
+    d = strategies.shape[1]
+    best = 0.0
+    for phi in itertools.product(range(d), repeat=d):
+        total = 0.0
+        for x, u in zip(strategies, utilities):
+            swapped = np.zeros(d)
+            for a in range(d):
+                swapped[phi[a]] += x[a]
+            total += float((swapped - x) @ u)
+        best = max(best, total)
+    return best
 
 
 def test_stationary_examples():
