@@ -58,7 +58,7 @@ def _cmd_run(args):
         obj["dump_strategies"] = True
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if obj.get("arms"):
+    if "arms" in obj:
         results, table = harness.compare_arms(obj)
         (out / "comparison.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
         for name, res in results.items():

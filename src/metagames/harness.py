@@ -74,7 +74,7 @@ class RunRecord:
         )
 
 
-def play_task(game, learners, m, free_first=True, alternating=False, observer=None):
+def play_task(game, learners, m, free_first=True, alternating=False):
     """Self-play on any game for m rounds; the one per-round play loop.
 
     Utilities come from ``utility_gradient``, so matrix, normal-form and
@@ -83,8 +83,8 @@ def play_task(game, learners, m, free_first=True, alternating=False, observer=No
     oracle call of a task. Learners in 'secondary-anchor' mode are given u_k
     at the secondary iterates before every round. With ``alternating`` (two
     players) the second mover predicts with the first mover's current move.
-    ``observer(i, profile, utilities)``, when given, sees round i after the
-    utilities are known and before the learners update. Returns the learners.
+    The learners keep their played points and utilities, from which
+    ``_task_records`` logs the rounds afterwards. Returns the learners.
     """
     n = len(learners)
     predicts = [hasattr(lrn, "set_prediction") for lrn in learners]
@@ -107,8 +107,6 @@ def play_task(game, learners, m, free_first=True, alternating=False, observer=No
             learners[1].set_prediction(utility_gradient(game, 1, [first, first]))
         profile = [lrn.play() for lrn in learners]
         utilities = [utility_gradient(game, k, profile) for k in range(n)]
-        if observer is not None:
-            observer(i, profile, utilities)
         for lrn, u in zip(learners, utilities):
             lrn.update(u)
     return learners
@@ -163,6 +161,33 @@ def _flag(block, key, where):
     return val
 
 
+# The keys each config object may hold, by field path.
+_KEYS = {
+    "config": ("T", "dump_strategies", "game", "init", "learner", "log_every", "m", "meta",
+               "metrics_every", "seed"),
+    "config.game": ("alpha", "base", "delta", "dim", "family", "prior", "sequencing"),
+    "config.learner": ("algo", "alternating", "eta", "eta_mode", "first_prediction", "prediction"),
+    "config.meta": ("ewoo", "initializer", "similarity_report"),
+    "config.meta.ewoo": ("D", "enabled", "rho"),
+}
+
+
+def _known(block, where):
+    """Return ``block``; a key outside ``_KEYS[where]`` is a ConfigError naming its path."""
+    unknown = sorted(set(block) - set(_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key (known: {', '.join(_KEYS[where])})")
+    return block
+
+
+def _block(parent, key, where):
+    """``parent[key]`` ({} if absent) as a config object with known keys only."""
+    block = parent.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}.{key}: expected an object, got {block!r}")
+    return _known(block, f"{where}.{key}")
+
+
 def _matrix(block, key):
     """``block[key]`` as a float array, or None when absent."""
     try:
@@ -195,16 +220,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(obj):
+        _known(obj, "config")
         T = _number(obj, "T", "config", integer=True, minimum=1)
         m = _number(obj, "m", "config", integer=True, minimum=1)
-        game_obj = obj.get("game")
-        if not isinstance(game_obj, dict):
-            raise ConfigError(f"config.game: expected an object, got {game_obj!r}")
+        game_obj = _block(obj, "game", "config")
         if "family" not in game_obj:
             raise ConfigError("config.game.family: missing")
-        learner = obj.get("learner", {})
-        if not isinstance(learner, dict):
-            raise ConfigError(f"config.learner: expected an object, got {learner!r}")
+        learner = _block(obj, "learner", "config")
         if learner.get("eta", "auto") != "auto":
             _number(learner, "eta", "config.learner")
         seed = _number(obj, "seed", "config", 0, integer=True)
@@ -223,17 +245,8 @@ class ExperimentConfig:
         )
         # The meta block groups the cross-task knobs; flat keys still win so
         # arm overrides stay terse.
-        meta_block = obj.get("meta", {})
-        if not isinstance(meta_block, dict):
-            raise ConfigError("config.meta: expected an object")
-        ewoo_block = meta_block.get("ewoo", {})
-        if not isinstance(ewoo_block, dict):
-            raise ConfigError("config.meta.ewoo: expected an object")
-        if "Cprime" in ewoo_block:
-            raise ConfigError(
-                "config.meta.ewoo.Cprime: not used by matrix runs; "
-                "set config.meta.ewoo.D for the EWOO radius"
-            )
+        meta_block = _block(obj, "meta", "config")
+        ewoo_block = _block(meta_block, "ewoo", "config.meta")
         for key in ("D", "rho"):
             val = ewoo_block.get(key)
             if key in ewoo_block and (type(val) not in (int, float) or not 0 < val < math.inf):
@@ -356,7 +369,6 @@ def run_experiment(config) -> ExperimentResult:
         for restarts in range(MAX_RESTARTS + 1):
             # Doubling trick: rerun the task at half the rate while the local
             # RVU residual is positive; only the final attempt is logged.
-            task_records = []
             learners = [
                 make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
                 for s, x0 in zip(sets, inits)
@@ -367,9 +379,6 @@ def run_experiment(config) -> ExperimentResult:
                 cfg.m,
                 free_first=cfg.first_prediction == "oracle",
                 alternating=cfg.alternating_updates,
-                observer=_round_logger(cfg, game, t, learners, task_records)
-                if cfg.log_every
-                else None,
             )
             if cfg.eta_mode != "doubling" or restarts == MAX_RESTARTS:
                 break
@@ -377,7 +386,8 @@ def run_experiment(config) -> ExperimentResult:
             if halved == task_eta:
                 break
             task_eta = halved
-        records.extend(task_records)
+        if cfg.log_every:
+            records.extend(_task_records(cfg, game, t, learners))
         if cfg.eta_mode == "doubling":
             eta = task_eta  # keep the calibrated rate for later tasks
 
@@ -406,35 +416,38 @@ def run_experiment(config) -> ExperimentResult:
     return ExperimentResult(cfg, records, summaries, sim, games)
 
 
-def _round_logger(cfg, game, t, learners, records):
-    """Per-round observer for ``play_task`` that appends a RunRecord per
-    player every ``log_every`` rounds and at the last round.
+def _task_records(cfg, game, t, learners):
+    """RunRecords of a finished task: one per player every ``log_every``
+    rounds and at the last round, read off the learners' stored histories.
 
     Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
     the duality gap of the running average is defined for zero-sum games
-    only.
+    only. The running sums are ``cumsum``s, which add in round order as a
+    per-round ``+=`` would.
     """
-    m = cfg.m
-    cum_u = [np.zeros_like(lrn.init) for lrn in learners]
-    sums = [np.zeros_like(lrn.init) for lrn in learners]
-    realized = [0.0] * len(learners)
-    path2 = [0.0] * len(learners)
-    prev = [lrn.init.copy() for lrn in learners]
-    zero_sum = isinstance(game, MatrixGame)
-
-    def observe(i, profile, utilities):
-        for k, (s, u) in enumerate(zip(profile, utilities)):
-            sums[k] += s
-            cum_u[k] += u
-            realized[k] += float(s @ u)
-            path2[k] += float(np.sum((s - prev[k]) ** 2))
-            prev[k] = s
-        if i % cfg.log_every and i != m:
-            return
-        gap, gaps = float("nan"), [float("nan")] * len(profile)
+    m, n = cfg.m, len(learners)
+    hists, sums, regrets, path2 = [], [], [], []
+    for lrn in learners:
+        # An OMDLearner appends each played point to its path after x^(0);
+        # a GDLearner plays the point it last reached.
+        xs = lrn.path[:-1] if isinstance(lrn, GDLearner) else lrn.path[1:]
+        hist = np.asarray(xs)
+        # 1-D dots, as played: a row-wise einsum adds in another order.
+        realized = np.cumsum([float(x @ u) for x, u in zip(xs, lrn.utilities)])
+        cum_u = np.cumsum(lrn.utility_array(), axis=0)
+        steps = np.diff(hist, axis=0, prepend=lrn.init[None])
+        hists.append(hist)
+        sums.append(np.cumsum(hist, axis=0))
+        regrets.append(np.max(cum_u, axis=1) - realized)
+        path2.append(np.cumsum(np.sum(steps**2, axis=1)))
+    records = []
+    for i in [*range(cfg.log_every, m, cfg.log_every), m]:
+        j = i - 1
+        profile = [h[j] for h in hists]
+        gap, gaps = float("nan"), [float("nan")] * n
         if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
-            if zero_sum:
-                gap = duality_gap(game, sums[0] / i, sums[1] / i)
+            if isinstance(game, MatrixGame):
+                gap = duality_gap(game, sums[0][j] / i, sums[1][j] / i)
             gaps = ne_gap(game, profile)
         for k, (s, lrn) in enumerate(zip(profile, learners)):
             records.append(
@@ -442,17 +455,16 @@ def _round_logger(cfg, game, t, learners, records):
                     task=t,
                     iter=i,
                     player=k,
-                    regret_cum=float(np.max(cum_u[k]) - realized[k]),
+                    regret_cum=float(regrets[k][j]),
                     dualgap=float(gap),
                     negap=float(gaps[k]),
-                    pathlen2=path2[k],
+                    pathlen2=float(path2[k][j]),
                     eta=lrn.eta,
                     init_mode=cfg.init_mode,
                     strategy=s.copy() if cfg.dump_strategies else None,
                 )
             )
-
-    return observe
+    return records
 
 
 def _zero_sum_summary(game, learners, nash):

