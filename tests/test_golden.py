@@ -4,8 +4,9 @@ Each ``run_experiment`` config's ``write_task_summaries`` and
 ``write_records_csv`` output (plus the strategy sidecar and the similarity
 statistics where a config produces them) is hashed with SHA-256 and compared
 with ``data/golden_digests.json``. So are the records and summary of
-``run_meta_stackelberg`` runs and the paths and rate of ``holder_run`` runs.
-A refactor must keep every digest. To re-record after an intended change of
+``run_meta_stackelberg`` runs and the paths and rate of ``holder_run`` runs, and so are the values of the accounting routines (regret,
+weighted and proxy regret, RVU terms, per-action swap regrets, NE gaps and the
+``report`` audit) on seeded runs. A refactor must keep every digest. To re-record after an intended change of
 numbers, run ``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``,
 which re-records only the named entries and prints which digests changed;
 with no names it re-records all of them.
@@ -20,14 +21,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metagames.games import SecurityGame
-from metagames.harness import run_experiment, write_records_csv, write_task_summaries
+from metagames import cli
+from metagames.games import MatrixGame, NormalFormGame, SecurityGame, utility_gradient
+from metagames.geometry import Simplex
+from metagames.harness import (
+    make_learner,
+    play_task,
+    run_experiment,
+    write_records_csv,
+    write_task_summaries,
+)
 from metagames.holder_vi import (
     amplitude_rotation_operator,
     componentwise_power_operator,
     holder_run,
 )
+from metagames.learners import (
+    AlphaWeights,
+    EGLearner,
+    alpha_regret,
+    doubling_trick_eta,
+    external_regret,
+    rvu_terms,
+)
+from metagames.metrics import ne_gap
 from metagames.stackelberg import StackelbergConfig, build_extreme_points, run_meta_stackelberg
+from metagames.swapregret import SwapWrapper, boundary_offset_comparator
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
@@ -87,6 +106,102 @@ STACKELBERG_CONFIGS = {
 HOLDER_CONFIGS = {
     "holder-power-4-0.5": (lambda: componentwise_power_operator(4, 0.5), [0.9, -0.7, 0.5, 0.8]),
     "holder-rotation-2.0": (lambda: amplitude_rotation_operator(beta=2.0), [0.9, 0.0]),
+}
+
+
+def _floats_sha(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _selfplay(seed, shape, m, algo="ogd", eta=0.1):
+    rng = np.random.default_rng(seed)
+    game = MatrixGame(rng.uniform(-1, 1, size=shape))
+    learners = [make_learner(algo, s, eta) for s in game.sets]
+    play_task(game, learners, m)
+    return game, learners
+
+
+def _swap_chain():
+    rng = np.random.default_rng(17)
+    game = NormalFormGame([rng.uniform(-1, 1, size=(3, 4)) for _ in range(2)])
+    players = [SwapWrapper(d, 0.01) for d in game.dims]
+    for _ in range(60):
+        profile = [w.play() for w in players]
+        utils = [utility_gradient(game, k, profile) for k in range(game.n)]
+        for w, u in zip(players, utils):
+            w.update(u)
+    out = {}
+    for k, w in enumerate(players):
+        d = game.dims[k]
+        comparators = [boundary_offset_comparator(np.eye(d)[(a + 1) % d], 0.2) for a in range(d)]
+        out[f"player{k}"] = _floats_sha(w.per_action_external_regrets())
+        out[f"player{k}-comparators"] = _floats_sha(w.per_action_external_regrets(comparators))
+    return out
+
+
+def _alpha_regret():
+    game, learners = _selfplay(29, (3, 4), 40)
+    out = {}
+    for schedule in ("uniform", "linear", "quadratic"):
+        weights = AlphaWeights.from_schedule(schedule, 40)
+        values = []
+        for lrn, sset in zip(learners, game.sets):
+            reg, comp = alpha_regret(lrn.path[1:], lrn.utility_array(), weights, sset)
+            fixed, _ = alpha_regret(lrn.path[1:], lrn.utility_array(), weights, comparator=sset.center())
+            values.extend([reg, *comp, fixed])
+        out[schedule] = _floats_sha(values)
+    return out
+
+
+def _rvu_terms():
+    out = {}
+    for algo, eta in (("ogd", 0.2), ("opthedge", 0.3), ("omd-logbar", 0.05)):
+        game, learners = _selfplay(31, (3, 3), 50, algo=algo, eta=eta)
+        values = []
+        for lrn, sset in zip(learners, game.sets):
+            reg, opt = external_regret(lrn.path[1:], lrn.utility_array(), sset)
+            comp = boundary_offset_comparator(opt, 0.1)
+            values.extend([reg, *rvu_terms(lrn, comp), *rvu_terms(lrn, comp, constant="half")])
+        values.extend(doubling_trick_eta(learners, e) for e in (eta, 4.0 * eta, 0.01 * eta))
+        out[algo] = _floats_sha(values)
+    return out
+
+
+def _eg_proxy_regret():
+    rng = np.random.default_rng(37)
+    game = MatrixGame(rng.uniform(-1, 1, size=(3, 4)))
+    eg = EGLearner(game.operator(), 0.15).run(40)
+    reg, comp = eg.proxy_regret()
+    fixed, _ = eg.proxy_regret(comparator=game.joint_set().center())
+    return {"proxy": _floats_sha([reg, *comp, fixed])}
+
+
+def _ne_gap_matrix():
+    rng = np.random.default_rng(41)
+    game = MatrixGame(rng.uniform(-1, 1, size=(4, 3)))
+    values = []
+    for _ in range(20):
+        profile = [rng.dirichlet(np.ones(d)) for d in (4, 3)]
+        values.extend(ne_gap(game, profile))
+    values.extend(ne_gap(game, [Simplex(4).center(), Simplex(3).center()]))
+    return {"gaps": _floats_sha(values)}
+
+
+def _report_audit():
+    with tempfile.TemporaryDirectory() as tmp:
+        if cli.main(["report", "--out", tmp]) != 0:
+            raise AssertionError("metagames report failed")
+        report = json.loads((Path(tmp) / "report.json").read_text())
+    return {"rvu_audit": _sha_text(json.dumps(report["rvu_audit"], sort_keys=True))}
+
+
+ACCOUNTING = {
+    "accounting-swap-per-action": _swap_chain,
+    "accounting-alpha-regret": _alpha_regret,
+    "accounting-rvu-terms": _rvu_terms,
+    "accounting-eg-proxy-regret": _eg_proxy_regret,
+    "accounting-ne-gap-matrix": _ne_gap_matrix,
+    "accounting-report-audit": _report_audit,
 }
 
 
@@ -166,6 +281,12 @@ def test_golden_holder_digests(name):
     assert holder_digests(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(ACCOUNTING))
+def test_golden_accounting_digests(name):
+    golden = json.loads(DIGESTS.read_text())
+    assert ACCOUNTING[name]() == golden[name]
+
+
 def record(names):
     """Recompute the named digests, write them, and return those that changed."""
     golden = json.loads(DIGESTS.read_text())
@@ -176,6 +297,8 @@ def record(names):
                 recorded[name] = digests(name, tmp)
             elif name in STACKELBERG_CONFIGS:
                 recorded[name] = stackelberg_digests(name)
+            elif name in ACCOUNTING:
+                recorded[name] = ACCOUNTING[name]()
             else:
                 recorded[name] = holder_digests(name)
     changed = sorted(name for name in recorded if recorded[name] != golden.get(name))
@@ -185,7 +308,7 @@ def record(names):
 
 
 if __name__ == "__main__":
-    known = sorted(CONFIGS) + sorted(STACKELBERG_CONFIGS) + sorted(HOLDER_CONFIGS)
+    known = sorted(CONFIGS) + sorted(STACKELBERG_CONFIGS) + sorted(HOLDER_CONFIGS) + sorted(ACCOUNTING)
     names = sys.argv[1:] or known
     unknown = [name for name in names if name not in known]
     if unknown:
