@@ -20,7 +20,8 @@ import numpy as np
 
 from metagames import harness
 from metagames.errors import ConfigError, DomainError, InvalidInputError, NumericError
-from metagames.learners import rvu_terms
+from metagames.games import MatrixGame
+from metagames.learners import external_regret, rvu_terms
 
 DEFAULT_REPORT_CONFIG = {
     "T": 20,
@@ -42,14 +43,17 @@ def _load_config(path, overrides):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        node = obj
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = val
+        if val is not None:
+            _set_dotted(obj, key, val)
     return obj
+
+
+def _set_dotted(obj, key, val):
+    """Set ``obj[a][b][c] = val`` for the dotted key ``a.b.c``, creating objects."""
+    *parents, last = key.split(".")
+    for p in parents:
+        obj = obj.setdefault(p, {})
+    obj[last] = val
 
 
 def _cmd_run(args):
@@ -98,11 +102,7 @@ def _cmd_sweep(args):
     def one(combo):
         cfg = json.loads(json.dumps(obj))
         for k, v in zip(keys, combo):
-            node = cfg
-            parts = k.split(".")
-            for p in parts[:-1]:
-                node = node.setdefault(p, {})
-            node[parts[-1]] = v
+            _set_dotted(cfg, k, v)
         return harness.run_experiment(cfg)
 
     with ThreadPoolExecutor(max_workers=min(harness.thread_cap(), len(combos))) as pool:
@@ -173,18 +173,12 @@ def _cmd_report(args):
         "tasks": len(res.task_summaries),
     }
     # Bound-slack audit on a fresh single task of the same family.
-    from metagames.games import MatrixGame, lipschitz_constant
-    from metagames.harness import make_learner, play_task
-    from metagames.learners import external_regret
-
-    games = res.games
-    if isinstance(games[0], MatrixGame):
-        game = games[0]
-        L = lipschitz_constant(game)
-        eta = 1.0 / (4.0 * L)
-        xl = make_learner("ogd", game.sets[0], eta)
-        yl = make_learner("ogd", game.sets[1], eta)
-        play_task(game, [xl, yl], obj.get("m", 100))
+    game = res.games[0]
+    if isinstance(game, MatrixGame):
+        eta = harness._default_eta(game, 2)
+        xl = harness.make_learner("ogd", game.sets[0], eta)
+        yl = harness.make_learner("ogd", game.sets[1], eta)
+        harness.play_task(game, [xl, yl], obj.get("m", 100))
         audit = {}
         for name, lrn, sset in (("x", xl, game.sets[0]), ("y", yl, game.sets[1])):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), sset)

@@ -44,14 +44,6 @@ class MatrixGame:
             return self
         return MatrixGame(self.A / scale)
 
-    def utilities(self, x, y):
-        """Utility vectors (u_x, u_y) observed against the profile (x, y)."""
-        return -self.A @ y, self.A.T @ x
-
-    def value(self, x, y):
-        """Bilinear payoff x^T A y (loss of x, gain of y)."""
-        return float(x @ self.A @ y)
-
     def operator(self):
         """VI operator F(z) = (A y, -A^T x) with the saddle as MVI point."""
         game = self

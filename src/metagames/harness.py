@@ -135,7 +135,7 @@ def make_learner(algo, strategy_set, eta, init=None, prediction="recency"):
             init=init,
             prediction_mode=prediction,
         )
-    raise ConfigError(f"learner.algo: unknown algorithm {algo!r}")
+    raise ConfigError(f"config.learner.algo: unknown algorithm {algo!r}")
 
 
 def _number(block, key, where, default=None, integer=False, minimum=-math.inf):
@@ -148,6 +148,8 @@ def _number(block, key, where, default=None, integer=False, minimum=-math.inf):
     if isinstance(val, bool) or not isinstance(val, kind):
         expected = "an integer" if integer else "a number"
         raise ConfigError(f"{where}.{key}: expected {expected}, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {val!r}")
     if val < minimum:
         raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {val!r}")
     return int(val) if integer else float(val)
@@ -196,6 +198,22 @@ def _matrix(block, key):
         raise ConfigError(f"config.game.{key}: expected numbers, got {block[key]!r}") from exc
 
 
+def _prior(block):
+    """``block["prior"]`` as row weights: finite, nonnegative, with a positive sum."""
+    prior = _matrix(block, "prior")
+    if prior is not None and (
+        prior.ndim != 1
+        or not np.all(np.isfinite(prior))
+        or not np.sum(prior) > 0
+        or np.min(prior) < 0
+    ):
+        raise ConfigError(
+            "config.game.prior: need a list of nonnegative finite weights with a positive "
+            f"sum, got {block['prior']!r}"
+        )
+    return prior
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; see ``from_dict`` for the schema."""
@@ -238,9 +256,9 @@ class ExperimentConfig:
             seed=seed,
             sequencing=game_obj.get("sequencing", "random"),
             base=_matrix(game_obj, "base"),
-            delta=_number(game_obj, "delta", "config.game", 0.0),
-            prior=_matrix(game_obj, "prior"),
-            dim=_number(game_obj, "dim", "config.game", 3, integer=True),
+            delta=_number(game_obj, "delta", "config.game", 0.0, minimum=0.0),
+            prior=_prior(game_obj),
+            dim=_number(game_obj, "dim", "config.game", 3, integer=True, minimum=1),
             alpha=_number(game_obj, "alpha", "config.game", 0.0),
         )
         # The meta block groups the cross-task knobs; flat keys still win so
@@ -253,7 +271,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.meta.ewoo.{key}: need a finite number > 0, got {val!r}")
         eta_mode = learner.get("eta_mode")
         if eta_mode is None:
-            eta_mode = "ewoo" if ewoo_block.get("enabled", False) else "fixed"
+            eta_mode = "ewoo" if _flag(ewoo_block, "enabled", "config.meta.ewoo") else "fixed"
         init_mode = obj.get("init", meta_block.get("initializer", "cold"))
         cfg = ExperimentConfig(
             T=T,
@@ -279,15 +297,22 @@ class ExperimentConfig:
                 "config.metrics_every: gaps are measured on logged rounds only; "
                 "set config.log_every > 0"
             )
+        if cfg.algo == "gd" and seq.family != "potential-drift":
+            # Zero-sum accounting reads path[1:] as the played points, which
+            # holds for the RVU learners only; a GDLearner plays path[:-1].
+            raise ConfigError(
+                "config.learner.algo: 'gd' is for potential games only; zero-sum "
+                "families need ogd, opthedge or omd-logbar"
+            )
         if cfg.eta_mode not in ("fixed", "doubling", "ewoo"):
-            raise ConfigError(f"learner.eta_mode: unknown mode {cfg.eta_mode!r}")
+            raise ConfigError(f"config.learner.eta_mode: unknown mode {cfg.eta_mode!r}")
         if cfg.first_prediction not in ("oracle", "zero"):
-            raise ConfigError(f"learner.first_prediction: {cfg.first_prediction!r}")
+            raise ConfigError(f"config.learner.first_prediction: {cfg.first_prediction!r}")
         if cfg.prediction not in ("recency", "secondary-anchor", "zero"):
             # An 'alternating' prediction exists only for the second mover, so
             # it is switched on by learner.alternating instead.
             raise ConfigError(
-                f"learner.prediction: {cfg.prediction!r} is not one of recency, "
+                f"config.learner.prediction: {cfg.prediction!r} is not one of recency, "
                 "secondary-anchor, zero (use learner.alternating for alternating updates)"
             )
         return cfg
@@ -342,7 +367,7 @@ def run_experiment(config) -> ExperimentResult:
     potential = isinstance(games[0], PotentialGame)
     if potential and cfg.eta_mode != "fixed":
         raise ConfigError(
-            f"learner.eta_mode: {cfg.eta_mode!r} needs an RVU learner; "
+            f"config.learner.eta_mode: {cfg.eta_mode!r} needs an RVU learner; "
             "potential-game runs use plain gradient ascent (fixed rate only)"
         )
     algo = "gd" if potential else cfg.algo
@@ -499,7 +524,7 @@ def _potential_summary(game, learners):
     paths = [np.asarray(lrn.path) for lrn in learners]
     last = [p[-1] for p in paths]
     row = {
-        "pathlen2": float(sum(np.sum(np.diff(p, axis=0) ** 2) for p in paths)),
+        "pathlen2": sum(path_lengths(p)[0] for p in paths),
         "phi_gain": game.potential(last) - game.potential([p[0] for p in paths]),
         "negap_last": float(np.max(ne_gap(game.base, last))),
     }
@@ -560,25 +585,41 @@ def compare_arms(config):
     """
     base = dict(config)
     arms = base.pop("arms", None)
-    if not arms or len(arms) < 2:
-        raise ConfigError("config.arms: need at least two arms")
+    if not isinstance(arms, list) or len(arms) < 2:
+        raise ConfigError(f"config.arms: need a list of at least two arm objects, got {arms!r}")
     checkpoints = base.pop("checkpoints", None)
     names = []
     configs = []
     for i, arm in enumerate(arms):
+        where = f"config.arms[{i}]"
+        if not isinstance(arm, dict):
+            raise ConfigError(f"{where}: expected an object, got {arm!r}")
         arm = dict(arm)
         name = arm.pop("name", f"arm{i}")
-        merged = json.loads(json.dumps({k: v for k, v in base.items() if k != "arms"}, default=_json_default))
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.name: expected a string, got {name!r}")
+        if name in names:
+            # Results are keyed, and their files named, by arm name.
+            raise ConfigError(f"{where}.name: duplicate arm name {name!r}")
+        merged = json.loads(json.dumps(base, default=_json_default))
         _deep_update(merged, arm)
         names.append(name)
-        configs.append(merged)
+        configs.append(ExperimentConfig.from_dict(merged))
+
+    T = min(cfg.T for cfg in configs)
+    if checkpoints is None:
+        checkpoints = [T]
+    if not isinstance(checkpoints, list) or not checkpoints:
+        raise ConfigError(
+            f"config.checkpoints: expected a non-empty list of task counts, got {checkpoints!r}"
+        )
+    for j, cp in enumerate(checkpoints):
+        if isinstance(cp, bool) or not isinstance(cp, numbers.Integral) or not 1 <= cp <= T:
+            raise ConfigError(f"config.checkpoints[{j}]: expected a task count in 1..{T}, got {cp!r}")
 
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(configs))) as pool:
         results = list(pool.map(run_experiment, configs))
 
-    T = results[0].config.T
-    if checkpoints is None:
-        checkpoints = [T]
     key = gap_key(results[0].task_summaries[0])
     table = {"arms": names, "checkpoints": checkpoints, "metric": key, "rows": []}
     for cp in checkpoints:

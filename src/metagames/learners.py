@@ -23,10 +23,12 @@ from metagames.geometry import (
     Box,
     Regularizer,
     Simplex,
+    bregman,
     project_l2,
     project_simplex,
     prox_step,
 )
+from metagames.metrics import path_lengths
 
 RECENCY = "recency"
 SECONDARY_ANCHOR = "secondary-anchor"
@@ -35,10 +37,8 @@ ZERO = "zero"
 _MODES = (RECENCY, SECONDARY_ANCHOR, ZERO)
 
 
-def cold_start(strategy_set, regularizer=None):
+def cold_start(strategy_set):
     """Minimizer of the regularizer over the set (uniform on a simplex)."""
-    if isinstance(strategy_set, Simplex):
-        return strategy_set.center()
     if isinstance(strategy_set, Box):
         return np.clip(np.zeros(strategy_set.dim), strategy_set.lower, strategy_set.upper)
     return strategy_set.center()
@@ -320,13 +320,7 @@ class EGLearner:
 
     def proxy_regret(self, comparator=None):
         """Regret of the secondary sequence under the auxiliary utilities."""
-        hats = np.asarray(self.hat_path)
-        us = np.asarray(self.hat_utilities)
-        played = float(np.sum(hats * us))
-        cum = np.sum(us, axis=0)
-        if comparator is None:
-            comparator = _best_point(self.set, cum)
-        return float(cum @ np.asarray(comparator) - played), comparator
+        return external_regret(self.hat_path, self.hat_utilities, self.set, comparator)
 
 
 def _best_point(strategy_set, cum_utility):
@@ -362,12 +356,12 @@ def external_regret(strategies, utilities, strategy_set=None, comparator=None):
     utilities = np.asarray(utilities, dtype=float)
     if strategies.shape != utilities.shape:
         raise InvalidInputError("strategy/utility histories must align")
+    cum = np.sum(utilities, axis=0)
     if comparator is None:
         if strategy_set is None:
             raise InvalidInputError("need a strategy set or an explicit comparator")
-        comparator = optimum_in_hindsight(utilities, strategy_set)
+        comparator = _best_point(strategy_set, cum)
     comparator = np.asarray(comparator, dtype=float)
-    cum = np.sum(utilities, axis=0)
     realized = float(np.sum(strategies * utilities))
     return float(cum @ comparator) - realized, comparator
 
@@ -412,31 +406,17 @@ class AlphaWeights:
 
 
 def alpha_regret(strategies, utilities, weights: AlphaWeights, strategy_set=None, comparator=None):
-    """Weighted regret with the same comparator convention as external_regret."""
-    strategies = np.asarray(strategies, dtype=float)
+    """External regret under the alpha-weighted utilities."""
     utilities = np.asarray(utilities, dtype=float)
     if weights.values.shape[0] != utilities.shape[0]:
         raise InvalidInputError("weights length must match the history length")
     weighted = utilities * weights.values[:, None]
-    if comparator is None:
-        if strategy_set is None:
-            raise InvalidInputError("need a strategy set or an explicit comparator")
-        comparator = _best_point(strategy_set, np.sum(weighted, axis=0))
-    comparator = np.asarray(comparator, dtype=float)
-    cum = np.sum(weighted, axis=0)
-    realized = float(np.sum(strategies * weighted))
-    return float(cum @ comparator) - realized, comparator
+    return external_regret(strategies, weighted, strategy_set, comparator)
 
 
 def _prediction_term(learner):
     """sum_i ||u^(i) - m^(i)||^2 of a finished run."""
     return float(np.sum((learner.utility_array() - learner.prediction_array()) ** 2))
-
-
-def _primary_path_term(learner):
-    """sum_i ||x^(i) - x^(i-1)||^2 of a finished run."""
-    diffs = np.diff(learner.primary_array(), axis=0)
-    return float(np.sum(diffs * diffs))
 
 
 def rvu_terms(learner, comparator, constant="eighth"):
@@ -447,18 +427,12 @@ def rvu_terms(learner, comparator, constant="eighth"):
     the primary-path form and c = 1/2 for the refined two-sequence form
     (both appear in the analysis; choose via ``constant``).
     """
-    from metagames.geometry import bregman as _bregman
-
     pred = _prediction_term(learner)
-    breg = _bregman(learner.reg, np.asarray(comparator, dtype=float), learner.init)
+    breg = bregman(learner.reg, np.asarray(comparator, dtype=float), learner.init)
     if constant == "eighth":
-        return breg, pred, _primary_path_term(learner)
+        return breg, pred, path_lengths(learner.primary_array())[0]
     if constant == "half":
-        prim = learner.primary_array()
-        hats = learner.secondary_array()
-        a = prim[1:] - hats[1:]
-        b = prim[1:] - hats[:-1]
-        return breg, pred, float(np.sum(a * a) + np.sum(b * b))
+        return breg, pred, path_lengths(learner.primary_array(), learner.secondary_array())[1]
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
@@ -473,6 +447,6 @@ def doubling_trick_eta(learners, eta):
     boundary).
     """
     pred = sum(_prediction_term(lrn) for lrn in learners)
-    path = sum(_primary_path_term(lrn) for lrn in learners)
+    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
     residual = eta * pred - path / (8.0 * eta)
     return eta / 2.0 if residual > 0 else eta

@@ -230,10 +230,7 @@ class SimilarityStats:
 
     v_opt2: Optional[np.ndarray] = None
     v_ne2_worst: Optional[float] = None
-    v_ne2_best: Optional[float] = None
-    v_diff: Optional[float] = None
     v_kl: Optional[np.ndarray] = None
-    entropy: Optional[float] = None
 
 
 def anchor_variance(anchors):
@@ -374,34 +371,3 @@ def potential_similarity(potentials, grid):
         potential_deviation(potentials[t], potentials[t + 1], grid) for t in range(T - 1)
     )
     return total / T
-
-
-def similarity(
-    opt_anchors=None,
-    ne_points=None,
-    games=None,
-    potentials=None,
-    potential_grid=None,
-    commitment_mean=None,
-):
-    """Assemble the similarity statistics the meta bounds are stated in."""
-    stats = SimilarityStats()
-    if opt_anchors is not None:
-        stats.v_opt2 = np.asarray([anchor_variance(a) for a in opt_anchors])
-        on_simplex = all(
-            np.allclose(np.sum(np.asarray(a), axis=1), 1.0) and np.min(np.asarray(a)) >= -1e-12
-            for a in opt_anchors
-        )
-        if on_simplex:
-            stats.v_kl = np.asarray([kl_anchor_variance(a) for a in opt_anchors])
-    if ne_points is not None:
-        stats.v_ne2_worst = ne_similarity_worst(ne_points)
-        if games is not None:
-            stats.v_ne2_best = ne_similarity_best(games, None)
-    if potentials is not None:
-        if potential_grid is None:
-            raise ConfigError("potential similarity needs a sampled grid")
-        stats.v_diff = potential_similarity(potentials, potential_grid)
-    if commitment_mean is not None:
-        stats.entropy = shannon_entropy(commitment_mean)
-    return stats

@@ -92,10 +92,6 @@ def duality_gap(game: MatrixGame, x, y):
 
 def ne_gap(game, profile):
     """Per-player best unilateral deviation gain at the profile."""
-    if isinstance(game, MatrixGame):
-        u_x, u_y = game.utilities(profile[0], profile[1])
-        pairs = ((u_x, profile[0]), (u_y, profile[1]))
-        return np.array([float(np.max(u) - u @ p) for u, p in pairs])
     gains = []
     for k in range(game.n):
         u_k = utility_gradient(game, k, profile)

@@ -12,7 +12,7 @@ import numpy as np
 
 from metagames.errors import InvalidInputError, NumericError
 from metagames.geometry import LOG_BARRIER, Regularizer, Simplex
-from metagames.learners import OMDLearner
+from metagames.learners import OMDLearner, external_regret
 
 _DAMPING = 1e-12
 
@@ -104,17 +104,15 @@ class SwapWrapper:
 
     def per_action_external_regrets(self, comparators=None):
         """External regret of each per-action learner under its scaled feed."""
-        regrets = []
-        for a, lrn in enumerate(self.action_learners):
-            us = lrn.utility_array()
-            played = float(np.sum(np.asarray(lrn.path[1:]) * us))
-            cum = np.sum(us, axis=0)
-            if comparators is None:
-                best = float(np.max(cum))
-            else:
-                best = float(cum @ np.asarray(comparators[a], dtype=float))
-            regrets.append(best - played)
-        return np.asarray(regrets)
+        if not self.utilities:
+            return np.zeros(self.dim)
+        comparators = [None] * self.dim if comparators is None else comparators
+        return np.asarray(
+            [
+                external_regret(lrn.path[1:], lrn.utility_array(), lrn.set, c)[0]
+                for lrn, c in zip(self.action_learners, comparators)
+            ]
+        )
 
 
 def swap_regret(strategies, utilities):

@@ -62,6 +62,27 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
             },
             "config.intit",
         ),
+        ({"game": {"family": "lower-bound-prior", "prior": [0.5, -0.5, 1.0]}}, "config.game.prior"),
+        ({"game": {"family": "lower-bound-prior", "prior": [0, 0, 0]}}, "config.game.prior"),
+        ({"game": {"family": "lower-bound-prior", "prior": [[1, 1]]}}, "config.game.prior"),
+        ({"game": {"family": "perturbed-base", "base": [[1.0]], "delta": -1}}, "config.game.delta"),
+        ({"game": {"family": "potential-drift", "dim": 0}}, "config.game.dim"),
+        ({"learner": {"algo": "ogd", "eta": float("inf")}}, "config.learner.eta"),
+        ({"learner": {"algo": "ogd", "eta": float("nan")}}, "config.learner.eta"),
+        ({"meta": {"ewoo": {"enabled": "yes"}}}, "config.meta.ewoo.enabled"),
+        ({"learner": {"algo": "gd", "eta": 0.05}}, "config.learner.algo"),
+        ({"learner": {"algo": "gd", "eta": 0.05, "eta_mode": "doubling"}}, "config.learner.algo"),
+        ({"arms": 5}, "config.arms"),
+        ({"arms": [{"name": "a"}, "b"]}, "config.arms[1]"),
+        ({"arms": [{"name": "a"}, {"name": ["b"]}]}, "config.arms[1].name"),
+        ({"arms": [{"name": "a"}, {"name": "a", "init": "cold"}]}, "config.arms[1].name"),
+        ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": 2}, "config.checkpoints"),
+        ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": [0]}, "config.checkpoints[0]"),
+        ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": [5]}, "config.checkpoints[0]"),
+        ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": []}, "config.checkpoints"),
+        ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": [2.5]}, "config.checkpoints[0]"),
+        ({"arms": [{"name": "arm1"}, {}]}, "config.arms[1].name"),
+        ({"arms": [{"name": "a"}, {"name": "b", "T": 2}], "checkpoints": [3]}, "config.checkpoints[0]"),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):

@@ -78,6 +78,19 @@ def test_config_validation_field_paths():
     for key in ("delta", "alpha", "dim", "base"):
         game = {"family": "perturbed-base", "base": BASE, key: "x"}
         bad_fields.append((f"config.game.{key}", {"game": game}))
+    for prior in ([0.5, -0.1, 0.6], [0.0, 0.0], [[0.5, 0.5]], [], [1.0, float("inf")]):
+        game = {"family": "lower-bound-prior", "prior": prior}
+        bad_fields.append(("config.game.prior", {"game": game}))
+    bad_fields += [
+        ("config.game.delta", {"game": {"family": "perturbed-base", "base": BASE, "delta": -0.1}}),
+        ("config.game.dim", {"game": {"family": "potential-drift", "dim": 0}}),
+        ("config.learner.eta", {"learner": {"algo": "ogd", "eta": float("inf")}}),
+        ("config.learner.eta", {"learner": {"algo": "ogd", "eta": float("nan")}}),
+        ("config.meta.ewoo.enabled", {"meta": {"ewoo": {"enabled": "yes"}}}),
+        # gradient ascent plays path[:-1]; the zero-sum accounting reads path[1:]
+        ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05}}),
+        ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05, "eta_mode": "doubling"}}),
+    ]
     for path, overrides in bad_fields:
         with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ":"):
             ExperimentConfig.from_dict(small_config(**overrides))
