@@ -259,7 +259,7 @@ class ExperimentConfig:
             delta=_number(game_obj, "delta", "config.game", 0.0, minimum=0.0),
             prior=_prior(game_obj),
             dim=_number(game_obj, "dim", "config.game", 3, integer=True, minimum=1),
-            alpha=_number(game_obj, "alpha", "config.game", 0.0),
+            alpha=_number(game_obj, "alpha", "config.game", 0.0, minimum=0.0),
         )
         # The meta block groups the cross-task knobs; flat keys still win so
         # arm overrides stay terse.

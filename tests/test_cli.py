@@ -67,6 +67,7 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
         ({"game": {"family": "lower-bound-prior", "prior": [[1, 1]]}}, "config.game.prior"),
         ({"game": {"family": "perturbed-base", "base": [[1.0]], "delta": -1}}, "config.game.delta"),
         ({"game": {"family": "potential-drift", "dim": 0}}, "config.game.dim"),
+        ({"game": {"family": "potential-drift", "alpha": -0.5}}, "config.game.alpha"),
         ({"learner": {"algo": "ogd", "eta": float("inf")}}, "config.learner.eta"),
         ({"learner": {"algo": "ogd", "eta": float("nan")}}, "config.learner.eta"),
         ({"meta": {"ewoo": {"enabled": "yes"}}}, "config.meta.ewoo.enabled"),

@@ -84,6 +84,7 @@ def test_config_validation_field_paths():
     bad_fields += [
         ("config.game.delta", {"game": {"family": "perturbed-base", "base": BASE, "delta": -0.1}}),
         ("config.game.dim", {"game": {"family": "potential-drift", "dim": 0}}),
+        ("config.game.alpha", {"game": {"family": "potential-drift", "alpha": -0.5}}),
         ("config.learner.eta", {"learner": {"algo": "ogd", "eta": float("inf")}}),
         ("config.learner.eta", {"learner": {"algo": "ogd", "eta": float("nan")}}),
         ("config.meta.ewoo.enabled", {"meta": {"ewoo": {"enabled": "yes"}}}),
