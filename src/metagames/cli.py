@@ -34,32 +34,31 @@ DEFAULT_REPORT_CONFIG = {
 
 
 def _load_config(path, overrides):
-    if path is None:
-        raise ConfigError("missing --config")
     try:
         obj = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            _set_dotted(obj, key, val)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config: expected an object, got {obj!r}")
+    obj.update({key: val for key, val in overrides.items() if val is not None})
     return obj
 
 
 def _set_dotted(obj, key, val):
-    """Set ``obj[a][b][c] = val`` for the dotted key ``a.b.c``, creating objects."""
+    """Set ``obj[a][b][c] = val`` for the grid key ``a.b.c``, creating objects."""
     *parents, last = key.split(".")
-    for p in parents:
+    for i, p in enumerate(parents):
         obj = obj.setdefault(p, {})
+        if not isinstance(obj, dict):
+            raise ConfigError(f"grid.{key}: config.{'.'.join(parents[:i + 1])} is not an object")
     obj[last] = val
 
 
 def _cmd_run(args):
-    obj = _load_config(args.config, {"seed": args.seed, "T": args.T, "m": args.m})
-    if args.dump_strategies:
-        obj["dump_strategies"] = True
+    flags = {"seed": args.seed, "T": args.T, "m": args.m, "dump_strategies": args.dump_strategies}
+    obj = _load_config(args.config, flags)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if "arms" in obj:
@@ -90,23 +89,25 @@ def _cmd_sweep(args):
     obj = _load_config(args.config, {})
     try:
         grid = json.loads(Path(args.grid).read_text())
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"bad grid file: {exc}") from exc
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("grid file must map dotted config keys to value lists")
     keys = sorted(grid)
+    for k in keys:
+        if not isinstance(grid[k], list) or not grid[k]:
+            raise ConfigError(f"grid.{k}: expected a non-empty list of values, got {grid[k]!r}")
     combos = list(itertools.product(*[grid[k] for k in keys]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def one(combo):
+    configs = []
+    for combo in combos:
         cfg = json.loads(json.dumps(obj))
         for k, v in zip(keys, combo):
             _set_dotted(cfg, k, v)
-        return harness.run_experiment(cfg)
-
-    with ThreadPoolExecutor(max_workers=min(harness.thread_cap(), len(combos))) as pool:
-        results = list(pool.map(one, combos))
+        configs.append(harness.ExperimentConfig.from_dict(cfg))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=min(harness.thread_cap(), len(configs))) as pool:
+        results = list(pool.map(harness.run_experiment, configs))
     rows = []
     for combo, res in zip(combos, results):
         key = harness.gap_key(res.task_summaries[0])
@@ -127,8 +128,8 @@ def _cmd_plot(args):
     path = Path(args.records)
     if not path.exists():
         raise ConfigError(f"records file not found: {path}")
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
+    lines = path.read_text().rstrip().splitlines()
+    header = lines[0].split(",") if lines else []
     cols = {name: idx for idx, name in enumerate(header)}
     for needed in ("task", "player", "regret_cum"):
         if needed not in cols:
@@ -139,12 +140,18 @@ def _cmd_plot(args):
             f"columns: {', '.join(header)}"
         )
     series_map = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        player = f[cols["player"]]
-        entry = series_map.setdefault(player, {"xs": [], "ys": []})
+        if len(f) != len(header):
+            raise ConfigError(f"{path.name}:{lineno}: expected {len(header)} fields, got {len(f)}")
+        cell = f[cols[args.column]]
+        try:
+            y = float(cell)
+        except ValueError:
+            raise ConfigError(f"{path.name}:{lineno}: not a number: {cell!r}") from None
+        entry = series_map.setdefault(f[cols["player"]], {"xs": [], "ys": []})
         entry["xs"].append(len(entry["xs"]))  # logged-step index per player
-        entry["ys"].append(float(f[cols[args.column]]))
+        entry["ys"].append(y)
     series = [
         {"label": f"player {p}", "xs": s["xs"], "ys": s["ys"]}
         for p, s in sorted(series_map.items())
@@ -201,7 +208,7 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--T", type=int, default=None)
     p_run.add_argument("--m", type=int, default=None)
-    p_run.add_argument("--dump-strategies", action="store_true")
+    p_run.add_argument("--dump-strategies", action="store_true", default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a config grid")

@@ -336,8 +336,8 @@ class SequenceConfig:
     alpha: float = 0.0
 
 
-_FAMILIES = ("perturbed-base", "lower-bound-prior", "potential-drift")
-_SEQUENCINGS = ("random", "sorted", "alternating")
+FAMILIES = ("perturbed-base", "lower-bound-prior", "potential-drift")
+SEQUENCINGS = ("random", "sorted", "alternating")
 
 
 def _alternate(indices):
@@ -362,9 +362,9 @@ def sample_game_sequence(config: SequenceConfig):
     per-step sup-norm deviation at most alpha. Sequencing reorders the drawn
     tasks by a severity key (random keeps draw order).
     """
-    if config.family not in _FAMILIES:
+    if config.family not in FAMILIES:
         raise ConfigError(f"unknown game family {config.family!r}")
-    if config.sequencing not in _SEQUENCINGS:
+    if config.sequencing not in SEQUENCINGS:
         raise ConfigError(f"unknown sequencing mode {config.sequencing!r}")
     if config.T < 1:
         raise ConfigError("T must be >= 1")

@@ -6,10 +6,13 @@ byte-identical CSV/JSON/SVG outputs.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
 import os
+import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +22,8 @@ import numpy as np
 
 from metagames.errors import ConfigError
 from metagames.games import (
+    FAMILIES,
+    SEQUENCINGS,
     MatrixGame,
     PotentialGame,
     SequenceConfig,
@@ -28,6 +33,7 @@ from metagames.games import (
 )
 from metagames.geometry import ENTROPIC, EUCLIDEAN, LOG_BARRIER, Regularizer
 from metagames.learners import (
+    PREDICTION_MODES,
     SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
@@ -35,6 +41,7 @@ from metagames.learners import (
     external_regret,
 )
 from metagames.meta import (
+    INITIALIZER_MODES,
     EwooState,
     Initializer,
     SimilarityStats,
@@ -138,184 +145,183 @@ def make_learner(algo, strategy_set, eta, init=None, prediction="recency"):
     raise ConfigError(f"config.learner.algo: unknown algorithm {algo!r}")
 
 
-def _number(block, key, where, default=None, integer=False, minimum=-math.inf):
-    """``block[key]`` (``default`` if absent; None means required) as a float,
-    or an int when ``integer``; a bad value is a ConfigError naming its path."""
-    if key not in block and default is None:
-        raise ConfigError(f"{where}.{key}: missing")
-    val = block.get(key, default)
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(val, bool) or not isinstance(val, kind):
-        expected = "an integer" if integer else "a number"
-        raise ConfigError(f"{where}.{key}: expected {expected}, got {val!r}")
-    if not math.isfinite(val):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {val!r}")
-    if val < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {val!r}")
-    return int(val) if integer else float(val)
-
-
-def _flag(block, key, where):
-    """``block[key]`` (False if absent); a non-bool is a ConfigError naming its path."""
-    val = block.get(key, False)
-    if not isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {val!r}")
-    return val
-
-
-# The keys each config object may hold, by field path.
-_KEYS = {
-    "config": ("T", "dump_strategies", "game", "init", "learner", "log_every", "m", "meta",
-               "metrics_every", "seed"),
-    "config.game": ("alpha", "base", "delta", "dim", "family", "prior", "sequencing"),
-    "config.learner": ("algo", "alternating", "eta", "eta_mode", "first_prediction", "prediction"),
-    "config.meta": ("ewoo", "initializer", "similarity_report"),
-    "config.meta.ewoo": ("D", "enabled", "rho"),
+# One row per config field: its path below ``config``, its kind (str or a key
+# of _EXPECTED), its default (``...`` if the field is required) and its allowed
+# values: a tuple of choices, or a bound that every number of the value meets.
+# The row paths also give the keys each config object may hold.
+_Field = namedtuple("_Field", "path kind default allowed")
+_INITS = tuple(m for m in INITIALIZER_MODES if m != "custom-anchor")  # needs an anchor
+SCHEMA = (
+    _Field("T", "int", ..., ">= 1"),
+    _Field("m", "int", ..., ">= 1"),
+    _Field("seed", "int", 0, ">= 0"),
+    _Field("init", "str", None, _INITS),  # wins over meta.initializer
+    _Field("log_every", "int", 0, ">= 0"),
+    _Field("metrics_every", "int", 0, ">= 0"),
+    _Field("dump_strategies", "bool", False, None),
+    _Field("game.family", "str", ..., FAMILIES),
+    _Field("game.sequencing", "str", "random", SEQUENCINGS),
+    _Field("game.base", "matrix", None, None),
+    _Field("game.delta", "float", 0.0, ">= 0"),
+    _Field("game.prior", "vector", None, ">= 0"),
+    _Field("game.dim", "int", 3, ">= 1"),
+    _Field("game.alpha", "float", 0.0, ">= 0"),
+    _Field("learner.algo", "str", "ogd", (*_REGS, "gd")),
+    _Field("learner.eta", "float", "auto", "> 0"),  # "auto": 1/(4L) per game
+    _Field("learner.eta_mode", "str", None, ("fixed", "doubling", "ewoo")),
+    _Field("learner.prediction", "str", "recency", PREDICTION_MODES),
+    _Field("learner.first_prediction", "str", "oracle", ("oracle", "zero")),
+    _Field("learner.alternating", "bool", False, None),
+    _Field("meta.initializer", "str", "cold", _INITS),
+    _Field("meta.similarity_report", "bool", False, None),
+    _Field("meta.ewoo.enabled", "bool", False, None),  # learner.eta_mode wins
+    _Field("meta.ewoo.D", "float", None, "> 0"),
+    _Field("meta.ewoo.rho", "float", None, "> 0"),
+)
+_EXPECTED = {
+    "int": "an integer",
+    "float": "a finite number",
+    "bool": "true or false",
+    "matrix": "a non-empty 2-d list of finite numbers",
+    "vector": "a non-empty list of finite numbers",
 }
 
 
-def _known(block, where):
-    """Return ``block``; a key outside ``_KEYS[where]`` is a ConfigError naming its path."""
-    unknown = sorted(set(block) - set(_KEYS[where]))
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}: unknown key (known: {', '.join(_KEYS[where])})")
-    return block
-
-
-def _block(parent, key, where):
-    """``parent[key]`` ({} if absent) as a config object with known keys only."""
-    block = parent.get(key, {})
+def _read(block, prefix=""):
+    """The SCHEMA fields below ``prefix`` ("" or a block path such as "meta.") of
+    the config object ``block`` by row path, each checked or else defaulted."""
+    where = f"config.{prefix}".rstrip(".")
     if not isinstance(block, dict):
-        raise ConfigError(f"{where}.{key}: expected an object, got {block!r}")
-    return _known(block, f"{where}.{key}")
+        raise ConfigError(f"{where}: expected an object, got {block!r}")
+    rows = {f.path[len(prefix) :]: f for f in SCHEMA if f.path.startswith(prefix)}
+    keys = sorted({key.split(".")[0] for key in rows})
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key (known: {', '.join(keys)})")
+    values = {}
+    for key in keys:
+        f = rows.get(key)
+        if f is None:  # a sub-object
+            values.update(_read(block.get(key, {}), f"{prefix}{key}."))
+        elif key in block:
+            values[f.path] = _value(f, block[key])
+        elif f.default is ...:
+            raise ConfigError(f"{where}.{key}: missing")
+        else:
+            values[f.path] = f.default
+    return values
 
 
-def _matrix(block, key):
-    """``block[key]`` as a float array, or None when absent."""
-    try:
-        return np.asarray(block[key], dtype=float) if key in block else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.game.{key}: expected numbers, got {block[key]!r}") from exc
+def _value(f, val):
+    """``val`` checked against the SCHEMA row ``f``, as the row's Python type."""
+    if f.default == "auto" == val:
+        return val
+    x = _convert(f, val)
+    if x is None:
+        expected = f"one of {', '.join(f.allowed)}" if f.kind == "str" else _EXPECTED[f.kind]
+        raise ConfigError(f"config.{f.path}: expected {expected}, got {val!r}")
+    if isinstance(f.allowed, str):
+        op, bound = f.allowed.split()
+        low = np.min(x) if isinstance(x, np.ndarray) else x  # an int is compared exactly
+        if not (low > float(bound) if op == ">" else low >= float(bound)):
+            raise ConfigError(f"config.{f.path}: must be {f.allowed}, got {val!r}")
+    return x
 
 
-def _prior(block):
-    """``block["prior"]`` as row weights: finite, nonnegative, with a positive sum."""
-    prior = _matrix(block, "prior")
-    if prior is not None and (
-        prior.ndim != 1
-        or not np.all(np.isfinite(prior))
-        or not np.sum(prior) > 0
-        or np.min(prior) < 0
-    ):
-        raise ConfigError(
-            "config.game.prior: need a list of nonnegative finite weights with a positive "
-            f"sum, got {block['prior']!r}"
-        )
-    return prior
+def _convert(f, val):
+    """``val`` as the Python type of row ``f``'s kind, or None if it is not one."""
+    if f.kind == "bool":
+        return val if isinstance(val, bool) else None
+    if f.kind == "str":
+        return val if isinstance(val, str) and val in f.allowed else None
+    if f.kind in ("matrix", "vector"):
+        try:
+            x = np.asarray(val, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        shaped = x.ndim == (2 if f.kind == "matrix" else 1) and x.size > 0
+        return x if shaped and np.all(np.isfinite(x)) else None
+    if f.kind == "int":
+        return int(val) if isinstance(val, numbers.Integral) and not isinstance(val, bool) else None
+    # abs() compares an int exactly, so one beyond the float range fails too
+    real = isinstance(val, numbers.Real) and not isinstance(val, bool)
+    return float(val) if real and abs(val) <= sys.float_info.max else None
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; see ``from_dict`` for the schema."""
+    """Validated experiment description, built by ``from_dict`` from SCHEMA fields."""
 
     T: int
     m: int
     seed: int
     game: SequenceConfig
-    algo: str = "ogd"
-    eta: object = "auto"  # "auto" | float
-    eta_mode: str = "fixed"  # fixed | doubling | ewoo
-    init_mode: str = "cold"
-    prediction: str = "recency"
-    first_prediction: str = "oracle"  # oracle | zero
-    alternating_updates: bool = False
-    metrics_every: int = 0  # 0 = end of task only
-    log_every: int = 0  # 0 = task summaries only
-    dump_strategies: bool = False
-    ewoo_D: Optional[float] = None
-    ewoo_rho: Optional[float] = None
-    similarity_report: bool = False
+    algo: str
+    eta: object  # "auto" | float
+    eta_mode: str
+    init_mode: str
+    prediction: str
+    first_prediction: str
+    alternating_updates: bool
+    metrics_every: int  # 0 = end of task only
+    log_every: int  # 0 = task summaries only
+    dump_strategies: bool
+    ewoo_D: Optional[float]
+    ewoo_rho: Optional[float]
+    similarity_report: bool
 
     @staticmethod
     def from_dict(obj):
-        _known(obj, "config")
-        T = _number(obj, "T", "config", integer=True, minimum=1)
-        m = _number(obj, "m", "config", integer=True, minimum=1)
-        game_obj = _block(obj, "game", "config")
-        if "family" not in game_obj:
-            raise ConfigError("config.game.family: missing")
-        learner = _block(obj, "learner", "config")
-        if learner.get("eta", "auto") != "auto":
-            _number(learner, "eta", "config.learner")
-        seed = _number(obj, "seed", "config", 0, integer=True)
-        log_every = _number(obj, "log_every", "config", 0, integer=True, minimum=0)
-        metrics_every = _number(obj, "metrics_every", "config", 0, integer=True, minimum=0)
-        seq = SequenceConfig(
-            family=game_obj["family"],
-            T=T,
-            seed=seed,
-            sequencing=game_obj.get("sequencing", "random"),
-            base=_matrix(game_obj, "base"),
-            delta=_number(game_obj, "delta", "config.game", 0.0, minimum=0.0),
-            prior=_prior(game_obj),
-            dim=_number(game_obj, "dim", "config.game", 3, integer=True, minimum=1),
-            alpha=_number(game_obj, "alpha", "config.game", 0.0, minimum=0.0),
-        )
-        # The meta block groups the cross-task knobs; flat keys still win so
-        # arm overrides stay terse.
-        meta_block = _block(obj, "meta", "config")
-        ewoo_block = _block(meta_block, "ewoo", "config.meta")
-        for key in ("D", "rho"):
-            val = ewoo_block.get(key)
-            if key in ewoo_block and (type(val) not in (int, float) or not 0 < val < math.inf):
-                raise ConfigError(f"config.meta.ewoo.{key}: need a finite number > 0, got {val!r}")
-        eta_mode = learner.get("eta_mode")
-        if eta_mode is None:
-            eta_mode = "ewoo" if _flag(ewoo_block, "enabled", "config.meta.ewoo") else "fixed"
-        init_mode = obj.get("init", meta_block.get("initializer", "cold"))
-        cfg = ExperimentConfig(
-            T=T,
-            m=m,
-            seed=seed,
-            game=seq,
-            algo=learner.get("algo", "ogd"),
-            eta=learner.get("eta", "auto"),
-            eta_mode=eta_mode,
-            init_mode=init_mode,
-            prediction=learner.get("prediction", "recency"),
-            first_prediction=learner.get("first_prediction", "oracle"),
-            alternating_updates=_flag(learner, "alternating", "config.learner"),
-            metrics_every=metrics_every,
-            log_every=log_every,
-            dump_strategies=_flag(obj, "dump_strategies", "config"),
-            ewoo_D=ewoo_block.get("D"),
-            ewoo_rho=ewoo_block.get("rho"),
-            similarity_report=_flag(meta_block, "similarity_report", "config.meta"),
-        )
-        if cfg.metrics_every > 0 and cfg.log_every == 0:
+        v = _read(obj)
+        # What one row cannot say: fields that need or exclude each other.
+        family, prior = v["game.family"], v["game.prior"]
+        for needed, key in (("perturbed-base", "base"), ("lower-bound-prior", "prior")):
+            if family == needed and v[f"game.{key}"] is None:
+                raise ConfigError(f"config.game.{key}: missing (the {family} family needs it)")
+        if prior is not None and not 0 < sum(prior.tolist()) < math.inf:
+            raise ConfigError("config.game.prior: need a positive finite sum of weights")
+        if v["metrics_every"] > 0 and v["log_every"] == 0:
             raise ConfigError(
                 "config.metrics_every: gaps are measured on logged rounds only; "
                 "set config.log_every > 0"
             )
-        if cfg.algo == "gd" and seq.family != "potential-drift":
+        if v["learner.algo"] == "gd" and family != "potential-drift":
             # Zero-sum accounting reads path[1:] as the played points, which
             # holds for the RVU learners only; a GDLearner plays path[:-1].
             raise ConfigError(
                 "config.learner.algo: 'gd' is for potential games only; zero-sum "
                 "families need ogd, opthedge or omd-logbar"
             )
-        if cfg.eta_mode not in ("fixed", "doubling", "ewoo"):
-            raise ConfigError(f"config.learner.eta_mode: unknown mode {cfg.eta_mode!r}")
-        if cfg.first_prediction not in ("oracle", "zero"):
-            raise ConfigError(f"config.learner.first_prediction: {cfg.first_prediction!r}")
-        if cfg.prediction not in ("recency", "secondary-anchor", "zero"):
-            # An 'alternating' prediction exists only for the second mover, so
-            # it is switched on by learner.alternating instead.
+        eta_mode = v["learner.eta_mode"] or ("ewoo" if v["meta.ewoo.enabled"] else "fixed")
+        init_mode = v["init"] or v["meta.initializer"]
+        if family == "potential-drift" and eta_mode != "fixed":
             raise ConfigError(
-                f"config.learner.prediction: {cfg.prediction!r} is not one of recency, "
-                "secondary-anchor, zero (use learner.alternating for alternating updates)"
+                f"config.learner.eta_mode: {eta_mode!r} needs an RVU learner; "
+                "potential-game runs use plain gradient ascent (fixed rate only)"
             )
-        return cfg
+        if family == "potential-drift" and init_mode == "ne-average":
+            where = "config.init" if v["init"] else "config.meta.initializer"
+            raise ConfigError(f"{where}: 'ne-average' needs a zero-sum family (a Nash oracle)")
+        game = {key[len("game.") :]: x for key, x in v.items() if key.startswith("game.")}
+        return ExperimentConfig(
+            T=v["T"],
+            m=v["m"],
+            seed=v["seed"],
+            game=SequenceConfig(T=v["T"], seed=v["seed"], **game),
+            algo=v["learner.algo"],
+            eta=v["learner.eta"],
+            eta_mode=eta_mode,
+            init_mode=init_mode,
+            prediction=v["learner.prediction"],
+            first_prediction=v["learner.first_prediction"],
+            alternating_updates=v["learner.alternating"],
+            metrics_every=v["metrics_every"],
+            log_every=v["log_every"],
+            dump_strategies=v["dump_strategies"],
+            ewoo_D=v["meta.ewoo.D"],
+            ewoo_rho=v["meta.ewoo.rho"],
+            similarity_report=v["meta.similarity_report"],
+        )
 
 
 @dataclass
@@ -341,13 +347,10 @@ def gap_key(row):
 
 
 def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
-    if cfg.eta_mode == "ewoo" and ewoo_state is not None:
+    if cfg.eta_mode == "ewoo":
         return ewoo_next_eta(ewoo_state)
-    if current_eta is not None:
-        return current_eta
-    if cfg.eta == "auto":
-        return _default_eta(game, n_players)
-    return float(cfg.eta)
+    # Only an "auto" learner.eta leaves no current rate.
+    return current_eta if current_eta is not None else _default_eta(game, n_players)
 
 
 MAX_RESTARTS = 60  # doubling restarts per task
@@ -365,11 +368,6 @@ def run_experiment(config) -> ExperimentResult:
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
     potential = isinstance(games[0], PotentialGame)
-    if potential and cfg.eta_mode != "fixed":
-        raise ConfigError(
-            f"config.learner.eta_mode: {cfg.eta_mode!r} needs an RVU learner; "
-            "potential-game runs use plain gradient ascent (fixed rate only)"
-        )
     algo = "gd" if potential else cfg.algo
     sets = games[0].sets
     initializer = Initializer(cfg.init_mode, sets)
@@ -601,7 +599,7 @@ def compare_arms(config):
         if name in names:
             # Results are keyed, and their files named, by arm name.
             raise ConfigError(f"{where}.name: duplicate arm name {name!r}")
-        merged = json.loads(json.dumps(base, default=_json_default))
+        merged = copy.deepcopy(base)
         _deep_update(merged, arm)
         names.append(name)
         configs.append(ExperimentConfig.from_dict(merged))
@@ -627,12 +625,6 @@ def compare_arms(config):
         ratios = [g / gaps[0] if gaps[0] != 0 else float("inf") for g in gaps]
         table["rows"].append({"checkpoint": cp, "gaps": gaps, "ratios": ratios})
     return dict(zip(names, results)), table
-
-
-def _json_default(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
 
 
 def _deep_update(dst, src):

@@ -34,7 +34,7 @@ RECENCY = "recency"
 SECONDARY_ANCHOR = "secondary-anchor"
 ZERO = "zero"
 
-_MODES = (RECENCY, SECONDARY_ANCHOR, ZERO)
+PREDICTION_MODES = (RECENCY, SECONDARY_ANCHOR, ZERO)
 
 
 def cold_start(strategy_set):
@@ -65,7 +65,7 @@ class OMDLearner:
     ):
         if eta <= 0:
             raise InvalidInputError(f"learning rate must be positive, got {eta}")
-        if prediction_mode not in _MODES:
+        if prediction_mode not in PREDICTION_MODES:
             raise ConfigError(f"unknown prediction mode {prediction_mode!r}")
         self.set = strategy_set
         self.eta = float(eta)

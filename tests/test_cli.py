@@ -17,8 +17,10 @@ BASE_CONFIG = {
 
 def write_config(tmp_path, extra=None):
     cfg = dict(BASE_CONFIG)
-    if extra:
+    if isinstance(extra, dict):
         cfg.update(extra)
+    elif extra is not None:  # a config that is not an object
+        cfg = extra
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -84,11 +86,27 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
         ({"arms": [{"name": "a"}, {"name": "b"}], "checkpoints": [2.5]}, "config.checkpoints[0]"),
         ({"arms": [{"name": "arm1"}, {}]}, "config.arms[1].name"),
         ({"arms": [{"name": "a"}, {"name": "b", "T": 2}], "checkpoints": [3]}, "config.checkpoints[0]"),
+        ({"game": {"family": "perturbed-base", "base": [1, 2]}}, "config.game.base"),
+        ({"game": {"family": "perturbed-base", "base": [[]]}}, "config.game.base"),
+        ({"game": {"family": "perturbed-base", "base": [[1.0]], "sequencing": 5}}, "config.game.sequencing"),
+        ({"game": {"family": 5}}, "config.game.family"),
+        ({"init": "warm"}, "config.init"),
+        ({"init": "custom-anchor"}, "config.init"),
+        ({"learner": {"algo": "ogd", "eta": -0.1}}, "config.learner.eta"),
+        ({"learner": {"algo": "ogd", "eta": 0}}, "config.learner.eta"),
+        ({"game": {"family": "perturbed-base"}}, "config.game.base"),
+        ({"game": {"family": "lower-bound-prior"}}, "config.game.prior"),
+        (5, "config"),
+        ([1], "config"),
+        ("abc", "config"),
+        ([1, 2], "config"),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):
     cfg = write_config(tmp_path, extra)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # a config that is not an object is rejected before --seed is applied to it
+    seed = [] if isinstance(extra, dict) else ["--seed", "3"]
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *seed]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}:")
     assert len(err.strip().splitlines()) == 1
@@ -159,7 +177,7 @@ def test_run_negative_eta_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"learner": {"algo": "ogd", "eta": -0.1}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "-0.1" in err
+    assert err.startswith("config error: config.learner.eta:") and "-0.1" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -191,6 +209,29 @@ def test_sweep_subcommand(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize(
+    "grid, key",
+    [
+        ({"seed": 3}, "grid.seed"),
+        ({"seed": []}, "grid.seed"),
+        ({"init": "cold"}, "grid.init"),
+        ({"T.x": [1]}, "grid.T.x"),
+        ({"learner.eta": [0.1, -1]}, "config.learner.eta"),
+    ],
+)
+def test_sweep_bad_grid_exits_2(tmp_path, capsys, grid, key):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--grid", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}:")
+    assert len(err.strip().splitlines()) == 1
+    # every combination is checked before any runs
+    assert not out.exists()
+
+
 def test_plot_subcommand(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -209,6 +250,16 @@ def test_plot_unknown_column_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'nope'" in err and "regret_cum" in err
     assert not fig.exists()
+
+
+@pytest.mark.parametrize("row", ["0,0,abc", "0", "0,0,1.5,7"])
+def test_plot_malformed_records_exits_2(tmp_path, capsys, row):
+    records = tmp_path / "records.csv"
+    records.write_text(f"task,player,regret_cum\n0,0,0.5\n{row}\n")
+    assert main(["plot", str(records), "-o", str(tmp_path / "fig.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: records.csv:3:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_report_subcommand(tmp_path):

@@ -91,15 +91,43 @@ def test_config_validation_field_paths():
         # gradient ascent plays path[:-1]; the zero-sum accounting reads path[1:]
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05}}),
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05, "eta_mode": "doubling"}}),
+        ("config.game.base", {"game": {"family": "perturbed-base", "base": [1, 2]}}),
+        ("config.game.base", {"game": {"family": "perturbed-base", "base": [[]]}}),
+        ("config.game.base", {"game": {"family": "perturbed-base"}}),
+        ("config.game.prior", {"game": {"family": "lower-bound-prior"}}),
+        ("config.game.prior", {"game": {"family": "lower-bound-prior", "prior": [1e308, 1e308]}}),
+        ("config.game.sequencing", {"game": {"family": "perturbed-base", "base": BASE, "sequencing": 5}}),
+        ("config.game.family", {"game": {"family": 5}}),
+        ("config.init", {"init": "warm"}),
+        ("config.init", {"init": "custom-anchor"}),
+        ("config.learner.eta", {"learner": {"algo": "ogd", "eta": -0.1}}),
+        ("config.learner.eta", {"learner": {"algo": "ogd", "eta": 0}}),
+        ("config.seed", {"seed": -1}),
+        ("config.game.delta", {"game": {"family": "perturbed-base", "base": BASE, "delta": 10**400}}),
+        # potential games are played by gradient ascent and have no Nash oracle
+        ("config.init", {"game": {"family": "potential-drift"}, "learner": {"algo": "gd"}, "init": "ne-average"}),
+        (
+            "config.learner.eta_mode",
+            {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "eta_mode": "doubling"}},
+        ),
     ]
     for path, overrides in bad_fields:
         with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ":"):
             ExperimentConfig.from_dict(small_config(**overrides))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
+    pot = {"T": 2, "m": 5, "game": {"family": "potential-drift"}, "learner": {"algo": "gd"}}
+    with pytest.raises(ConfigError, match=r"config\.meta\.initializer:"):
+        ExperimentConfig.from_dict({**pot, "meta": {"initializer": "ne-average"}})
     # arm overrides are merged into the base config before it is validated
     arms = [{"name": "a"}, {"name": "b", "learner": {"algo": "ogd", "etaa": 0.1}}]
     with pytest.raises(ConfigError, match=r"config\.learner\.etaa:"):
         compare_arms(small_config(arms=arms))
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cells = {line.split("|")[1].strip() for line in readme.splitlines() if line.startswith("| `")}
+    assert {f"`{f.path}`" for f in harness.SCHEMA} <= cells
 
 
 def test_run_deterministic_byte_identical(tmp_path):
