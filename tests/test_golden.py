@@ -67,6 +67,15 @@ def _matrix(**overrides):
 
 CONFIGS = {
     "ogd-fixed-logged": _matrix(log_every=3, metrics_every=6, dump_strategies=True),
+    # A play-independent arm (cold start, a per-game auto rate) with logged records.
+    "ogd-cold-logged": _matrix(
+        T=6,
+        init="cold",
+        learner={"algo": "ogd", "eta": "auto"},
+        log_every=3,
+        metrics_every=6,
+        dump_strategies=True,
+    ),
     "ogd-doubling": _matrix(
         learner={"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}, log_every=10
     ),
