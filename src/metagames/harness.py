@@ -409,19 +409,20 @@ def run_experiment(config) -> ExperimentResult:
             if halved == task_eta:
                 break
             task_eta = halved
+        tracks = [_track(lrn) for lrn in learners]
         if cfg.log_every:
-            records.extend(_task_records(cfg, game, t, learners))
+            records.extend(_task_records(cfg, game, t, tracks))
         if cfg.eta_mode == "doubling":
             eta = task_eta  # keep the calibrated rate for later tasks
 
         if potential:
-            row, outcome = _potential_summary(game, learners)
+            row, outcome = _potential_summary(game, tracks)
         else:
             nash = None
             if cfg.init_mode == "ne-average":
                 nash = list(saddle_point(game)[:2])
                 nash_points.append(np.concatenate(nash))
-            row, outcome = _zero_sum_summary(game, learners, nash)
+            row, outcome = _zero_sum_summary(game, tracks, nash)
             optima.append(outcome.optima)
         summaries.append({"task": t, "eta": task_eta, **row})
         initializer.observe(outcome)
@@ -439,40 +440,49 @@ def run_experiment(config) -> ExperimentResult:
     return ExperimentResult(cfg, records, summaries, sim, games)
 
 
-def _task_records(cfg, game, t, learners):
+# One player's side of a finished task: its iterates x^(0..m) as the rows of
+# ``path``, the points it played and the utilities it saw (both (m, d)), and
+# its rate. The summaries read tasks only through these arrays.
+Track = namedtuple("Track", "path played utilities eta")
+
+
+def _track(lrn):
+    """The Track of a learner that ``play_task`` has played."""
+    path = np.asarray(lrn.path)
+    # An OMDLearner appends each played point to its path after x^(0);
+    # a GDLearner plays the point it last reached.
+    played = path[:-1] if isinstance(lrn, GDLearner) else path[1:]
+    return Track(path, played, lrn.utility_array(), lrn.eta)
+
+
+def _task_records(cfg, game, t, tracks):
     """RunRecords of a finished task: one per player every ``log_every``
-    rounds and at the last round, read off the learners' stored histories.
+    rounds and at the last round, read off the players' Tracks.
 
     Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
     the duality gap of the running average is defined for zero-sum games
     only. The running sums are ``cumsum``s, which add in round order as a
     per-round ``+=`` would.
     """
-    m, n = cfg.m, len(learners)
-    hists, sums, regrets, path2 = [], [], [], []
-    for lrn in learners:
-        # An OMDLearner appends each played point to its path after x^(0);
-        # a GDLearner plays the point it last reached.
-        xs = lrn.path[:-1] if isinstance(lrn, GDLearner) else lrn.path[1:]
-        hist = np.asarray(xs)
+    m, n = cfg.m, len(tracks)
+    sums, regrets, path2 = [], [], []
+    for tr in tracks:
         # 1-D dots, as played: a row-wise einsum adds in another order.
-        realized = np.cumsum([float(x @ u) for x, u in zip(xs, lrn.utilities)])
-        cum_u = np.cumsum(lrn.utility_array(), axis=0)
-        steps = np.diff(hist, axis=0, prepend=lrn.init[None])
-        hists.append(hist)
-        sums.append(np.cumsum(hist, axis=0))
-        regrets.append(np.max(cum_u, axis=1) - realized)
+        realized = np.cumsum([float(x @ u) for x, u in zip(tr.played, tr.utilities)])
+        steps = np.diff(tr.played, axis=0, prepend=tr.path[:1])
+        sums.append(np.cumsum(tr.played, axis=0))
+        regrets.append(np.max(np.cumsum(tr.utilities, axis=0), axis=1) - realized)
         path2.append(np.cumsum(np.sum(steps**2, axis=1)))
     records = []
     for i in [*range(cfg.log_every, m, cfg.log_every), m]:
         j = i - 1
-        profile = [h[j] for h in hists]
+        profile = [tr.played[j] for tr in tracks]
         gap, gaps = float("nan"), [float("nan")] * n
         if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
             if isinstance(game, MatrixGame):
                 gap = duality_gap(game, sums[0][j] / i, sums[1][j] / i)
             gaps = ne_gap(game, profile)
-        for k, (s, lrn) in enumerate(zip(profile, learners)):
+        for k, (s, tr) in enumerate(zip(profile, tracks)):
             records.append(
                 RunRecord(
                     task=t,
@@ -482,7 +492,7 @@ def _task_records(cfg, game, t, learners):
                     dualgap=float(gap),
                     negap=float(gaps[k]),
                     pathlen2=float(path2[k][j]),
-                    eta=lrn.eta,
+                    eta=tr.eta,
                     init_mode=cfg.init_mode,
                     strategy=s.copy() if cfg.dump_strategies else None,
                 )
@@ -490,36 +500,36 @@ def _task_records(cfg, game, t, learners):
     return records
 
 
-def _zero_sum_summary(game, learners, nash):
+def _zero_sum_summary(game, tracks, nash):
     """Task-summary row and meta outcome of a two-player zero-sum task."""
-    xl, yl = learners
+    x, y = tracks
     sets = game.sets
-    x_hist, y_hist = np.asarray(xl.path[1:]), np.asarray(yl.path[1:])
-    reg_x, opt_x = external_regret(x_hist, xl.utility_array(), sets[0])
-    reg_y, opt_y = external_regret(y_hist, yl.utility_array(), sets[1])
-    x_bar, y_bar = np.mean(x_hist, axis=0), np.mean(y_hist, axis=0)
-    p1, _ = path_lengths(xl.primary_array())
-    p2, _ = path_lengths(yl.primary_array())
+    reg_x, opt_x = external_regret(x.played, x.utilities, sets[0])
+    reg_y, opt_y = external_regret(y.played, y.utilities, sets[1])
+    x_bar, y_bar = np.mean(x.played, axis=0), np.mean(y.played, axis=0)
+    p1, _ = path_lengths(x.path)
+    p2, _ = path_lengths(y.path)
+    x0, y0 = x.path[0], y.path[0]
     row = {
         "regret_x": reg_x,
         "regret_y": reg_y,
         "dualgap_avg": duality_gap(game, x_bar, y_bar),
         "negap_avg": float(np.max(ne_gap(game, [x_bar, y_bar]))),
         "pathlen2": p1 + p2,
-        "init_dist2": float(np.sum((opt_x - xl.init) ** 2) + np.sum((opt_y - yl.init) ** 2)),
-        "inits": [xl.init.tolist(), yl.init.tolist()],
+        "init_dist2": float(np.sum((opt_x - x0) ** 2) + np.sum((opt_y - y0) ** 2)),
+        "inits": [x0.tolist(), y0.tolist()],
         "optima": [opt_x.tolist(), opt_y.tolist()],
     }
     outcome = TaskOutcome(
-        optima=[opt_x, opt_y], last_iterates=[x_hist[-1], y_hist[-1]], nash=nash
+        optima=[opt_x, opt_y], last_iterates=[x.played[-1], y.played[-1]], nash=nash
     )
     return row, outcome
 
 
-def _potential_summary(game, learners):
+def _potential_summary(game, tracks):
     """Task-summary row and meta outcome of a potential-game task; the last
     iterates stand in for the optima."""
-    paths = [np.asarray(lrn.path) for lrn in learners]
+    paths = [tr.path for tr in tracks]
     last = [p[-1] for p in paths]
     row = {
         "pathlen2": sum(path_lengths(p)[0] for p in paths),

@@ -483,14 +483,15 @@ def observed_records(monkeypatch, config):
 
     The observer sees each round when the first learner is handed its
     utility, before any learner updates; the records of a task are those of
-    its final attempt.
+    its final attempt, the last one played before the task is logged.
     """
     cfg = ExperimentConfig.from_dict(config)
-    attempts = {}
+    latest = []
     real_play = harness.play_task
 
     def play(game, learners, m, **kwargs):
-        observe = round_logger(cfg, game, None, learners, attempts.setdefault(id(learners), []))
+        latest.clear()
+        observe = round_logger(cfg, game, None, learners, latest)
         first, update, rounds = learners[0], learners[0].update, itertools.count(1)
 
         def observed_update(u):
@@ -502,8 +503,8 @@ def observed_records(monkeypatch, config):
         first.update = observed_update
         return real_play(game, learners, m, **kwargs)
 
-    def task_records(cfg, game, t, learners):
-        return [dataclasses.replace(r, task=t) for r in attempts.pop(id(learners))]
+    def task_records(cfg, game, t, tracks):
+        return [dataclasses.replace(r, task=t) for r in latest]
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
