@@ -126,9 +126,12 @@ def _cmd_sweep(args):
 
 def _cmd_plot(args):
     path = Path(args.records)
-    if not path.exists():
-        raise ConfigError(f"records file not found: {path}")
-    lines = path.read_text().rstrip().splitlines()
+    try:
+        lines = path.read_text().rstrip().splitlines()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read records file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"records file {path} is not UTF-8 (byte {exc.start})") from exc
     header = lines[0].split(",") if lines else []
     cols = {name: idx for idx, name in enumerate(header)}
     for needed in ("task", "player", "regret_cum"):

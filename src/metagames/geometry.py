@@ -137,7 +137,7 @@ def _check_finite(y):
     y = np.asarray(y, dtype=float)
     # A NaN or a mixed-sign infinity both poison the sum; a same-sign
     # infinity survives it. Far cheaper than isfinite over the array.
-    if not math.isfinite(float(np.sum(y))):
+    if not math.isfinite(y.sum()):
         raise InvalidInputError("non-finite input")
     return y
 
@@ -159,6 +159,21 @@ def project_simplex(y):
         css.append(s - 1.0)
         rho += uk * k > css[-1]
     return np.maximum(y - css[rho - 1] / rho, 0.0)
+
+
+def project_simplex_rows(Y):
+    """``project_simplex`` of every row of a (B, d) array, bit-identical to it
+    row by row: the same descending sort, ``cumsum``, count of u_k * k > css_k
+    and threshold, as array operations over all rows at once."""
+    B, d = Y.shape
+    u = Y.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    rho = (u * np.arange(1, d + 1) > css).sum(axis=1)
+    theta = css[np.arange(B), rho - 1] / rho
+    return np.maximum(Y - theta[:, None], 0.0)
 
 
 def project_l2(strategy_set, y):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from metagames.errors import ConfigError
+from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import (
     FAMILIES,
     SEQUENCINGS,
@@ -31,7 +31,7 @@ from metagames.games import (
     sample_game_sequence,
     utility_gradient,
 )
-from metagames.geometry import ENTROPIC, EUCLIDEAN, LOG_BARRIER, Regularizer
+from metagames.geometry import ENTROPIC, EUCLIDEAN, LOG_BARRIER, Regularizer, project_simplex_rows
 from metagames.learners import (
     PREDICTION_MODES,
     SECONDARY_ANCHOR,
@@ -248,6 +248,31 @@ def _convert(f, val):
     return float(val) if real and abs(val) <= sys.float_info.max else None
 
 
+# The most entries a run may sample or play: T games of d_x * d_y payoffs, and
+# T * m rounds of d_x + d_y strategy entries. The largest committed runs (c05
+# and the full-scale demo: T = 200, m = 1000 on 2x2 games) play 8e5.
+MAX_RUN_SIZE = 10**8
+_DIM_FIELDS = {"perturbed-base": "base", "lower-bound-prior": "prior", "potential-drift": "dim"}
+
+
+def _check_run_size(v):
+    """Reject a run above MAX_RUN_SIZE before anything is sampled, naming the
+    field that makes it large."""
+    T, m, family = v["T"], v["m"], v["game.family"]
+    if family == "perturbed-base":
+        dx, dy = v["game.base"].shape
+    else:
+        dx = dy = len(v["game.prior"]) if family == "lower-bound-prior" else v["game.dim"]
+    entries = max(dx * dy, dx + dy)
+    cap = f"the run size cap of {MAX_RUN_SIZE:.0e} entries"
+    if entries > MAX_RUN_SIZE:
+        raise ConfigError(f"config.game.{_DIM_FIELDS[family]}: one {dx}x{dy} game exceeds {cap}")
+    if T * entries > MAX_RUN_SIZE:
+        raise ConfigError(f"config.T: {T} games of {entries} entries exceed {cap}")
+    if T * m * (dx + dy) > MAX_RUN_SIZE:
+        raise ConfigError(f"config.m: {T} tasks of {m} rounds on {dx + dy} strategy entries exceed {cap}")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description, built by ``from_dict`` from SCHEMA fields."""
@@ -280,6 +305,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.game.{key}: missing (the {family} family needs it)")
         if prior is not None and not 0 < sum(prior.tolist()) < math.inf:
             raise ConfigError("config.game.prior: need a positive finite sum of weights")
+        _check_run_size(v)
         if v["metrics_every"] > 0 and v["log_every"] == 0:
             raise ConfigError(
                 "config.metrics_every: gaps are measured on logged rounds only; "
@@ -355,6 +381,34 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 
 MAX_RESTARTS = 60  # doubling restarts per task
 
+# The fewest tasks a play-independent arm must have to be played in batches.
+# Against play_task at m = 5, 30 and 1000: a batch of 1 task ran 0.6-0.9x as
+# fast on 3x3 games, 2 tasks 1.0-1.5x on 3x3 but 0.6-0.8x on 2x3 games at
+# m = 1000, and 3 tasks 1.0-1.9x on both.
+BATCH_MIN_TASKS = 3
+# The most bytes of paths and utilities that one batch of tasks holds; longer
+# arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
+# MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
+# 1 MB ones; the summaries' temporaries about double the bytes at the peak.
+BATCH_BYTES = 16 * 2**20
+
+
+def _play_independent(cfg, potential):
+    """Whether no task of the arm depends on how earlier tasks were played:
+    OGD self-play on zero-sum matrix games with recency predictions, an
+    oracle first prediction, no alternation, a fixed (or per-game auto) rate
+    and cold or ne-average starts. Such an arm's tasks are independent runs,
+    which ``_play_batch`` plays together."""
+    return (
+        not potential
+        and cfg.algo == "ogd"
+        and cfg.eta_mode == "fixed"
+        and cfg.init_mode in ("cold", "ne-average")
+        and cfg.prediction == "recency"
+        and cfg.first_prediction == "oracle"
+        and not cfg.alternating_updates
+    )
+
 
 def run_experiment(config) -> ExperimentResult:
     """Run one arm of a meta-learning experiment.
@@ -363,7 +417,9 @@ def run_experiment(config) -> ExperimentResult:
     m iterations with ``play_task``, log regrets/gaps, and fold the task
     outcome into the meta state. Zero-sum matrix tasks are played by the
     configured learner; potential-game tasks by plain gradient ascent at a
-    fixed rate. Deterministic under the config seed.
+    fixed rate. The tasks of a play-independent arm (``_play_independent``)
+    are played and summarized in batches instead, with the same results.
+    Deterministic under the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
@@ -381,53 +437,64 @@ def run_experiment(config) -> ExperimentResult:
             raise ConfigError(f"config.meta.ewoo.D={D}, config.meta.ewoo.rho={rho}: {exc}") from exc
     else:
         ewoo_state = None
+    # One saddle point per task; the LPs run once per distinct game.
+    nash = [None] * len(games)
+    if cfg.init_mode == "ne-average":
+        nash = [list(saddle_point(game)[:2]) for game in games]
+    batches = None
+    if _play_independent(cfg, potential) and len(games) >= BATCH_MIN_TASKS:
+        etas = [_task_eta(cfg, game, len(sets), eta, None) for game in games]
+        batches = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
     records = []
     summaries = []
     optima = []
-    nash_points = []
 
-    for t, game in enumerate(games):
-        inits = initializer.initialization()
-        task_eta = _task_eta(cfg, game, len(sets), eta, ewoo_state)
-        for restarts in range(MAX_RESTARTS + 1):
-            # Doubling trick: rerun the task at half the rate while the local
-            # RVU residual is positive; only the final attempt is logged.
-            learners = [
-                make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                for s, x0 in zip(sets, inits)
-            ]
-            play_task(
-                game,
-                learners,
-                cfg.m,
-                free_first=cfg.first_prediction == "oracle",
-                alternating=cfg.alternating_updates,
-            )
-            if cfg.eta_mode != "doubling" or restarts == MAX_RESTARTS:
-                break
-            halved = doubling_trick_eta(learners, task_eta)
-            if halved == task_eta:
-                break
-            task_eta = halved
-        tracks = [_track(lrn) for lrn in learners]
-        if cfg.log_every:
-            records.extend(_task_records(cfg, game, t, tracks))
-        if cfg.eta_mode == "doubling":
-            eta = task_eta  # keep the calibrated rate for later tasks
-
-        if potential:
-            row, outcome = _potential_summary(game, tracks)
+    while len(summaries) < len(games):
+        # A block of tasks: one batch, or the next task played by play_task
+        # from the meta state that every earlier task has been folded into.
+        t = len(summaries)
+        if batches is not None:
+            etas, tracks = next(batches)
         else:
-            nash = None
-            if cfg.init_mode == "ne-average":
-                nash = list(saddle_point(game)[:2])
-                nash_points.append(np.concatenate(nash))
-            row, outcome = _zero_sum_summary(game, tracks, nash)
-            optima.append(outcome.optima)
-        summaries.append({"task": t, "eta": task_eta, **row})
-        initializer.observe(outcome)
-        if ewoo_state is not None:
-            ewoo_state.record(0.5 * row["init_dist2"], 1.0)
+            inits = initializer.initialization()
+            task_eta = _task_eta(cfg, games[t], len(sets), eta, ewoo_state)
+            for restarts in range(MAX_RESTARTS + 1):
+                # Doubling trick: rerun the task at half the rate while the local
+                # RVU residual is positive; only the final attempt is logged.
+                learners = [
+                    make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                    for s, x0 in zip(sets, inits)
+                ]
+                play_task(
+                    games[t],
+                    learners,
+                    cfg.m,
+                    free_first=cfg.first_prediction == "oracle",
+                    alternating=cfg.alternating_updates,
+                )
+                if cfg.eta_mode != "doubling" or restarts == MAX_RESTARTS:
+                    break
+                halved = doubling_trick_eta(learners, task_eta)
+                if halved == task_eta:
+                    break
+                task_eta = halved
+            if cfg.eta_mode == "doubling":
+                eta = task_eta  # keep the calibrated rate for later tasks
+            etas, tracks = [task_eta], _tracks(learners)
+        block = games[t : t + len(etas)]
+        if potential:
+            outcomes = _potential_summaries(block, tracks)
+        else:
+            outcomes = _zero_sum_summaries(block, tracks, nash[t : t + len(etas)])
+        for b, (row, outcome) in enumerate(outcomes):
+            if cfg.log_every:
+                records.extend(_task_records(cfg, block[b], t + b, tracks, b))
+            summaries.append({"task": t + b, "eta": etas[b], **row})
+            if not potential:
+                optima.append(outcome.optima)
+            initializer.observe(outcome)
+            if ewoo_state is not None:
+                ewoo_state.record(0.5 * row["init_dist2"], 1.0)
 
     sim = SimilarityStats()
     if not potential:
@@ -435,29 +502,106 @@ def run_experiment(config) -> ExperimentResult:
         sim.v_opt2 = np.asarray([anchor_variance(a) for a in per_player])
         if cfg.similarity_report:
             sim.v_kl = np.asarray([kl_anchor_variance(a) for a in per_player])
-            if nash_points:
-                sim.v_ne2_worst = ne_similarity_worst(nash_points)
+            if cfg.init_mode == "ne-average":
+                sim.v_ne2_worst = ne_similarity_worst([np.concatenate(n) for n in nash])
     return ExperimentResult(cfg, records, summaries, sim, games)
 
 
-# One player's side of a finished task: its iterates x^(0..m) as the rows of
-# ``path``, the points it played and the utilities it saw (both (m, d)), and
-# its rate. The summaries read tasks only through these arrays.
+def _planned_starts(cfg, sets, nash):
+    """Every task's starting points, as the Initializer gives them task by
+    task, for an arm whose starts depend on no play (cold or ne-average)."""
+    initializer = Initializer(cfg.init_mode, sets)
+    starts = []
+    for nash_t in nash:
+        starts.append(initializer.initialization())
+        initializer.observe(TaskOutcome(nash=nash_t))
+    return starts
+
+
+def _batched_tasks(m, games, starts, etas):
+    """(rates, Tracks) of consecutive blocks of tasks, each played by
+    ``_play_batch`` and holding at most BATCH_BYTES of paths and utilities."""
+    dims = sum(len(x0) for x0 in starts[0])
+    size = max(1, BATCH_BYTES // (8 * (2 * m + 1) * dims))
+    for lo in range(0, len(games), size):
+        part = slice(lo, lo + size)
+        yield etas[part], _play_batch(games[part], starts[part], etas[part], m)
+
+
+def _play_batch(games, starts, etas, m):
+    """OGD self-play of B independent matrix-game tasks as one batch.
+
+    Row b of every (B, d) array is task b, played as ``play_task`` plays two
+    Euclidean OMDLearners started at ``starts[b]`` with rate ``etas[b]``,
+    recency predictions and the free first prediction, and bit for bit equal
+    to it: ``np.matmul`` over the stacked -A and A.T gives each row the
+    matrix-vector product of ``utility_gradient``, and ``project_simplex_rows``
+    projects each row as ``project_simplex``. Paths are stored as (B, m+1, d)
+    and utilities as (B, m, d), so each task's arrays are contiguous. Returns
+    the two players' Tracks of the batch.
+    """
+    A = np.array([game.A for game in games])
+    neg_a, a_t = -A, A.transpose(0, 2, 1)  # a_t: transposed views, as game.A.T is
+    eta = np.asarray(etas)[:, None]
+    B, dx, dy = A.shape
+    X, Y = np.empty((B, m + 1, dx)), np.empty((B, m + 1, dy))
+    ux_all, uy_all = np.empty((B, m, dx)), np.empty((B, m, dy))
+    x_hat = np.asarray([x0 for x0, _ in starts])
+    y_hat = np.asarray([y0 for _, y0 in starts])
+    X[:, 0], Y[:, 0] = x_hat, y_hat
+
+    def project(x_in, y_in):
+        if dx != dy:
+            return project_simplex_rows(x_in), project_simplex_rows(y_in)
+        both = project_simplex_rows(np.concatenate((x_in, y_in)))  # rows are independent
+        return both[:B], both[B:]
+
+    # The free first prediction: the utilities at the starting profile.
+    px, py = _matvecs(neg_a, y_hat), _matvecs(a_t, x_hat)
+    for i in range(m):
+        x, y = project(x_hat + eta * px, y_hat + eta * py)
+        ux, uy = _matvecs(neg_a, y), _matvecs(a_t, x)
+        if not (math.isfinite(ux.sum()) and math.isfinite(uy.sum())):
+            raise InvalidInputError("non-finite utility")
+        X[:, i + 1], Y[:, i + 1], ux_all[:, i], uy_all[:, i] = x, y, ux, uy
+        x_hat, y_hat = project(x_hat + eta * ux, y_hat + eta * uy)
+        px, py = ux, uy
+    rates = [float(e) for e in etas]
+    return [Track(X, X[:, 1:], ux_all, rates), Track(Y, Y[:, 1:], uy_all, rates)]
+
+
+def _matvecs(mats, vecs):
+    """Row b is mats[b] @ vecs[b]."""
+    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+
+
+def _dots(us, vecs):
+    """Entry b is the 1-D dot us[b] @ vecs[b]."""
+    return np.matmul(us[:, None, :], vecs[:, :, None])[:, 0, 0]
+
+
+# One player's side of B finished tasks, stacked on a leading task axis: the
+# iterates x^(0..m) of each task as (B, m+1, d) ``path``, the points played
+# and the utilities seen, both (B, m, d), and the B rates. The summaries read
+# tasks only through these arrays.
 Track = namedtuple("Track", "path played utilities eta")
 
 
-def _track(lrn):
-    """The Track of a learner that ``play_task`` has played."""
-    path = np.asarray(lrn.path)
-    # An OMDLearner appends each played point to its path after x^(0);
-    # a GDLearner plays the point it last reached.
-    played = path[:-1] if isinstance(lrn, GDLearner) else path[1:]
-    return Track(path, played, lrn.utility_array(), lrn.eta)
+def _tracks(learners):
+    """The Tracks, one task deep, of learners that ``play_task`` has played."""
+    tracks = []
+    for lrn in learners:
+        path = np.asarray(lrn.path)[None]
+        # An OMDLearner appends each played point to its path after x^(0);
+        # a GDLearner plays the point it last reached.
+        played = path[:, :-1] if isinstance(lrn, GDLearner) else path[:, 1:]
+        tracks.append(Track(path, played, lrn.utility_array()[None], [lrn.eta]))
+    return tracks
 
 
-def _task_records(cfg, game, t, tracks):
-    """RunRecords of a finished task: one per player every ``log_every``
-    rounds and at the last round, read off the players' Tracks.
+def _task_records(cfg, game, t, tracks, b):
+    """RunRecords of the finished task ``b`` of the Tracks: one per player
+    every ``log_every`` rounds and at the last round.
 
     Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
     the duality gap of the running average is defined for zero-sum games
@@ -465,18 +609,19 @@ def _task_records(cfg, game, t, tracks):
     per-round ``+=`` would.
     """
     m, n = cfg.m, len(tracks)
+    played = [tr.played[b] for tr in tracks]
     sums, regrets, path2 = [], [], []
-    for tr in tracks:
-        # 1-D dots, as played: a row-wise einsum adds in another order.
-        realized = np.cumsum([float(x @ u) for x, u in zip(tr.played, tr.utilities)])
-        steps = np.diff(tr.played, axis=0, prepend=tr.path[:1])
-        sums.append(np.cumsum(tr.played, axis=0))
-        regrets.append(np.max(np.cumsum(tr.utilities, axis=0), axis=1) - realized)
+    for tr, hist in zip(tracks, played):
+        # The 1-D dots of the rounds; a row-wise einsum adds in another order.
+        realized = np.cumsum(_dots(hist, tr.utilities[b]))
+        steps = np.diff(hist, axis=0, prepend=tr.path[b, :1])
+        sums.append(np.cumsum(hist, axis=0))
+        regrets.append(np.max(np.cumsum(tr.utilities[b], axis=0), axis=1) - realized)
         path2.append(np.cumsum(np.sum(steps**2, axis=1)))
     records = []
     for i in [*range(cfg.log_every, m, cfg.log_every), m]:
         j = i - 1
-        profile = [tr.played[j] for tr in tracks]
+        profile = [hist[j] for hist in played]
         gap, gaps = float("nan"), [float("nan")] * n
         if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
             if isinstance(game, MatrixGame):
@@ -492,7 +637,7 @@ def _task_records(cfg, game, t, tracks):
                     dualgap=float(gap),
                     negap=float(gaps[k]),
                     pathlen2=float(path2[k][j]),
-                    eta=tr.eta,
+                    eta=tr.eta[b],
                     init_mode=cfg.init_mode,
                     strategy=s.copy() if cfg.dump_strategies else None,
                 )
@@ -500,43 +645,73 @@ def _task_records(cfg, game, t, tracks):
     return records
 
 
-def _zero_sum_summary(game, tracks, nash):
-    """Task-summary row and meta outcome of a two-player zero-sum task."""
+def _zero_sum_summaries(games, tracks, nash):
+    """Task-summary rows and meta outcomes of the B two-player zero-sum tasks
+    of the Tracks.
+
+    Every quantity is that of ``external_regret``, ``duality_gap``,
+    ``ne_gap`` and ``path_lengths`` on one task, computed for all B at once:
+    the reductions run over each task's contiguous slice and the products
+    are ``np.matmul``s over the stacked games, so a task's row is
+    bit-identical in a batch of any size.
+    """
     x, y = tracks
-    sets = game.sets
+    sets = games[0].sets
+    A = np.array([game.A for game in games])
     reg_x, opt_x = external_regret(x.played, x.utilities, sets[0])
     reg_y, opt_y = external_regret(y.played, y.utilities, sets[1])
-    x_bar, y_bar = np.mean(x.played, axis=0), np.mean(y.played, axis=0)
-    p1, _ = path_lengths(x.path)
-    p2, _ = path_lengths(y.path)
-    x0, y0 = x.path[0], y.path[0]
-    row = {
-        "regret_x": reg_x,
-        "regret_y": reg_y,
-        "dualgap_avg": duality_gap(game, x_bar, y_bar),
-        "negap_avg": float(np.max(ne_gap(game, [x_bar, y_bar]))),
-        "pathlen2": p1 + p2,
-        "init_dist2": float(np.sum((opt_x - x0) ** 2) + np.sum((opt_y - y0) ** 2)),
-        "inits": [x0.tolist(), y0.tolist()],
-        "optima": [opt_x.tolist(), opt_y.tolist()],
-    }
-    outcome = TaskOutcome(
-        optima=[opt_x, opt_y], last_iterates=[x.played[-1], y.played[-1]], nash=nash
+    x_bar, y_bar = x.played.mean(axis=1), y.played.mean(axis=1)
+    # At the averages: x_bar @ A is also the y-player's utility A.T @ x_bar.
+    u_x, u_y = _matvecs(-A, y_bar), _matvecs(A.transpose(0, 2, 1), x_bar)
+    best_y = u_y.max(axis=1)
+    dualgap = best_y - _matvecs(A, y_bar).min(axis=1)
+    gains = np.empty((len(games), 2))
+    gains[:, 0] = u_x.max(axis=1) - _dots(u_x, x_bar)
+    gains[:, 1] = best_y - _dots(u_y, y_bar)
+    x0, y0 = x.path[:, 0], y.path[:, 0]
+    columns = (
+        reg_x,
+        reg_y,
+        dualgap,
+        gains.max(axis=1),
+        path_lengths(x.path)[0] + path_lengths(y.path)[0],
+        ((opt_x - x0) ** 2).sum(axis=1) + ((opt_y - y0) ** 2).sum(axis=1),
     )
-    return row, outcome
+    outcomes = []
+    for b, (rx, ry, gap, negap, path2, dist2) in enumerate(zip(*(c.tolist() for c in columns))):
+        row = {
+            "regret_x": rx,
+            "regret_y": ry,
+            "dualgap_avg": gap,
+            "negap_avg": negap,
+            "pathlen2": path2,
+            "init_dist2": dist2,
+            "inits": [x0[b].tolist(), y0[b].tolist()],
+            "optima": [opt_x[b].tolist(), opt_y[b].tolist()],
+        }
+        outcome = TaskOutcome(
+            optima=[opt_x[b], opt_y[b]],
+            last_iterates=[x.played[b, -1], y.played[b, -1]],
+            nash=nash[b],
+        )
+        outcomes.append((row, outcome))
+    return outcomes
 
 
-def _potential_summary(game, tracks):
-    """Task-summary row and meta outcome of a potential-game task; the last
-    iterates stand in for the optima."""
-    paths = [tr.path for tr in tracks]
-    last = [p[-1] for p in paths]
-    row = {
-        "pathlen2": sum(path_lengths(p)[0] for p in paths),
-        "phi_gain": game.potential(last) - game.potential([p[0] for p in paths]),
-        "negap_last": float(np.max(ne_gap(game.base, last))),
-    }
-    return row, TaskOutcome(optima=last, last_iterates=last)
+def _potential_summaries(games, tracks):
+    """Task-summary rows and meta outcomes of the potential-game tasks of the
+    Tracks; the last iterates stand in for the optima."""
+    outcomes = []
+    for b, game in enumerate(games):
+        paths = [tr.path[b] for tr in tracks]
+        last = [p[-1] for p in paths]
+        row = {
+            "pathlen2": sum(path_lengths(p)[0] for p in paths),
+            "phi_gain": game.potential(last) - game.potential([p[0] for p in paths]),
+            "negap_last": float(np.max(ne_gap(game.base, last))),
+        }
+        outcomes.append((row, TaskOutcome(optima=last, last_iterates=last)))
+    return outcomes
 
 
 def write_records_csv(path, records, dump_strategies=False):

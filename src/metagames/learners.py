@@ -109,7 +109,7 @@ class OMDLearner:
         """Consume the observed utility: advance the secondary iterate and
         form the next prediction."""
         utility = np.asarray(utility, dtype=float)
-        if not math.isfinite(float(np.sum(utility))):
+        if not math.isfinite(utility.sum()):
             raise InvalidInputError("non-finite utility")
         x = self.play()
         self.path.append(x)
@@ -324,11 +324,12 @@ class EGLearner:
 
 
 def _best_point(strategy_set, cum_utility):
-    """argmax over the set of <x, cum_utility> with lexicographic ties."""
+    """argmax over the set of <x, cum_utility> with lexicographic ties; row by
+    row for a stack of cumulative utilities over a simplex or a box."""
     if isinstance(strategy_set, Simplex):
-        best = np.zeros(strategy_set.dim)
-        best[int(np.argmax(cum_utility))] = 1.0  # argmax takes the lowest index
-        return best
+        # argmax takes the lowest index
+        hit = np.arange(strategy_set.dim) == np.argmax(cum_utility, axis=-1)[..., None]
+        return hit.astype(float)
     if isinstance(strategy_set, Box):
         return np.where(cum_utility > 0, strategy_set.upper, strategy_set.lower)
     # product set: blockwise
@@ -349,21 +350,26 @@ def external_regret(strategies, utilities, strategy_set=None, comparator=None):
     """External regret of a play sequence; returns (regret, comparator).
 
     ``strategies`` are the played iterates x^(1..m) aligned with the observed
-    ``utilities``. Without an explicit comparator the optimum-in-hindsight
-    over ``strategy_set`` is used (ties broken lexicographically).
+    ``utilities``, as (m, d) arrays. Without an explicit comparator the
+    optimum-in-hindsight over ``strategy_set`` is used (ties broken
+    lexicographically). Stacks of B sequences, (B, m, d) arrays over a
+    simplex or a box, give B regrets and comparators, each bit-identical to
+    its sequence's own.
     """
     strategies = np.asarray(strategies, dtype=float)
     utilities = np.asarray(utilities, dtype=float)
     if strategies.shape != utilities.shape:
         raise InvalidInputError("strategy/utility histories must align")
-    cum = np.sum(utilities, axis=0)
+    cum = utilities.sum(axis=-2)
     if comparator is None:
         if strategy_set is None:
             raise InvalidInputError("need a strategy set or an explicit comparator")
         comparator = _best_point(strategy_set, cum)
     comparator = np.asarray(comparator, dtype=float)
-    realized = float(np.sum(strategies * utilities))
-    return float(cum @ comparator) - realized, comparator
+    realized = (strategies * utilities).sum(axis=(-2, -1))
+    # A (1, d) @ (d, 1) matmul is the 1-D dot, also for each row of a stack.
+    regret = np.matmul(cum[..., None, :], comparator[..., :, None])[..., 0, 0] - realized
+    return (float(regret) if regret.ndim == 0 else regret), comparator
 
 
 class AlphaWeights:

@@ -186,17 +186,21 @@ def path_lengths(primary, secondary=None):
     ``primary`` stacks iterates z^(0..m) row-wise. The first variant is
     sum_i ||z^i - z^(i-1)||^2. With ``secondary`` (hat iterates, same shape)
     the refined variant sum_i ||z^i - zhat^i||^2 + ||z^i - zhat^(i-1)||^2
-    is returned as well, else 0 for that slot.
+    is returned as well, else 0 for that slot. A (B, m+1, d) stack of B
+    trajectories gives arrays of B path lengths, each bit-identical to its
+    trajectory's own.
     """
     primary = np.asarray(primary, dtype=float)
-    diffs = np.diff(primary, axis=0)
-    first = float(np.sum(diffs * diffs))
+    diffs = primary[..., 1:, :] - primary[..., :-1, :]
+    first = (diffs * diffs).sum(axis=(-2, -1))
     refined = 0.0
     if secondary is not None:
         secondary = np.asarray(secondary, dtype=float)
-        a = primary[1:] - secondary[1:]
-        b = primary[1:] - secondary[:-1]
-        refined = float(np.sum(a * a) + np.sum(b * b))
+        a = primary[..., 1:, :] - secondary[..., 1:, :]
+        b = primary[..., 1:, :] - secondary[..., :-1, :]
+        refined = np.sum(a * a, axis=(-2, -1)) + np.sum(b * b, axis=(-2, -1))
+    if first.ndim == 0:
+        return float(first), float(refined)
     return first, refined
 
 

@@ -100,6 +100,9 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
         ([1], "config"),
         ("abc", "config"),
         ([1, 2], "config"),
+        ({"T": 10**30}, "config.T"),
+        ({"m": 10**14}, "config.m"),
+        ({"game": {"family": "potential-drift", "dim": 10**30}, "learner": {"algo": "gd"}}, "config.game.dim"),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):
@@ -260,6 +263,20 @@ def test_plot_malformed_records_exits_2(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("config error: records.csv:3:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "missing"])
+def test_plot_unreadable_records_exits_2(tmp_path, capsys, kind):
+    records = tmp_path / "records.csv"
+    if kind == "not-utf8":
+        records.write_bytes(b"\xff\xfe task,player\n")
+    elif kind == "directory":
+        records.mkdir()
+    assert main(["plot", str(records), "-o", str(tmp_path / "fig.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(records) in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "fig.svg").exists()
 
 
 def test_report_subcommand(tmp_path):

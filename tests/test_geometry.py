@@ -16,6 +16,7 @@ from metagames.geometry import (
     mwu_step,
     project_l2,
     project_simplex,
+    project_simplex_rows,
     prox_step,
 )
 
@@ -81,6 +82,33 @@ def projection_inputs(draw):
 @given(projection_inputs())
 def test_project_simplex_matches_array_form_bitwise(y):
     assert project_simplex(y).tobytes() == array_project_simplex(y).tobytes()
+
+
+@st.composite
+def projection_row_batches(draw):
+    """(B, d) inputs of ``project_simplex_rows``: rows with tied entries, and
+    rows already on the simplex (normalized, possibly with zeros, or vertices)."""
+    d = draw(st.integers(min_value=2, max_value=10))
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=d))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=64))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=d, max_size=d))
+        row = np.array([pool[i] for i in picks]) * 10.0 ** draw(st.floats(-2.0, 2.0))
+        kind = draw(st.sampled_from(["raw", "on-simplex", "vertex"]))
+        if kind == "on-simplex" and np.any(row):
+            row = np.abs(row) / np.sum(np.abs(row))
+        elif kind == "vertex":
+            row = np.eye(d)[draw(st.integers(0, d - 1))]
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(projection_row_batches())
+def test_project_simplex_rows_matches_project_simplex_bitwise(rows):
+    projected = project_simplex_rows(rows)
+    for y, x in zip(rows, projected):
+        assert x.tobytes() == project_simplex(y.copy()).tobytes()
 
 
 def test_projection_rejects_nonfinite():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagames import games, harness, metrics
 from metagames.errors import ConfigError
@@ -14,10 +16,13 @@ from metagames.harness import (
     RunRecord,
     compare_arms,
     emit_plot,
+    make_learner,
+    play_task,
     run_experiment,
     write_records_csv,
     write_task_summaries,
 )
+from metagames.learners import external_regret
 
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
 
@@ -110,11 +115,19 @@ def test_config_validation_field_paths():
             "config.learner.eta_mode",
             {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "eta_mode": "doubling"}},
         ),
+        # runs too large to sample or play, caught before anything is drawn
+        ("config.T", {"T": 10**30}),
+        ("config.T", {"T": harness.MAX_RUN_SIZE // 4 + 1}),
+        ("config.m", {"m": 10**14}),
+        ("config.m", {"T": 1, "m": harness.MAX_RUN_SIZE // 4 + 1}),
+        ("config.game.dim", {"game": {"family": "potential-drift", "dim": 10**5}, "learner": {"algo": "gd"}}),
+        ("config.T", {"game": {"family": "potential-drift", "dim": 5000}, "learner": {"algo": "gd"}}),
     ]
     for path, overrides in bad_fields:
         with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ":"):
             ExperimentConfig.from_dict(small_config(**overrides))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
+    ExperimentConfig.from_dict(small_config(T=1, m=harness.MAX_RUN_SIZE // 4))
     pot = {"T": 2, "m": 5, "game": {"family": "potential-drift"}, "learner": {"algo": "gd"}}
     with pytest.raises(ConfigError, match=r"config\.meta\.initializer:"):
         ExperimentConfig.from_dict({**pot, "meta": {"initializer": "ne-average"}})
@@ -481,9 +494,12 @@ def round_logger(cfg, game, t, learners, records):
 def observed_records(monkeypatch, config):
     """run_experiment's records as ``round_logger`` logs them round by round.
 
-    The observer sees each round when the first learner is handed its
-    utility, before any learner updates; the records of a task are those of
-    its final attempt, the last one played before the task is logged.
+    Every task is played by ``play_task``, also on an arm that
+    ``run_experiment`` plays in batches, so batched records are checked
+    against the per-round oracle too. The observer sees each round when the
+    first learner is handed its utility, before any learner updates; the
+    records of a task are those of its final attempt, the last one played
+    before the task is logged.
     """
     cfg = ExperimentConfig.from_dict(config)
     latest = []
@@ -503,12 +519,13 @@ def observed_records(monkeypatch, config):
         first.update = observed_update
         return real_play(game, learners, m, **kwargs)
 
-    def task_records(cfg, game, t, tracks):
+    def task_records(cfg, game, t, tracks, b):
         return [dataclasses.replace(r, task=t) for r in latest]
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
+        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
         return run_experiment(config).records
 
 
@@ -546,8 +563,9 @@ def observed_records(monkeypatch, config):
             "metrics_every": 8,
             "dump_strategies": True,
         },
+        small_config(init="cold", log_every=3, metrics_every=6, dump_strategies=True),
     ],
-    ids=["dump", "alternating", "secondary-anchor", "doubling", "opthedge", "d10", "drift"],
+    ids=["dump", "alternating", "secondary-anchor", "doubling", "opthedge", "d10", "drift", "cold"],
 )
 def test_task_records_match_round_observer(monkeypatch, config):
     records = run_experiment(config).records
@@ -558,3 +576,75 @@ def test_task_records_match_round_observer(monkeypatch, config):
             assert got.strategy is None
         else:
             np.testing.assert_array_equal(got.strategy, want.strategy)
+
+
+def summary_row(game, learners):
+    """A zero-sum task-summary row from one played task's learners, by the
+    per-task routines: the reference for the batched summaries."""
+    xl, yl = learners
+    x_hist, y_hist = np.asarray(xl.path[1:]), np.asarray(yl.path[1:])
+    reg_x, opt_x = external_regret(x_hist, xl.utility_array(), game.sets[0])
+    reg_y, opt_y = external_regret(y_hist, yl.utility_array(), game.sets[1])
+    x_bar, y_bar = np.mean(x_hist, axis=0), np.mean(y_hist, axis=0)
+    return {
+        "regret_x": reg_x,
+        "regret_y": reg_y,
+        "dualgap_avg": metrics.duality_gap(game, x_bar, y_bar),
+        "negap_avg": float(np.max(metrics.ne_gap(game, [x_bar, y_bar]))),
+        "pathlen2": metrics.path_lengths(xl.primary_array())[0]
+        + metrics.path_lengths(yl.primary_array())[0],
+        "init_dist2": float(np.sum((opt_x - xl.init) ** 2) + np.sum((opt_y - yl.init) ** 2)),
+        "inits": [xl.init.tolist(), yl.init.tolist()],
+        "optima": [opt_x.tolist(), opt_y.tolist()],
+    }
+
+
+def _start(rng, d):
+    """A feasible start: uniform, interior, or on the boundary."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return np.full(d, 1.0 / d)
+    x = rng.dirichlet(np.ones(d))
+    if kind == 2:
+        x[rng.integers(d)] = 0.0
+        x /= x.sum()
+    return x
+
+
+@st.composite
+def batch_inputs(draw):
+    """B games of one shape (d_x, d_y in 2..10), each with a feasible start and
+    its own rate. Integer payoffs make exact ties in sorts and argmaxes."""
+    B = draw(st.integers(min_value=1, max_value=64))
+    dx, dy = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    m = draw(st.integers(min_value=1, max_value=12))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for _ in range(B):
+        size = (dx, dy)
+        A = rng.integers(-2, 3, size=size).astype(float) if tied else rng.uniform(-1, 1, size=size)
+        batch.append(games.MatrixGame(A))
+    starts = [[_start(rng, dx), _start(rng, dy)] for _ in range(B)]
+    etas = (10.0 ** rng.uniform(-3.0, 1.0, size=B)).tolist()
+    return batch, starts, etas, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch_inputs())
+def test_play_batch_matches_play_task_bitwise(inputs):
+    # Each batched row is the scalar task bit for bit: played points,
+    # utilities, rate and summary row. A BLAS build whose stacked matmul
+    # rounds differently from the per-task product would fail here.
+    batch, starts, etas, m = inputs
+    tracks = harness._play_batch(batch, starts, etas, m)
+    rows = harness._zero_sum_summaries(batch, tracks, [None] * len(batch))
+    for b, game in enumerate(batch):
+        learners = [make_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
+        play_task(game, learners, m)
+        for tr, lrn in zip(tracks, learners):
+            assert tr.path[b].tobytes() == lrn.primary_array().tobytes()
+            assert tr.played[b].tobytes() == np.asarray(lrn.path[1:]).tobytes()
+            assert tr.utilities[b].tobytes() == lrn.utility_array().tobytes()
+            assert repr(tr.eta[b]) == repr(lrn.eta)
+        assert repr(rows[b][0]) == repr(summary_row(game, learners))
