@@ -541,7 +541,9 @@ def _play_batch(games, starts, etas, m):
     the two players' Tracks of the batch.
     """
     A = np.array([game.A for game in games])
-    neg_a, a_t = -A, A.transpose(0, 2, 1)  # a_t: transposed views, as game.A.T is
+    # Transposed views, as game.A.T is: BLAS rounds a contiguous copy of the
+    # transposes differently.
+    neg_a, a_t = -A, A.transpose(0, 2, 1)
     eta = np.asarray(etas)[:, None]
     B, dx, dy = A.shape
     X, Y = np.empty((B, m + 1, dx)), np.empty((B, m + 1, dy))
