@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -171,28 +170,6 @@ class SecurityGame:
             if not np.all(np.isfinite(tab)) or np.max(np.abs(tab)) > 1.0 + 1e-12:
                 raise InvalidInputError("security-game utilities must lie in [-1, 1]")
 
-    def to_json_dict(self):
-        return {
-            "kind": "security",
-            "d": self.d,
-            "types": [
-                {"covered": list(c), "uncovered": list(u)}
-                for c, u in zip(self.attacker_covered, self.attacker_uncovered)
-            ],
-            "defender": {
-                "covered": list(self.defender_covered),
-                "uncovered": list(self.defender_uncovered),
-            },
-        }
-
-    @staticmethod
-    def from_json_dict(obj):
-        return SecurityGame(
-            [(t["covered"], t["uncovered"]) for t in obj["types"]],
-            obj["defender"]["covered"],
-            obj["defender"]["uncovered"],
-        )
-
 
 def utility_gradient(game, player, opponents_profile):
     """Utility vector u_k(x_{-k}) seen by ``player`` against the others' profile.
@@ -286,38 +263,6 @@ def lower_bound_family(d, r):
     return MatrixGame(A)
 
 
-def ratio_game_operator(R, S, zeta):
-    """Operator (grad_x V, -grad_y V) of the ratio objective V = x^T R y / x^T S y.
-
-    Requires min over simplex vertices of x^T S y >= zeta > 0, which bounds
-    the denominator everywhere on the product of simplices. Exploratory only:
-    no convergence guarantee is claimed for this operator.
-    """
-    R = np.asarray(R, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if zeta <= 0 or float(np.min(S)) < zeta:
-        raise InvalidInputError(
-            "ratio game needs x^T S y >= zeta > 0; min vertex value "
-            f"{float(np.min(S))} < zeta={zeta}"
-        )
-    d_x, d_y = R.shape
-
-    def value(x, y):
-        return float(x @ R @ y) / float(x @ S @ y)
-
-    def F(z):
-        x, y = z[:d_x], z[d_x:]
-        rs = float(x @ R @ y)
-        ss = float(x @ S @ y)
-        gx = (R @ y * ss - S @ y * rs) / ss**2
-        gy = (R.T @ x * ss - S.T @ x * rs) / ss**2
-        return np.concatenate([gx, -gy])
-
-    op = VIOperator(F, ProductSet(Simplex(d_x), Simplex(d_y)))
-    op.value = value
-    return op
-
-
 @dataclass
 class SequenceConfig:
     """Configuration of a synthetic task sequence."""
@@ -405,28 +350,3 @@ def sample_game_sequence(config: SequenceConfig):
     if config.sequencing == "alternating":
         order = _alternate(order)
     return [games[i] for i in order]
-
-
-def game_to_json(game):
-    """Serialize a game to the on-disk JSON schema."""
-    if isinstance(game, MatrixGame):
-        obj = {"kind": "matrix", "A": game.A.tolist()}
-    elif isinstance(game, NormalFormGame):
-        obj = {"kind": "normal-form", "payoffs": [u.tolist() for u in game.payoffs]}
-    elif isinstance(game, SecurityGame):
-        obj = game.to_json_dict()
-    else:
-        raise InvalidInputError(f"cannot serialize {type(game).__name__}")
-    return json.dumps(obj, sort_keys=True)
-
-
-def game_from_json(text):
-    obj = json.loads(text)
-    kind = obj.get("kind")
-    if kind == "matrix":
-        return MatrixGame(np.asarray(obj["A"], dtype=float))
-    if kind == "normal-form":
-        return NormalFormGame([np.asarray(u, dtype=float) for u in obj["payoffs"]])
-    if kind == "security":
-        return SecurityGame.from_json_dict(obj)
-    raise ConfigError(f"unknown game kind {kind!r}")

@@ -54,9 +54,6 @@ class Simplex:
             and abs(float(np.sum(x)) - 1.0) <= tol
         )
 
-    def vertices(self):
-        return np.eye(self.dim)
-
 
 @dataclass(frozen=True)
 class Box:

@@ -340,12 +340,6 @@ def _best_point(strategy_set, cum_utility):
     return strategy_set.join(parts)
 
 
-def optimum_in_hindsight(utilities, strategy_set):
-    """Best fixed strategy against the summed utilities (fixed tie rule)."""
-    cum = np.sum(np.asarray(utilities, dtype=float), axis=0)
-    return _best_point(strategy_set, cum)
-
-
 def external_regret(strategies, utilities, strategy_set=None, comparator=None):
     """External regret of a play sequence; returns (regret, comparator).
 

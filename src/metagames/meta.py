@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from metagames.errors import ConfigError, InvalidInputError, NumericError
-from metagames.geometry import Simplex, project_l2, project_simplex
 from metagames.learners import cold_start
 
 COLD = "cold"
@@ -197,19 +196,6 @@ def ewoo_next_eta(state: EwooState):
     return float(np.sum(w * x) / denom)
 
 
-def cce_ewoo_state(dim, boundary_offset, m, T, cprime=1.0):
-    """EWOO state for the optimistic-hedge pipeline.
-
-    D^2 = log(dim / boundary_offset) / (cprime * log^5 m) and rho = T^(-1/4);
-    cprime stands in for the universal constant the regret bound leaves
-    unspecified (default 1).
-    """
-    if m < 2:
-        raise ConfigError("the CCE pipeline needs m >= 2")
-    D = math.sqrt(math.log(dim / boundary_offset) / (cprime * math.log(m) ** 5))
-    return EwooState.from_radius(D, T ** (-0.25))
-
-
 def smallest_cprime(regrets, etas, kls, m):
     """Smallest C' making eta*C'*log^5(m) + KL/eta dominate each regret.
 
@@ -272,102 +258,6 @@ def ftl_regret(anchors, initializations):
     return played - best
 
 
-def _project_polytope_dykstra(point, A_ub, b_ub, n_passes=2000, tol=1e-11):
-    """Projection onto {x in simplex : A_ub x <= b_ub} by Dykstra's algorithm."""
-    x = np.asarray(point, dtype=float).copy()
-    sets = [("simplex", None)] + [("half", i) for i in range(A_ub.shape[0])]
-    increments = [np.zeros_like(x) for _ in sets]
-    for _ in range(n_passes):
-        x_prev = x.copy()
-        for idx, (kind, i) in enumerate(sets):
-            y = x + increments[idx]
-            if kind == "simplex":
-                proj = project_simplex(y)
-            else:
-                a, bb = A_ub[i], b_ub[i]
-                viol = float(a @ y) - bb
-                proj = y - max(viol, 0.0) * a / float(a @ a) if viol > 0 else y
-            increments[idx] = y - proj
-            x = proj
-        if np.linalg.norm(x - x_prev) <= tol:
-            break
-    return x
-
-
-def nash_set_projection(game_matrix, value, point, player, slack=1e-9):
-    """Project a point onto one player's optimal-strategy face of a zero-sum game.
-
-    For the min-max reading (x minimizes x^T A y): x is optimal iff
-    A^T x <= value componentwise on the simplex; y is optimal iff
-    A y >= value.
-    """
-    A = np.asarray(game_matrix, dtype=float)
-    if player == 0:
-        return _project_polytope_dykstra(point, A.T, np.full(A.shape[1], value + slack))
-    return _project_polytope_dykstra(point, -A, np.full(A.shape[0], -(value - slack)))
-
-
 def ne_similarity_worst(ne_points):
     """(1/T) min_z sum_t ||z_t - z||^2 for one supplied NE per task."""
     return anchor_variance(ne_points)
-
-
-def ne_similarity_best(games, saddle_values, n_iter=300):
-    """Best-case NE similarity via distance-to-NE-set minimization.
-
-    Minimizes x -> (1/T) sum_t dist^2(x, Z*_t) by exact-gradient projected
-    descent; the per-task gradients use polytope projections onto each
-    player's optimal face.
-    """
-    from metagames.metrics import saddle_point  # local import to avoid a cycle
-
-    mats = [g.A for g in games]
-    if saddle_values is None:
-        saddle_values = [saddle_point(g)[2] for g in games]
-    T = len(mats)
-    d_x, d_y = mats[0].shape
-    sets = (Simplex(d_x), Simplex(d_y))
-    centers = [s.center() for s in sets]
-    z = np.concatenate(centers)
-
-    def project_all(zz):
-        x, y = zz[:d_x], zz[d_x:]
-        projs = []
-        for A, v in zip(mats, saddle_values):
-            px = nash_set_projection(A, v, x, player=0)
-            py = nash_set_projection(A, v, y, player=1)
-            projs.append(np.concatenate([px, py]))
-        return projs
-
-    step = 1.0
-    for _ in range(n_iter):
-        projs = project_all(z)
-        grad = sum(z - p for p in projs) / T
-        z_new = np.concatenate(
-            [
-                project_l2(sets[0], (z - step * grad)[:d_x]),
-                project_l2(sets[1], (z - step * grad)[d_x:]),
-            ]
-        )
-        if np.linalg.norm(z_new - z) <= 1e-12:
-            z = z_new
-            break
-        z = z_new
-    projs = project_all(z)
-    return float(np.mean([np.sum((z - p) ** 2) for p in projs]))
-
-
-def potential_deviation(phi_a, phi_b, grid):
-    """max over sampled profiles of phi_a - phi_b (the Delta functional)."""
-    return float(max(phi_a(pt) - phi_b(pt) for pt in grid))
-
-
-def potential_similarity(potentials, grid):
-    """(1/T) sum_t Delta(Phi_t, Phi_{t+1}) over a shared sampled grid."""
-    T = len(potentials)
-    if T < 2:
-        return 0.0
-    total = sum(
-        potential_deviation(potentials[t], potentials[t + 1], grid) for t in range(T - 1)
-    )
-    return total / T

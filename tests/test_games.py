@@ -7,11 +7,8 @@ from metagames.games import (
     NormalFormGame,
     PotentialGame,
     SequenceConfig,
-    game_from_json,
-    game_to_json,
     lipschitz_constant,
     lower_bound_family,
-    ratio_game_operator,
     sample_game_sequence,
     utility_gradient,
 )
@@ -185,51 +182,6 @@ def test_potential_partial_derivative_identity():
                 bumped[k][a] += h
                 fd = (game.potential(bumped) - game.potential(profile)) / h
                 assert abs(fd - u[a]) < 1e-4
-
-
-def test_ratio_game_operator():
-    with pytest.raises(InvalidInputError):
-        ratio_game_operator(np.ones((2, 2)), np.zeros((2, 2)), zeta=0.5)
-    R = np.array([[1.0, 0.0], [0.0, 1.0]])
-    S = np.ones((2, 2))
-    op = ratio_game_operator(R, S, zeta=0.5)
-    z = np.array([0.5, 0.5, 0.5, 0.5])
-    assert abs(op.value(z[:2], z[2:]) - 0.5) < 1e-15
-    # R = S makes the ratio constant and the operator vanish.
-    op_const = ratio_game_operator(S, S, zeta=0.5)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = rng.dirichlet(np.ones(2))
-        y = rng.dirichlet(np.ones(2))
-        assert np.linalg.norm(op_const(np.concatenate([x, y]))) < 1e-12
-    # gradient matches central finite differences
-    h = 1e-7
-    for _ in range(10):
-        x = rng.dirichlet(np.ones(2)) * 0.8 + 0.1
-        y = rng.dirichlet(np.ones(2)) * 0.8 + 0.1
-        z = np.concatenate([x, y])
-        F = op(z)
-        for j in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (op.value(xp, y) - op.value(xm, y)) / (2 * h)
-            assert abs(F[j] - fd) < 1e-6
-        for j in range(2):
-            yp, ym = y.copy(), y.copy()
-            yp[j] += h
-            ym[j] -= h
-            fd = (op.value(x, yp) - op.value(x, ym)) / (2 * h)
-            assert abs(-F[2 + j] - fd) < 1e-6
-
-
-def test_game_json_roundtrip():
-    game = MatrixGame(MP)
-    back = game_from_json(game_to_json(game))
-    np.testing.assert_array_equal(back.A, game.A)
-    nf = NormalFormGame([np.eye(2), np.eye(2)])
-    back = game_from_json(game_to_json(nf))
-    np.testing.assert_array_equal(back.payoffs[0], nf.payoffs[0])
 
 
 def test_rescaling_and_bounds():

@@ -16,7 +16,6 @@ from metagames.learners import (
     PreconditionerSchedule,
     alpha_regret,
     external_regret,
-    optimum_in_hindsight,
     project_simplex_weighted,
     rvu_terms,
 )
@@ -530,5 +529,5 @@ def test_box_learner_and_best_point():
     lrn.play()
     lrn.update(np.array([1.0, -1.0]))
     assert box.contains(lrn.path[-1])
-    opt = optimum_in_hindsight(np.array([[0.3, -0.2]]), box)
+    opt = external_regret(np.zeros((1, 2)), np.array([[0.3, -0.2]]), box)[1]
     np.testing.assert_array_equal(opt, [1.0, -1.0])

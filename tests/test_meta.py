@@ -18,10 +18,6 @@ from metagames.meta import (
     ewoo_next_eta,
     ftl_regret,
     kl_anchor_variance,
-    nash_set_projection,
-    ne_similarity_best,
-    ne_similarity_worst,
-    potential_similarity,
     shannon_entropy,
 )
 from metagames.metrics import saddle_point
@@ -326,51 +322,3 @@ def test_ftl_regret_bound():
                 inits.append(np.mean(anchors[:t], axis=0))
             reg = ftl_regret(anchors, np.asarray(inits))
             assert reg <= 2.0 * omega_sq * (1.0 + np.log(T)) + 1e-9
-
-
-def test_nash_set_projection_and_best_similarity():
-    rng = np.random.default_rng(2)
-    games = [MatrixGame(rng.uniform(-1, 1, size=(3, 3))) for _ in range(4)]
-    nes = []
-    for g in games:
-        sx, sy, v = saddle_point(g)
-        nes.append(np.concatenate([sx, sy]))
-        # projecting the NE onto its own optimal face is a fixed point
-        px = nash_set_projection(g.A, v, sx, player=0)
-        assert np.linalg.norm(px - sx) < 1e-6
-        # the projection of a random point lands on the optimal face
-        x = rng.dirichlet(np.ones(3))
-        proj = nash_set_projection(g.A, v, x, player=0)
-        assert np.max(g.A.T @ proj) <= v + 1e-6
-    worst = ne_similarity_worst(nes)
-    best = ne_similarity_best(games, None)
-    assert best <= worst + 1e-6
-
-
-def test_best_similarity_equals_worst_for_unique_ne():
-    # matching-pennies-style games have a unique equilibrium
-    rng = np.random.default_rng(3)
-    games = []
-    for _ in range(3):
-        eps = rng.uniform(-0.05, 0.05, size=(2, 2))
-        games.append(MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]) + eps))
-    nes = [np.concatenate(saddle_point(g)[:2]) for g in games]
-    worst = ne_similarity_worst(nes)
-    best = ne_similarity_best(games, None)
-    assert abs(best - worst) < 1e-4
-
-
-def test_potential_similarity():
-    grid = [
-        [np.array([a, 1 - a]), np.array([b, 1 - b])]
-        for a in np.linspace(0, 1, 11)
-        for b in np.linspace(0, 1, 11)
-    ]
-
-    def make_phi(c):
-        return lambda prof: c * float(prof[0][0] * prof[1][0])
-
-    phis = [make_phi(c) for c in (1.0, 0.8, 0.9)]
-    v = potential_similarity(phis, grid)
-    # Delta(1.0, 0.8) = 0.2, Delta(0.8, 0.9) = 0 at the max point (0 elsewhere)
-    assert abs(v - (0.2 + 0.0) / 3.0) < 1e-12

@@ -1,6 +1,8 @@
 """Cross-module wiring: the optimistic-hedge CCE pipeline, alternating
 updates, sequencing modes, and the meta config block."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from metagames.harness import (
 )
 from metagames.learners import external_regret
 from metagames.meta import (
+    EwooState,
     Initializer,
     TaskOutcome,
-    cce_ewoo_state,
     ewoo_next_eta,
     smallest_cprime,
 )
@@ -26,6 +28,14 @@ from metagames.stackelberg import AttackerSequence
 from metagames.swapregret import boundary_offset_comparator
 
 BASE = np.array([[0.2, -0.6], [-0.6, 1.0]])
+
+
+def cce_ewoo_state(dim, boundary_offset, m, T):
+    """EWOO state for the optimistic-hedge pipeline: D^2 = log(dim /
+    boundary_offset) / log^5 m, taking 1 for the constant the regret bound
+    leaves unspecified, and rho = T^(-1/4)."""
+    D = math.sqrt(math.log(dim / boundary_offset) / math.log(m) ** 5)
+    return EwooState.from_radius(D, T ** (-0.25))
 
 
 def test_opthedge_cce_pipeline():

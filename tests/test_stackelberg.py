@@ -323,12 +323,3 @@ def test_run_config_errors():
     for field, value in bad:
         with pytest.raises(ConfigError, match=f"StackelbergConfig.{field}"):
             StackelbergConfig(**{field: value})
-
-
-def test_security_game_json_roundtrip():
-    from metagames.games import game_from_json, game_to_json
-
-    g = two_target_game()
-    back = game_from_json(game_to_json(g))
-    np.testing.assert_allclose(back.attacker_uncovered, g.attacker_uncovered)
-    np.testing.assert_allclose(back.defender_covered, g.defender_covered)
