@@ -121,7 +121,7 @@ def play_task(game, learners, m, free_first=True, alternating=False):
 
 def _default_eta(game, n_players):
     L = max(lipschitz_constant(game), 1e-12)
-    return 1.0 / (4.0 * L * np.sqrt(max(n_players - 1, 1)))
+    return float(1.0 / (4.0 * L * np.sqrt(max(n_players - 1, 1))))
 
 
 _REGS = {

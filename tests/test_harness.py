@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -344,6 +345,17 @@ def test_eta_modes():
         small_config(learner={"algo": "ogd", "eta": "auto", "eta_mode": "ewoo"})
     )
     assert res.task_summaries[-1]["eta"] > 0
+
+
+def test_auto_eta_cells_are_numbers(tmp_path):
+    # A cold arm is played in batches, an ftl-average arm task by task.
+    for init in ("cold", "ftl-average"):
+        res = run_experiment(small_config(init=init, learner={"algo": "ogd", "eta": "auto"}))
+        path = tmp_path / f"{init}.csv"
+        write_task_summaries(path, res.task_summaries)
+        with path.open(newline="") as fh:
+            etas = [float(row["eta"]) for row in csv.DictReader(fh)]
+        assert len(etas) == 6 and min(etas) > 0
 
 
 def test_doubling_restart_keeps_unique_rows():
