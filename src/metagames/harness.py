@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from metagames.errors import ConfigError, InvalidInputError
+from metagames.errors import ConfigError, InvalidInputError, NumericError
 from metagames.games import (
     FAMILIES,
     SEQUENCINGS,
@@ -37,6 +37,7 @@ from metagames.learners import (
     SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
+    doubling_residual,
     doubling_trick_eta,
     external_regret,
 )
@@ -379,7 +380,7 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
     return current_eta if current_eta is not None else _default_eta(game, n_players)
 
 
-MAX_RESTARTS = 60  # doubling restarts per task
+MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
 # The fewest tasks a play-independent arm must have to be played in batches.
 # Against play_task at m = 5, 30 and 1000: a batch of 1 task ran 0.6-0.9x as
@@ -472,11 +473,17 @@ def run_experiment(config) -> ExperimentResult:
                     free_first=cfg.first_prediction == "oracle",
                     alternating=cfg.alternating_updates,
                 )
-                if cfg.eta_mode != "doubling" or restarts == MAX_RESTARTS:
+                if cfg.eta_mode != "doubling":
                     break
                 halved = doubling_trick_eta(learners, task_eta)
                 if halved == task_eta:
                     break
+                if restarts == MAX_RESTARTS:
+                    raise NumericError(
+                        f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
+                        f"residual={doubling_residual(learners, task_eta)!r} > 0 "
+                        f"at eta={task_eta!r}"
+                    )
                 task_eta = halved
             if cfg.eta_mode == "doubling":
                 eta = task_eta  # keep the calibrated rate for later tasks

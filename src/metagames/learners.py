@@ -436,17 +436,20 @@ def rvu_terms(learner, comparator, constant="eighth"):
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
+def doubling_residual(learners, eta):
+    """The joint local RVU residual of one task's finished runs at rate ``eta``:
+    eta * sum(prediction terms) - sum(path terms) / (8 eta). The Bregman term
+    does not enter it, so it is never evaluated (it is undefined for entropic
+    learners started on the boundary)."""
+    pred = sum(_prediction_term(lrn) for lrn in learners)
+    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
+    return eta * pred - path / (8.0 * eta)
+
+
 def doubling_trick_eta(learners, eta):
     """The doubling rule: the rate for the next attempt at a task.
 
-    Inspects the finished runs of one task played at rate ``eta`` and returns
-    eta/2 when the joint local RVU residual
-    eta * sum(prediction terms) - sum(path terms) / (8 eta) is positive, else
-    eta. The Bregman term does not enter the residual, so it is never
-    evaluated (it is undefined for entropic learners started on the
-    boundary).
+    Returns eta/2 when the ``doubling_residual`` of the runs played at rate
+    ``eta`` is positive, else eta.
     """
-    pred = sum(_prediction_term(lrn) for lrn in learners)
-    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
-    residual = eta * pred - path / (8.0 * eta)
-    return eta / 2.0 if residual > 0 else eta
+    return eta / 2.0 if doubling_residual(learners, eta) > 0 else eta

@@ -131,6 +131,25 @@ def test_run_doubling_from_boundary_init(tmp_path, algo):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        BASE_CONFIG["game"],
+        {"family": "lower-bound-prior", "prior": [0.5, 0.3, 0.2]},
+    ],
+)
+def test_run_doubling_at_restart_cap_exits_3(tmp_path, capsys, game):
+    # With zero predictions the local RVU residual stays positive however
+    # small the rate, so every halving is followed by another.
+    learner = {"algo": "ogd", "eta": 0.5, "eta_mode": "doubling", "prediction": "zero"}
+    cfg = write_config(tmp_path, {"T": 2, "m": 10, "game": game, "learner": learner})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: task 0: doubling trick gave up after 60 restarts")
+    assert "residual=" in err and "eta=" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_run_arms_comparison(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -500,7 +500,7 @@ def test_strongly_convex_contraction():
 
 def test_doubling_trick_halts_on_positive_residual():
     from metagames.errors import DomainError
-    from metagames.learners import doubling_trick_eta
+    from metagames.learners import doubling_residual, doubling_trick_eta
 
     rng = np.random.default_rng(11)
     # an entropic learner started on the boundary, where the Bregman term of
@@ -519,6 +519,7 @@ def test_doubling_trick_halts_on_positive_residual():
     path = sum(np.sum(np.diff(lrn.primary_array(), axis=0) ** 2) for lrn in learners)
     residual = 0.9 * pred - path / (8.0 * 0.9)
     assert residual > 0
+    assert abs(doubling_residual(learners, 0.9) - residual) <= 1e-12 * (0.9 * pred)
     assert doubling_trick_eta(learners, 0.9) == 0.45
     assert doubling_trick_eta(learners[:1], 1e-6) == 1e-6  # path credit wins
 
