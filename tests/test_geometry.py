@@ -357,6 +357,38 @@ def test_prox_log_barrier_properties(inputs):
     assert lhs <= rhs + 1e-8 * (1.0 + abs(lhs) + sum(terms) / eta)
 
 
+@st.composite
+def entropic_prox_inputs(draw):
+    d = draw(st.integers(min_value=2, max_value=8))
+    # Anchor coordinates reach below INTERIOR_FLOOR; the prox lifts them.
+    low = float(np.log10(INTERIOR_FLOOR)) - 1.0
+    exps = draw(st.lists(st.floats(low, 0.0), min_size=d, max_size=d))
+    weights = 10.0 ** np.array(exps)
+    g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    eta = 10.0 ** draw(st.floats(-4.0, 1.0))
+    # The comparator may sit on the boundary.
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    w = w / np.sum(w) if np.sum(w) > 0 else np.full(d, 1.0 / d)
+    return weights / np.sum(weights), g, eta, w
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entropic_prox_inputs())
+def test_prox_entropic_properties(inputs):
+    anchor, g, eta, w = inputs
+    x = prox_step(ENT, Simplex(len(g)), anchor, g, eta)
+    assert x.min() > 0.0
+    assert abs(x.sum() - 1.0) <= 1e-12
+    # Three-point inequality against the lifted anchor, which is the point
+    # the step starts from; for the exact multiplicative-weights step it holds
+    # with equality, and the slack is relative to the size of the KL terms.
+    lifted = lift_interior(anchor)
+    terms = (bregman(ENT, w, lifted), bregman(ENT, w, x), bregman(ENT, x, lifted))
+    lhs = (w - x) @ g
+    rhs = (terms[0] - terms[1] - terms[2]) / eta
+    assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs) + sum(terms) / eta)
+
+
 def test_prox_log_barrier_reports_non_convergence():
     anchor, g = np.array([0.3, 0.7]), np.array([1.0, -1.0])
     with pytest.raises(NumericError, match=r"residual=.*eta=0\.5, bracket=\("):
