@@ -86,11 +86,21 @@ class AttackerSequence:
             obj = _json.loads(obj)
         if isinstance(obj, list):
             return AttackerSequence(obj, n_types)
+        if not isinstance(obj, dict):
+            raise ConfigError(
+                f"attacker script: expected a list of rounds or a spec object, got {obj!r}"
+            )
         kind = obj.get("kind")
         if T is None or m is None:
             raise ConfigError("generator specs need T and m")
         if kind == "fixed":
-            f = int(obj["type"])
+            try:
+                f = int(obj["type"])
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(
+                    f'attacker script field "type": a fixed spec needs a type index, '
+                    f'got {obj.get("type")!r}'
+                ) from None
             return AttackerSequence([[f] * m for _ in range(T)], n_types)
         if kind == "uniform":
             pool = [int(f) for f in obj.get("types", range(n_types))]

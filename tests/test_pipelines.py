@@ -180,3 +180,7 @@ def test_attacker_sequence_json():
         AttackerSequence([[5]], n_types=2)
     with pytest.raises(ConfigError):
         AttackerSequence.from_json({"kind": "fixed", "type": 0}, n_types=1)
+    with pytest.raises(ConfigError, match='field "type"'):
+        AttackerSequence.from_json({"kind": "fixed"}, n_types=2, T=2, m=4)
+    with pytest.raises(ConfigError, match="attacker script: expected a list"):
+        AttackerSequence.from_json(5, n_types=2, T=2, m=4)
