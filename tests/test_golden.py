@@ -4,12 +4,14 @@ Each ``run_experiment`` config's ``write_task_summaries`` and
 ``write_records_csv`` output (plus the strategy sidecar and the similarity
 statistics where a config produces them) is hashed with SHA-256 and compared
 with ``data/golden_digests.json``. So are the records and summary of
-``run_meta_stackelberg`` runs and the paths and rate of ``holder_run`` runs, and so are the values of the accounting routines (regret,
-weighted and proxy regret, RVU terms, per-action swap regrets, NE gaps and the
-``report`` audit) on seeded runs. A refactor must keep every digest. To re-record after an intended change of
-numbers, run ``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``,
-which re-records only the named entries and prints which digests changed;
-with no names it re-records all of them.
+``run_meta_stackelberg`` runs, the paths and rate of ``holder_run`` runs, the
+path, norms and bound of ``weak_mvi_run`` runs, and the values of the
+accounting routines (regret, weighted and proxy regret, RVU terms, per-action
+swap regrets, NE gaps and the ``report`` audit) on seeded runs. A refactor
+must keep every digest. To re-record after an intended change of numbers, run
+``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``, which
+re-records only the named entries and prints which digests changed; with no
+names it re-records all of them.
 """
 
 import hashlib
@@ -22,8 +24,8 @@ import numpy as np
 import pytest
 
 from metagames import cli
-from metagames.games import MatrixGame, NormalFormGame, SecurityGame, utility_gradient
-from metagames.geometry import Simplex
+from metagames.games import MatrixGame, NormalFormGame, SecurityGame, VIOperator, utility_gradient
+from metagames.geometry import Box, Simplex
 from metagames.harness import (
     make_learner,
     play_task,
@@ -35,6 +37,7 @@ from metagames.holder_vi import (
     amplitude_rotation_operator,
     componentwise_power_operator,
     holder_run,
+    weak_mvi_run,
 )
 from metagames.learners import (
     AlphaWeights,
@@ -185,6 +188,20 @@ def _eg_proxy_regret():
     return {"proxy": _floats_sha([reg, *comp, fixed])}
 
 
+def _weak_mvi():
+    # c13's rotation operator from its three starts.
+    box = Box(np.full(2, -np.inf), np.full(2, np.inf))
+    op = VIOperator(lambda z: np.array([z[1], -z[0]]), box, lipschitz=1.0, weak_mvi_rho=0.01)
+    op.mvi_point = np.zeros(2)
+    out = {}
+    for k, z0 in enumerate(([1.0, 0.0], [0.3, -0.8], [-0.5, 0.5])):
+        run = weak_mvi_run(op, np.array(z0), m=500, eta=0.2)
+        out[f"start{k}"] = _floats_sha(
+            [*run["path"].ravel(), *run["norms_sq"], run["bound_rhs"], run["bound_slack"]]
+        )
+    return out
+
+
 def _ne_gap_matrix():
     rng = np.random.default_rng(41)
     game = MatrixGame(rng.uniform(-1, 1, size=(4, 3)))
@@ -211,6 +228,7 @@ ACCOUNTING = {
     "accounting-eg-proxy-regret": _eg_proxy_regret,
     "accounting-ne-gap-matrix": _ne_gap_matrix,
     "accounting-report-audit": _report_audit,
+    "weak-mvi": _weak_mvi,
 }
 
 
