@@ -9,7 +9,8 @@ horizon doubles.
 
 import numpy as np
 
-from metagames.games import NormalFormGame, lipschitz_constant, utility_gradient
+from metagames.games import NormalFormGame, lipschitz_constant
+from metagames.harness import play_task
 from metagames.metrics import cce_ce_gap
 from metagames.swapregret import SwapWrapper, default_log_barrier_eta, swap_regret
 
@@ -22,13 +23,7 @@ L = lipschitz_constant(game)
 eta = 20 * default_log_barrier_eta(2, 3, L)
 print(f"random 3x3 general-sum game, log-barrier eta = {eta:.5f}")
 
-players = [SwapWrapper(d, eta) for d in dims]
-m = 800
-for _ in range(m):
-    profile = [w.play() for w in players]
-    utils = [utility_gradient(game, k, profile) for k in range(2)]
-    for w, u in zip(players, utils):
-        w.update(u)
+players = play_task(game, [SwapWrapper(d, eta) for d in dims], 800, free_first=False)
 
 for k, w in enumerate(players):
     sw = swap_regret(w.played_array(), w.utility_array())

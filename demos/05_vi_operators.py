@@ -11,20 +11,26 @@ import numpy as np
 from metagames.games import MatrixGame, VIOperator, lipschitz_constant
 from metagames.geometry import Box
 from metagames.holder_vi import componentwise_power_operator, holder_run, weak_mvi_run
-from metagames.learners import EGLearner
+from metagames.harness import play_task
+from metagames.learners import SECONDARY_ANCHOR, OMDLearner, external_regret
 from metagames.metrics import duality_gap, svi_residual
 
 rng = np.random.default_rng(9)
 
 print("-- extra-gradient on a random 3x3 saddle point --")
 game = MatrixGame(rng.uniform(-1, 1, size=(3, 3)))
-eg = EGLearner(game.operator(), 1.0 / (8.0 * lipschitz_constant(game)))
-eg.run(1000)
-hats = np.asarray(eg.hat_path)
+op = game.operator()
+# extra-gradient: OMD that predicts with -F at the previous secondary iterate
+eg = OMDLearner(
+    op.set, 1.0 / (8.0 * lipschitz_constant(game)), init=op.set.center(),
+    prediction_mode=SECONDARY_ANCHOR,
+)
+play_task(op, [eg], 1000, free_first=False)
+hats = np.asarray(eg.path[1:])  # the extrapolated points
 for m in (100, 1000):
     gap = duality_gap(game, np.mean(hats[:m, :3], axis=0), np.mean(hats[:m, 3:], axis=0))
     print(f"  duality gap of first-{m} secondary average: {gap:.6f}")
-reg, _ = eg.proxy_regret()
+reg, _ = external_regret(hats, eg.utilities, op.set)
 print(f"  proxy regret of the secondary sequence: {reg:.4f}")
 
 print("\n-- weak MVI: rotation operator, unconstrained recursion --")

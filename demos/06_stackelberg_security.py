@@ -10,12 +10,7 @@ meta arm collapses onto the optimal commitment after a handful of tasks.
 import numpy as np
 
 from metagames.games import SecurityGame
-from metagames.stackelberg import (
-    AttackerSequence,
-    StackelbergConfig,
-    build_extreme_points,
-    run_meta_stackelberg,
-)
+from metagames.stackelberg import StackelbergConfig, build_extreme_points, run_meta_stackelberg
 
 rng = np.random.default_rng(2)
 d, k = 4, 3
@@ -26,7 +21,8 @@ print(f"{d} targets, {k} attacker types -> |E| = {len(E)} extreme points "
       f"({E.provenance})")
 
 T, m = 40, 200
-script = AttackerSequence.from_json({"kind": "uniform", "types": [0, 1]}, k, T=T, m=m, seed=4)
+# attacker types 0 and 1, drawn i.i.d. per round
+script = np.random.default_rng(4).integers(0, 2, size=(T, m)).tolist()
 
 for name, init in (("meta (FTL mean)", "ftl-average"), ("uniform restart", "uniform")):
     cfg = StackelbergConfig(m=m, initializer=init, eta="ewoo", seed=8)

@@ -175,7 +175,8 @@ def utility_gradient(game, player, opponents_profile):
     """Utility vector u_k(x_{-k}) seen by ``player`` against the others' profile.
 
     For a MatrixGame ``opponents_profile`` is the single opposing strategy;
-    for a NormalFormGame it is the full profile list (own entry ignored).
+    for a NormalFormGame it is the full profile list (own entry ignored). A
+    VIOperator is a one-player game: player 0 at profile [z] sees -F(z).
     """
     if isinstance(game, MatrixGame):
         if player == 0:
@@ -194,6 +195,10 @@ def utility_gradient(game, player, opponents_profile):
         for j in reversed(order[1:]):
             acc = acc @ np.asarray(opponents_profile[j], dtype=float)
         return acc
+    if isinstance(game, VIOperator):
+        if player != 0:
+            raise InvalidInputError(f"a VI operator has the one player 0, got {player}")
+        return -game(opponents_profile[0])
     raise InvalidInputError(f"unsupported game type {type(game).__name__}")
 
 

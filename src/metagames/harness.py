@@ -86,11 +86,12 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     """Self-play on any game for m rounds; the one per-round play loop.
 
     Utilities come from ``utility_gradient``, so matrix, normal-form and
-    potential games share this loop. With ``free_first`` every learner that
-    takes predictions is given u_k at the starting profile: the one free
-    oracle call of a task. Learners in 'secondary-anchor' mode are given u_k
-    at the secondary iterates before every round. With ``alternating`` (two
-    players) the second mover predicts with the first mover's current move.
+    potential games and VI operators (one player) share this loop. With
+    ``free_first`` every learner that takes predictions is given u_k at the
+    starting profile: the one free oracle call of a task. Learners in
+    'secondary-anchor' mode are given u_k at the secondary iterates before
+    every round. With ``alternating`` (two players) the second mover
+    predicts with the first mover's current move.
     The learners keep their played points and utilities, from which
     ``_task_records`` logs the rounds afterwards. Returns the learners.
     """
@@ -151,12 +152,11 @@ def make_learner(algo, strategy_set, eta, init=None, prediction="recency"):
 # values: a tuple of choices, or a bound that every number of the value meets.
 # The row paths also give the keys each config object may hold.
 _Field = namedtuple("_Field", "path kind default allowed")
-_INITS = tuple(m for m in INITIALIZER_MODES if m != "custom-anchor")  # needs an anchor
 SCHEMA = (
     _Field("T", "int", ..., ">= 1"),
     _Field("m", "int", ..., ">= 1"),
     _Field("seed", "int", 0, ">= 0"),
-    _Field("init", "str", None, _INITS),  # wins over meta.initializer
+    _Field("init", "str", None, INITIALIZER_MODES),  # wins over meta.initializer
     _Field("log_every", "int", 0, ">= 0"),
     _Field("metrics_every", "int", 0, ">= 0"),
     _Field("dump_strategies", "bool", False, None),
@@ -173,7 +173,7 @@ SCHEMA = (
     _Field("learner.prediction", "str", "recency", PREDICTION_MODES),
     _Field("learner.first_prediction", "str", "oracle", ("oracle", "zero")),
     _Field("learner.alternating", "bool", False, None),
-    _Field("meta.initializer", "str", "cold", _INITS),
+    _Field("meta.initializer", "str", "cold", INITIALIZER_MODES),
     _Field("meta.similarity_report", "bool", False, None),
     _Field("meta.ewoo.enabled", "bool", False, None),  # learner.eta_mode wins
     _Field("meta.ewoo.D", "float", None, "> 0"),

@@ -10,7 +10,8 @@ import numpy as np
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import VIOperator
 from metagames.geometry import Box
-from metagames.learners import EGLearner
+from metagames.harness import play_task
+from metagames.learners import SECONDARY_ANCHOR, OMDLearner
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,11 @@ def holder_eta(schedule: HolderSchedule):
 def holder_run(operator: VIOperator, z0, m, radius_bound=None):
     """Constrained OGD at the Holder-schedule rate.
 
-    OGD that predicts with F at the previous secondary iterate is the
-    extra-gradient iteration, so this runs ``EGLearner``. Returns the primary
-    path z^(0..m) (z^(0) and then the extrapolated points), the secondary
-    path zhat^(0..m) and eta.
+    OGD that predicts with -F at the previous secondary iterate is the
+    extra-gradient iteration, so this plays one 'secondary-anchor'
+    ``OMDLearner`` on the operator through ``harness.play_task``. Returns the
+    primary path z^(0..m) (z^(0) and then the extrapolated points), the
+    secondary path zhat^(0..m) and eta.
     """
     if operator.holder is None:
         raise ConfigError("operator carries no (H, alpha) metadata")
@@ -64,10 +66,11 @@ def holder_run(operator: VIOperator, z0, m, radius_bound=None):
     if radius_bound is None:
         radius_bound = operator.set.diameter
     eta = holder_eta(HolderSchedule(H, alpha, radius_bound, m))
-    eg = EGLearner(operator, eta, init=z0).run(m)
+    lrn = OMDLearner(operator.set, eta, init=z0, prediction_mode=SECONDARY_ANCHOR)
+    play_task(operator, [lrn], m, free_first=False)
     return {
-        "primary": np.asarray(eg.path[:1] + eg.hat_path),
-        "secondary": np.asarray(eg.path),
+        "primary": np.asarray(lrn.path),
+        "secondary": np.asarray(lrn.hat_path),
         "eta": eta,
     }
 
@@ -75,6 +78,9 @@ def holder_run(operator: VIOperator, z0, m, radius_bound=None):
 def weak_mvi_run(operator: VIOperator, z0, m, eta):
     """Unconstrained simplified OGD under the weak MVI property.
 
+    One 'recency' ``OMDLearner`` on the unbounded box, played through
+    ``harness.play_task`` from the free first prediction -F(z^(0)):
+    z^(i) = zhat^(i-1) - eta F(z^(i-1)), zhat^(i) = zhat^(i-1) - eta F(z^(i)).
     Requires 2*rho < eta < 1/(4L). Returns the trajectory, the iterate of
     minimum operator norm, and the measured slack of the displayed
     sum-of-squared-norms bound (nonnegative slack = bound satisfied).
@@ -88,22 +94,14 @@ def weak_mvi_run(operator: VIOperator, z0, m, eta):
             f"eta={eta} outside the admissible band (2*rho, 1/(4L)) = "
             f"({2.0 * rho}, {1.0 / (4.0 * L)})"
         )
-    z = np.asarray(z0, dtype=float).copy()
-    z_hat = z.copy()
-    path = [z.copy()]
-    norms_sq = []
-    F_z = operator(z)
-    for _ in range(m):
-        z = z_hat - eta * F_z
-        F_z = operator(z)
-        z_hat = z_hat - eta * F_z
-        path.append(z.copy())
-        norms_sq.append(float(F_z @ F_z))
-    path = np.asarray(path)
-    norms_sq = np.asarray(norms_sq)  # ||F(z^(i))||^2 for i = 1..m
+    z0 = np.asarray(z0, dtype=float)
+    free = Box(np.full(z0.shape, -np.inf), np.full(z0.shape, np.inf))
+    (lrn,) = play_task(operator, [OMDLearner(free, eta, init=z0)], m)
+    path = np.asarray(lrn.path)
+    norms_sq = np.asarray([float(u @ u) for u in lrn.utilities])  # ||F(z^(i))||^2, i = 1..m
     best_idx = int(np.argmin(norms_sq))
     lhs = float(np.sum(norms_sq[: m - 1]))  # sum over i <= m-1
-    z_star = operator.mvi_point if hasattr(operator, "mvi_point") else np.zeros_like(z)
+    z_star = operator.mvi_point if hasattr(operator, "mvi_point") else np.zeros_like(z0)
     rhs = (2.0 / (eta * (eta - 2.0 * rho))) * float(
         np.sum((z_star - path[0]) ** 2)
     ) + (2.0 * rho / (eta - 2.0 * rho)) * float(norms_sq[-1])

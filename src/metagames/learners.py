@@ -6,9 +6,10 @@ descent update
     x^(i)    = prox(xhat^(i-1), m^(i), eta)      (played iterate)
     xhat^(i) = prox(xhat^(i-1), u^(i), eta)      (secondary iterate)
 
-with a configurable prediction rule for m^(i). Plain mirror descent,
-extra-gradient, projected gradient ascent, and the preconditioned variant
-are thin relatives of the same prox kernel.
+with a configurable prediction rule for m^(i). Extra-gradient is this
+update in 'secondary-anchor' mode (m^(i) is the utility at xhat^(i-1)),
+played on a VI operator by ``harness.play_task``. Projected gradient ascent
+and the preconditioned variant are thin relatives of the same prox kernel.
 """
 
 from __future__ import annotations
@@ -280,47 +281,6 @@ class OptAdaGradLearner:
 
     def secondary_array(self):
         return np.asarray(self.hat_path)
-
-
-class EGLearner:
-    """Extra-gradient iterations against a VI operator (two oracle calls/step).
-
-    Records the proxy-regret ingredients: the secondary sequence and the
-    auxiliary utilities evaluated at it.
-    """
-
-    def __init__(self, operator, eta, regularizer=None, init=None):
-        self.op = operator
-        self.set = operator.set
-        self.eta = float(eta)
-        self.reg = regularizer if regularizer is not None else Regularizer(EUCLIDEAN)
-        z0 = self.set.center() if init is None else np.asarray(init, dtype=float)
-        self.z = z0.copy()
-        self.path = [z0.copy()]  # primary z^(0..i)
-        self.hat_path = []  # secondary zhat^(1..i)
-        self.utilities = []  # u^(i) = -F(z^(i)), with u^(0) at the init
-        self.hat_utilities = []  # uhat^(i) = -F(zhat^(i))
-        self.utilities.append(-self.op(z0))
-
-    def step(self):
-        u_prev = self.utilities[-1]
-        z_hat = prox_step(self.reg, self.set, self.z, u_prev, self.eta)
-        u_hat = -self.op(z_hat)
-        z_next = prox_step(self.reg, self.set, self.z, u_hat, self.eta)
-        self.hat_path.append(z_hat)
-        self.hat_utilities.append(u_hat)
-        self.z = z_next
-        self.path.append(z_next.copy())
-        self.utilities.append(-self.op(z_next))
-
-    def run(self, m):
-        for _ in range(m):
-            self.step()
-        return self
-
-    def proxy_regret(self, comparator=None):
-        """Regret of the secondary sequence under the auxiliary utilities."""
-        return external_regret(self.hat_path, self.hat_utilities, self.set, comparator)
 
 
 def _best_point(strategy_set, cum_utility):

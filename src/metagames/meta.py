@@ -22,9 +22,8 @@ FTL_AVERAGE = "ftl-average"
 LAST_ITERATE = "last-iterate"
 PREV_OPTIMUM = "prev-optimum"
 NE_AVERAGE = "ne-average"
-CUSTOM_ANCHOR = "custom-anchor"
 
-INITIALIZER_MODES = (COLD, FTL_AVERAGE, LAST_ITERATE, PREV_OPTIMUM, NE_AVERAGE, CUSTOM_ANCHOR)
+INITIALIZER_MODES = (COLD, FTL_AVERAGE, LAST_ITERATE, PREV_OPTIMUM, NE_AVERAGE)
 
 # EWOO posterior mean: a 32-point Gauss-Legendre rule on each piece between
 # knots at the ends, the mode, the mode +- these multiples of the posterior
@@ -54,14 +53,11 @@ class Initializer:
     is follow-the-leader over the induced Bregman losses.
     """
 
-    def __init__(self, mode, strategy_sets, anchor=None):
+    def __init__(self, mode, strategy_sets):
         if mode not in INITIALIZER_MODES:
             raise ConfigError(f"unknown initializer mode {mode!r}")
-        if mode == CUSTOM_ANCHOR and anchor is None:
-            raise ConfigError("custom-anchor mode needs an anchor")
         self.mode = mode
         self.sets = tuple(strategy_sets)
-        self.anchor = anchor
         self.count = 0
         self.means = [cold_start(s) for s in self.sets]
         self.prev = None
@@ -71,8 +67,6 @@ class Initializer:
         cold = [cold_start(s) for s in self.sets]
         if self.mode == COLD:
             return cold
-        if self.mode == CUSTOM_ANCHOR:
-            return [np.asarray(a, dtype=float).copy() for a in self.anchor]
         if self.count == 0:
             return cold
         if self.mode in (FTL_AVERAGE, NE_AVERAGE):
@@ -82,7 +76,7 @@ class Initializer:
     def observe(self, outcome: TaskOutcome):
         """Fold one task's anchors into the accumulator."""
         anchors = self._select(outcome)
-        if self.mode in (COLD, CUSTOM_ANCHOR):
+        if self.mode == COLD:
             return
         anchors = [np.asarray(a, dtype=float) for a in anchors]
         self.count += 1
@@ -93,7 +87,7 @@ class Initializer:
         self.prev = [a.copy() for a in anchors]
 
     def _select(self, outcome):
-        if self.mode in (COLD, CUSTOM_ANCHOR):
+        if self.mode == COLD:
             return None
         if self.mode in (FTL_AVERAGE, PREV_OPTIMUM):
             if outcome.optima is None:

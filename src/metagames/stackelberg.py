@@ -57,59 +57,6 @@ def defender_payoff(game: SecurityGame, type_id, coverage):
     return float(payoff_table(game, np.asarray(coverage, dtype=float)[None])[type_id, 0])
 
 
-class AttackerSequence:
-    """Per-task, per-round attacker type indices; adversarially scriptable."""
-
-    def __init__(self, type_ids, n_types):
-        self.rounds = [list(map(int, task)) for task in type_ids]
-        self.n_types = int(n_types)
-        for task in self.rounds:
-            if any(not 0 <= f < self.n_types for f in task):
-                raise InvalidInputError("attacker type index out of range")
-
-    def __len__(self):
-        return len(self.rounds)
-
-    def __getitem__(self, t):
-        return self.rounds[t]
-
-    @staticmethod
-    def from_json(obj, n_types, T=None, m=None, seed=0):
-        """Round lists verbatim, or a generator spec.
-
-        Specs: {"kind": "fixed", "type": f} or
-        {"kind": "uniform", "types": [...]} drawing i.i.d. per round.
-        """
-        if isinstance(obj, str):
-            import json as _json
-
-            obj = _json.loads(obj)
-        if isinstance(obj, list):
-            return AttackerSequence(obj, n_types)
-        if not isinstance(obj, dict):
-            raise ConfigError(
-                f"attacker script: expected a list of rounds or a spec object, got {obj!r}"
-            )
-        kind = obj.get("kind")
-        if T is None or m is None:
-            raise ConfigError("generator specs need T and m")
-        if kind == "fixed":
-            try:
-                f = int(obj["type"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(
-                    f'attacker script field "type": a fixed spec needs a type index, '
-                    f'got {obj.get("type")!r}'
-                ) from None
-            return AttackerSequence([[f] * m for _ in range(T)], n_types)
-        if kind == "uniform":
-            pool = [int(f) for f in obj.get("types", range(n_types))]
-            rng = np.random.default_rng(seed)
-            rounds = [[pool[int(i)] for i in rng.integers(0, len(pool), size=m)] for _ in range(T)]
-            return AttackerSequence(rounds, n_types)
-        raise ConfigError(f"unknown attacker script kind {kind!r}")
-
-
 @dataclass
 class ExtremePointSet:
     """Finite set of coverage vectors the defender mixes over."""

@@ -37,7 +37,7 @@ from metagames.holder_vi import (
     weak_mvi_run,
 )
 from metagames.learners import (
-    EGLearner,
+    SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
     OptAdaGradLearner,
@@ -67,7 +67,6 @@ from metagames.swapregret import (
     swap_regret,
 )
 
-EUC = Regularizer("euclidean")
 LOGB = Regularizer("log-barrier")
 
 PERTURBED_BASE = np.array([[0.2, -0.6], [-0.6, 1.0]])
@@ -253,11 +252,7 @@ def test_c07_potential_games():
         for g in games:
             inits = prev_last if prev_last is not None else [s.center() for s in sets]
             lrns = [GDLearner(sets[k], eta, init=inits[k]) for k in range(2)]
-            for _ in range(horizon):
-                prof = [l.play() for l in lrns]
-                us = [utility_gradient(g, k, prof) for k in range(2)]
-                for l, u in zip(lrns, us):
-                    l.update(u)
+            play_task(g, lrns, horizon)
             ps = [np.asarray(l.path) for l in lrns]
             joint_steps = np.sum(np.diff(ps[0], axis=0) ** 2, axis=1) + np.sum(
                 np.diff(ps[1], axis=0) ** 2, axis=1
@@ -304,11 +299,7 @@ def test_c08_swap_regret_chain():
         L = lipschitz_constant(game)
         eta = default_log_barrier_eta(2, max(dims), L)
         players = [SwapWrapper(dims[k], eta) for k in range(2)]
-        for _ in range(m):
-            profile = [w.play() for w in players]
-            us = [utility_gradient(game, k, profile) for k in range(2)]
-            for w, u in zip(players, us):
-                w.update(u)
+        play_task(game, players, m, free_first=False)
         alpha = (m * 100.0) ** (-1.0 / 3.0)
         for k, w in enumerate(players):
             sw = swap_regret(w.played_array(), w.utility_array())
@@ -402,16 +393,13 @@ def test_c11_extra_gradient():
         game = MatrixGame(rng.uniform(-1, 1, size=(3, 3)))
         L = lipschitz_constant(game)
         eta = 1.0 / (8.0 * L)
-        eg = EGLearner(game.operator(), eta)
-        eg.run(1000)
-        hats = np.asarray(eg.hat_path)
-        prim = np.asarray(eg.path)
-        hat_us = np.asarray(eg.hat_utilities)
-        us = np.asarray(eg.utilities)
-        reg, comp = eg.proxy_regret()
-        breg = bregman(EUC, comp, prim[0])
-        pred = float(np.sum((hat_us - us[:-1]) ** 2))
-        path = float(np.sum((hats - prim[1:]) ** 2) + np.sum((hats - prim[:-1]) ** 2))
+        op = game.operator()
+        eg = OMDLearner(op.set, eta, init=op.set.center(), prediction_mode=SECONDARY_ANCHOR)
+        play_task(op, [eg], 1000, free_first=False)
+        hats = np.asarray(eg.path[1:])  # extra-gradient's extrapolated points
+        # proxy regret of the extrapolated points and its RVU bound
+        reg, comp = external_regret(hats, eg.utilities, op.set)
+        breg, pred, path = rvu_terms(eg, comp, constant="half")
         worst_slack = min(worst_slack, breg / eta + eta * pred - path / (2.0 * eta) - reg)
         g100 = duality_gap(game, np.mean(hats[:100, :3], axis=0), np.mean(hats[:100, 3:], axis=0))
         g1000 = duality_gap(game, np.mean(hats[:, :3], axis=0), np.mean(hats[:, 3:], axis=0))

@@ -28,6 +28,15 @@ def test_utility_gradient_matrix_examples():
         utility_gradient(game, 2, [None, np.array([1.0, 0.0])])
 
 
+def test_utility_gradient_vi_operator_is_one_player():
+    op = MatrixGame(np.array([[0.3, -0.7], [0.1, 0.9]])).operator()
+    z = np.array([0.2, 0.8, 0.6, 0.4])
+    u = utility_gradient(op, 0, [z])
+    assert u.tobytes() == (-op(z)).tobytes()
+    with pytest.raises(InvalidInputError):
+        utility_gradient(op, 1, [z, z])
+
+
 def test_utility_gradient_normal_form_identity():
     eye = np.eye(2)
     game = NormalFormGame([eye, eye])

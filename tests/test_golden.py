@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from metagames import cli
-from metagames.games import MatrixGame, NormalFormGame, SecurityGame, VIOperator, utility_gradient
+from metagames.games import MatrixGame, NormalFormGame, SecurityGame, VIOperator
 from metagames.geometry import Box, Simplex
 from metagames.harness import (
     make_learner,
@@ -40,8 +40,9 @@ from metagames.holder_vi import (
     weak_mvi_run,
 )
 from metagames.learners import (
+    SECONDARY_ANCHOR,
     AlphaWeights,
-    EGLearner,
+    OMDLearner,
     alpha_regret,
     doubling_trick_eta,
     external_regret,
@@ -136,12 +137,7 @@ def _selfplay(seed, shape, m, algo="ogd", eta=0.1):
 def _swap_chain():
     rng = np.random.default_rng(17)
     game = NormalFormGame([rng.uniform(-1, 1, size=(3, 4)) for _ in range(2)])
-    players = [SwapWrapper(d, 0.01) for d in game.dims]
-    for _ in range(60):
-        profile = [w.play() for w in players]
-        utils = [utility_gradient(game, k, profile) for k in range(game.n)]
-        for w, u in zip(players, utils):
-            w.update(u)
+    players = play_task(game, [SwapWrapper(d, 0.01) for d in game.dims], 60, free_first=False)
     out = {}
     for k, w in enumerate(players):
         d = game.dims[k]
@@ -182,9 +178,12 @@ def _rvu_terms():
 def _eg_proxy_regret():
     rng = np.random.default_rng(37)
     game = MatrixGame(rng.uniform(-1, 1, size=(3, 4)))
-    eg = EGLearner(game.operator(), 0.15).run(40)
-    reg, comp = eg.proxy_regret()
-    fixed, _ = eg.proxy_regret(comparator=game.joint_set().center())
+    op = game.operator()
+    eg = OMDLearner(op.set, 0.15, init=op.set.center(), prediction_mode=SECONDARY_ANCHOR)
+    play_task(op, [eg], 40, free_first=False)
+    # Proxy regret: the played (extrapolated) points against their utilities.
+    reg, comp = external_regret(eg.path[1:], eg.utilities, op.set)
+    fixed, _ = external_regret(eg.path[1:], eg.utilities, comparator=op.set.center())
     return {"proxy": _floats_sha([reg, *comp, fixed])}
 
 

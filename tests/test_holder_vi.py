@@ -122,6 +122,21 @@ def test_weak_mvi_rotation_bound():
     assert out["bound_slack"] >= -1e-6
 
 
+def test_weak_mvi_ignores_the_operator_box():
+    # The recursion is unconstrained: iterates leave the operator's box.
+    box = Box(np.full(2, -0.1), np.full(2, 0.1))
+    op = VIOperator(lambda z: z, box, lipschitz=1.0, weak_mvi_rho=0.01)
+    op.mvi_point = np.zeros(2)
+    z0 = np.array([1.0, -2.0])
+    out = weak_mvi_run(op, z0, m=3, eta=0.2)
+    # F(z) = z: z^(1) = (1 - eta) z0, zhat^(1) = (1 - eta(1 - eta)) z0, z^(2) = zhat^(1) - eta z^(1)
+    np.testing.assert_allclose(out["path"][1], 0.8 * z0, atol=1e-15)
+    np.testing.assert_allclose(out["path"][2], (0.84 - 0.2 * 0.8) * z0, atol=1e-15)
+    np.testing.assert_allclose(out["norms_sq"][0], 0.64 * 5.0, atol=1e-14)
+    assert not box.contains(out["path"][2])
+    assert out["bound_slack"] >= 0.0
+
+
 def test_weak_mvi_eta_band_enforced():
     box = Box(np.full(2, -np.inf), np.full(2, np.inf))
     op = VIOperator(lambda z: z, box, lipschitz=1.0, weak_mvi_rho=0.05)

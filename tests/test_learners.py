@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metagames.errors import InvalidInputError
-from metagames.games import MatrixGame, lipschitz_constant
+from metagames.games import MatrixGame, VIOperator, lipschitz_constant
 from metagames.geometry import Box, Regularizer, Simplex, bregman, project_l2
 from metagames.harness import make_learner, play_task
 from metagames.learners import (
+    SECONDARY_ANCHOR,
     AlphaWeights,
-    EGLearner,
     GDLearner,
     OMDLearner,
     OptAdaGradLearner,
@@ -398,50 +398,44 @@ def test_optadagrad_regret_bound_drifting_preconditioner():
     assert reg <= rhs + 1e-8
 
 
+def _extra_gradient(op, eta, m, init):
+    """Extra-gradient: OMD that predicts with -F at the previous secondary iterate."""
+    eg = OMDLearner(op.set, eta, init=init, prediction_mode=SECONDARY_ANCHOR)
+    return play_task(op, [eg], m, free_first=False)[0]
+
+
 def test_eg_null_operator_and_equilibrium_fixed_point():
     op = MP.operator()
-    eg = EGLearner(op, 0.1)
-    eg.run(20)
-    np.testing.assert_allclose(eg.path[-1], [0.5, 0.5, 0.5, 0.5], atol=1e-14)
-    reg, _ = eg.proxy_regret()
+    eg = _extra_gradient(op, 0.1, 20, op.set.center())
+    np.testing.assert_allclose(eg.hat_path[-1], [0.5, 0.5, 0.5, 0.5], atol=1e-14)
+    reg, _ = external_regret(eg.path[1:], eg.utilities, op.set)
     assert abs(reg) < 1e-12
 
-    class Zero:
-        set = op.set
-
-        def __call__(self, z):
-            return np.zeros(4)
-
-    eg0 = EGLearner(Zero(), 0.5, init=np.array([0.3, 0.7, 0.2, 0.8]))
-    eg0.run(10)
-    np.testing.assert_allclose(eg0.path[-1], [0.3, 0.7, 0.2, 0.8], atol=1e-15)
-    reg0, _ = eg0.proxy_regret()
+    zero = VIOperator(lambda z: np.zeros(4), op.set)
+    eg0 = _extra_gradient(zero, 0.5, 10, np.array([0.3, 0.7, 0.2, 0.8]))
+    np.testing.assert_allclose(eg0.hat_path[-1], [0.3, 0.7, 0.2, 0.8], atol=1e-15)
+    reg0, _ = external_regret(eg0.path[1:], eg0.utilities, op.set)
     assert abs(reg0) < 1e-15
 
 
 def test_eg_rvu_bound_and_stability():
     rng = np.random.default_rng(8)
-    euc = Regularizer("euclidean")
     for _ in range(10):
         game = MatrixGame(rng.uniform(-1, 1, size=(3, 3)))
         L = lipschitz_constant(game)
         eta = 1.0 / (8.0 * L)
-        eg = EGLearner(game.operator(), eta)
-        eg.run(500)
-        hats = np.asarray(eg.hat_path)
-        prim = np.asarray(eg.path)
-        hat_us = np.asarray(eg.hat_utilities)
-        us = np.asarray(eg.utilities)
-        # stability: ||x^(i) - xhat^(i)|| <= eta * ||uhat^(i) - u^(i-1)||
-        for i in range(len(hats)):
-            lhs = np.linalg.norm(prim[i + 1] - hats[i])
-            rhs = eta * np.linalg.norm(hat_us[i] - us[i])
+        op = game.operator()
+        eg = _extra_gradient(op, eta, 500, op.set.center())
+        prim = eg.primary_array()
+        hats = eg.secondary_array()
+        # stability: ||x^(i) - xhat^(i)|| <= eta * ||u^(i) - m^(i)||
+        for i in range(1, len(prim)):
+            lhs = np.linalg.norm(prim[i] - hats[i])
+            rhs = eta * np.linalg.norm(eg.utilities[i - 1] - eg.predictions[i - 1])
             assert lhs <= rhs + 1e-10
         # proxy-regret RVU bound at the maximizing comparator
-        reg, comp = eg.proxy_regret()
-        breg = bregman(euc, comp, prim[0])
-        pred = float(np.sum((hat_us - us[:-1]) ** 2))
-        path = float(np.sum((hats - prim[1:]) ** 2) + np.sum((hats - prim[:-1]) ** 2))
+        reg, comp = external_regret(eg.path[1:], eg.utilities, op.set)
+        breg, pred, path = rvu_terms(eg, comp, constant="half")
         assert reg <= breg / eta + eta * pred - path / (2.0 * eta) + 1e-8
 
 

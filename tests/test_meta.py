@@ -56,16 +56,6 @@ def test_initializer_ne_average_matching_pennies():
         np.testing.assert_allclose(init.initialization()[1], [0.5, 0.5], atol=1e-9)
 
 
-def test_initializer_custom_anchor():
-    anchor = [np.array([0.1, 0.9])]
-    init = Initializer("custom-anchor", [Simplex(2)], anchor=anchor)
-    np.testing.assert_allclose(init.initialization()[0], [0.1, 0.9])
-    init.observe(TaskOutcome(optima=[np.array([1.0, 0.0])]))  # ignored
-    np.testing.assert_allclose(init.initialization()[0], [0.1, 0.9])
-    with pytest.raises(ConfigError):
-        Initializer("custom-anchor", [Simplex(2)])
-
-
 def test_initializer_errors():
     with pytest.raises(ConfigError):
         Initializer("warm-ish", [Simplex(2)])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from metagames.errors import ConfigError, InvalidInputError
+from metagames.errors import ConfigError
 from metagames.games import NormalFormGame, SequenceConfig, sample_game_sequence
 from metagames.geometry import Simplex
 from metagames.harness import (
@@ -24,7 +24,6 @@ from metagames.meta import (
     smallest_cprime,
 )
 from metagames.metrics import cce_ce_gap
-from metagames.stackelberg import AttackerSequence
 from metagames.swapregret import boundary_offset_comparator
 
 BASE = np.array([[0.2, -0.6], [-0.6, 1.0]])
@@ -165,22 +164,3 @@ def test_meta_config_block():
                 "meta": {"ewoo": {"enabled": True, "Cprime": 1.0}},
             }
         )
-
-
-def test_attacker_sequence_json():
-    seq = AttackerSequence.from_json([[0, 1, 0], [1, 1, 1]], n_types=2)
-    assert len(seq) == 2 and seq[0] == [0, 1, 0]
-    fixed = AttackerSequence.from_json({"kind": "fixed", "type": 1}, n_types=3, T=2, m=4)
-    assert fixed[1] == [1, 1, 1, 1]
-    rnd = AttackerSequence.from_json(
-        {"kind": "uniform", "types": [0, 2]}, n_types=3, T=2, m=50, seed=5
-    )
-    assert set(sum(rnd.rounds, [])) <= {0, 2}
-    with pytest.raises(InvalidInputError):
-        AttackerSequence([[5]], n_types=2)
-    with pytest.raises(ConfigError):
-        AttackerSequence.from_json({"kind": "fixed", "type": 0}, n_types=1)
-    with pytest.raises(ConfigError, match='field "type"'):
-        AttackerSequence.from_json({"kind": "fixed"}, n_types=2, T=2, m=4)
-    with pytest.raises(ConfigError, match="attacker script: expected a list"):
-        AttackerSequence.from_json(5, n_types=2, T=2, m=4)

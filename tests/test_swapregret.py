@@ -6,6 +6,7 @@ import pytest
 from metagames.errors import InvalidInputError
 from metagames.games import NormalFormGame, lipschitz_constant
 from metagames.geometry import Regularizer, Simplex, bregman
+from metagames.harness import play_task
 from metagames.metrics import cce_ce_gap
 from metagames.swapregret import (
     SwapWrapper,
@@ -113,18 +114,6 @@ def test_wrapper_swap_le_sum_of_action_regrets():
     assert sw <= float(np.sum(w.per_action_external_regrets())) + 1e-9
 
 
-def _selfplay_wrappers(game, eta, m, seed=None):
-    players = [SwapWrapper(d, eta) for d in game.dims]
-    from metagames.games import utility_gradient
-
-    for _ in range(m):
-        profile = [w.play() for w in players]
-        utils = [utility_gradient(game, k, profile) for k in range(game.n)]
-        for w, u in zip(players, utils):
-            w.update(u)
-    return players
-
-
 def test_rvuswap_chain_random_games():
     # swap regret <= sum of per-action external regrets <= Bregman sum / eta,
     # the latter at interior-offset comparators (vertex comparators make the
@@ -137,7 +126,9 @@ def test_rvuswap_chain_random_games():
         L = lipschitz_constant(game)
         m = 150
         alpha = (m * 1.0) ** (-1.0 / 3.0)
-        for k, w in enumerate(_selfplay_wrappers(game, default_log_barrier_eta(2, max(dims), L), m)):
+        eta = default_log_barrier_eta(2, max(dims), L)
+        players = play_task(game, [SwapWrapper(d, eta) for d in dims], m, free_first=False)
+        for k, w in enumerate(players):
             sw = swap_regret(w.played_array(), w.utility_array())
             sum_ext = float(np.sum(w.per_action_external_regrets()))
             assert sw <= sum_ext + 1e-8
@@ -175,7 +166,7 @@ def test_ce_gap_decreases_with_horizon():
     game = NormalFormGame([rng.uniform(-1, 1, size=(3, 3)) for _ in range(2)])
     L = lipschitz_constant(game)
     eta = default_log_barrier_eta(2, 3, L)
-    players = _selfplay_wrappers(game, eta, 400)
+    players = play_task(game, [SwapWrapper(3, eta), SwapWrapper(3, eta)], 400, free_first=False)
     gaps = []
     for m in (100, 200, 400):
         mu = np.zeros((3, 3))
