@@ -84,6 +84,22 @@ CONFIGS = {
         learner={"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}, log_every=10
     ),
     "ogd-ewoo": _matrix(learner={"algo": "ogd", "eta": "auto", "eta_mode": "ewoo"}),
+    # A non-square game at a rate that clips coordinates to 0, so later tasks
+    # start on the simplex boundary.
+    "ogd-last-iterate-2x3": _matrix(
+        T=5,
+        seed=7,
+        game={
+            "family": "perturbed-base",
+            "base": [[0.5, -1.0, 0.3], [-0.4, 0.8, -0.9]],
+            "delta": 0.1,
+        },
+        learner={"algo": "ogd", "eta": 0.5},
+        init="last-iterate",
+        log_every=4,
+        metrics_every=8,
+        dump_strategies=True,
+    ),
     "ne-average-similarity": {
         "T": 8,
         "m": 12,
