@@ -23,7 +23,7 @@ L = lipschitz_constant(game)
 eta = 20 * default_log_barrier_eta(2, 3, L)
 print(f"random 3x3 general-sum game, log-barrier eta = {eta:.5f}")
 
-players = play_task(game, [SwapWrapper(d, eta) for d in dims], 800, free_first=False)
+players = play_task(game, [SwapWrapper(d, eta) for d in dims], 800)
 
 for k, w in enumerate(players):
     sw = swap_regret(w.played_array(), w.utility_array())

@@ -139,23 +139,40 @@ def _check_finite(y):
     return y
 
 
-def project_simplex(y):
-    """Euclidean projection of ``y`` onto the probability simplex.
+# The count rho of the threshold is at least 1, as u_1 > u_1 - 1, unless the
+# input is not finite or so large (about 2**53) that subtracting 1 rounds away.
+_NO_THRESHOLD = "simplex projection of a non-finite or too large input (largest entry {!r})"
 
-    Sort-based thresholding (Duchi et al. 2008), with the threshold found on
-    Python floats in the order a numpy sort and ``cumsum`` would use, so it is
-    bit-identical to the array form: about 3x faster up to d = 10, slower
-    beyond d = 40-50, far above every simplex here.
+
+def simplex_threshold(values):
+    """The threshold theta of the Euclidean projection max(y - theta, 0) of
+    the Python floats ``values`` onto the probability simplex.
+
+    Sort-based thresholding (Duchi et al. 2008), on Python floats in the
+    order a numpy sort and ``cumsum`` would use, so it is bit-identical to
+    the array form: about 3x faster up to d = 10, slower beyond d = 40-50,
+    far above every simplex here.
     """
-    u = sorted(y.tolist(), reverse=True)
+    u = sorted(values, reverse=True)
     css = []
     rho = 0
     s = 0.0
-    for k, uk in enumerate(u, 1):
+    k = 0
+    for uk in u:
+        k += 1
         s += uk
-        css.append(s - 1.0)
-        rho += uk * k > css[-1]
-    return np.maximum(y - css[rho - 1] / rho, 0.0)
+        c = s - 1.0
+        css.append(c)
+        if uk * k > c:
+            rho += 1
+    if rho == 0:
+        raise InvalidInputError(_NO_THRESHOLD.format(u[0]))
+    return css[rho - 1] / rho
+
+
+def project_simplex(y):
+    """Euclidean projection of ``y`` onto the probability simplex."""
+    return np.maximum(y - simplex_threshold(y.tolist()), 0.0)
 
 
 def project_simplex_rows(Y):
@@ -169,6 +186,8 @@ def project_simplex_rows(Y):
     css = u.cumsum(axis=1)
     css -= 1.0
     rho = (u * np.arange(1, d + 1) > css).sum(axis=1)
+    if not rho.all():
+        raise InvalidInputError(_NO_THRESHOLD.format(u[np.argmin(rho), 0]))
     theta = css[np.arange(B), rho - 1] / rho
     return np.maximum(Y - theta[:, None], 0.0)
 

@@ -31,15 +31,22 @@ from metagames.games import (
     sample_game_sequence,
     utility_gradient,
 )
-from metagames.geometry import ENTROPIC, EUCLIDEAN, LOG_BARRIER, Regularizer, project_simplex_rows
+from metagames.geometry import (
+    ENTROPIC,
+    EUCLIDEAN,
+    LOG_BARRIER,
+    Regularizer,
+    project_simplex_rows,
+    simplex_threshold,
+)
 from metagames.learners import (
     PREDICTION_MODES,
     SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
     doubling_residual,
-    doubling_trick_eta,
     external_regret,
+    rvu_residual,
 )
 from metagames.meta import (
     INITIALIZER_MODES,
@@ -100,7 +107,7 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     anchored = [
         k for k, lrn in enumerate(learners) if getattr(lrn, "mode", None) == SECONDARY_ANCHOR
     ]
-    if free_first:
+    if free_first and any(predicts):
         start = [lrn.init for lrn in learners]
         for k, lrn in enumerate(learners):
             if predicts[k]:
@@ -382,11 +389,14 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
-# The fewest tasks a play-independent arm must have to be played in batches.
-# Against play_task at m = 5, 30 and 1000: a batch of 1 task ran 0.6-0.9x as
-# fast on 3x3 games, 2 tasks 1.0-1.5x on 3x3 but 0.6-0.8x on 2x3 games at
-# m = 1000, and 3 tasks 1.0-1.9x on both.
-BATCH_MIN_TASKS = 3
+# The fewest tasks a play-independent arm must have to be played in batches;
+# shorter arms play task by task through _play_one. The time of one batch of
+# B tasks over that of B _play_one calls (paired medians at m = 1000, and
+# m = 5 where noted): B = 3: 1.2-1.3 on 2x2 and 3x3 games, 1.7-1.9 on 2x3
+# games (m = 5 and 1000); B = 4: 0.86-1.00 on 2x2 and 3x3 (m = 5 and 1000),
+# 1.3-1.4 on 2x3; B = 5: 0.70-0.80 and 1.1-1.2. A batch projects both
+# players in one call only on square games.
+BATCH_MIN_TASKS = 4
 # The most bytes of paths and utilities that one batch of tasks holds; longer
 # arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
@@ -394,20 +404,31 @@ BATCH_MIN_TASKS = 3
 BATCH_BYTES = 16 * 2**20
 
 
-def _play_independent(cfg, potential):
-    """Whether no task of the arm depends on how earlier tasks were played:
-    OGD self-play on zero-sum matrix games with recency predictions, an
-    oracle first prediction, no alternation, a fixed (or per-game auto) rate
-    and cold or ne-average starts. Such an arm's tasks are independent runs,
-    which ``_play_batch`` plays together."""
+def _fused(cfg, potential):
+    """Whether ``_play_one`` plays the arm's tasks: OGD self-play on zero-sum
+    matrix games with recency predictions and no alternation, at any rate
+    mode, start and first prediction."""
     return (
         not potential
         and cfg.algo == "ogd"
+        and cfg.prediction == "recency"
+        and not cfg.alternating_updates
+    )
+
+
+def _play_independent(cfg, potential):
+    """Whether no task of the arm depends on how earlier tasks were played:
+    a ``_fused`` arm with an oracle first prediction, a fixed (or per-game
+    auto) rate and cold or ne-average starts. Such an arm's tasks are
+    independent runs, which ``_play_batch`` plays together; the other fused
+    arms (warm starts, doubling and EWOO rates, a zero first prediction) play
+    task by task through ``_play_one``, and every other arm through
+    ``play_task``."""
+    return (
+        _fused(cfg, potential)
         and cfg.eta_mode == "fixed"
         and cfg.init_mode in ("cold", "ne-average")
-        and cfg.prediction == "recency"
         and cfg.first_prediction == "oracle"
-        and not cfg.alternating_updates
     )
 
 
@@ -415,12 +436,13 @@ def run_experiment(config) -> ExperimentResult:
     """Run one arm of a meta-learning experiment.
 
     Per task: draw the game, initialize per the configured mode, self-play
-    m iterations with ``play_task``, log regrets/gaps, and fold the task
-    outcome into the meta state. Zero-sum matrix tasks are played by the
-    configured learner; potential-game tasks by plain gradient ascent at a
-    fixed rate. The tasks of a play-independent arm (``_play_independent``)
-    are played and summarized in batches instead, with the same results.
-    Deterministic under the config seed.
+    m iterations, log regrets/gaps, and fold the task outcome into the meta
+    state. Zero-sum matrix tasks are played by the configured learner;
+    potential-game tasks by plain gradient ascent at a fixed rate. The tasks
+    of a play-independent arm (``_play_independent``) are played and
+    summarized in batches, the other tasks of a ``_fused`` arm one by one by
+    ``_play_one``, and the rest by ``play_task``, all with the results of
+    ``play_task``. Deterministic under the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
@@ -446,13 +468,15 @@ def run_experiment(config) -> ExperimentResult:
     if _play_independent(cfg, potential) and len(games) >= BATCH_MIN_TASKS:
         etas = [_task_eta(cfg, game, len(sets), eta, None) for game in games]
         batches = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
+    fused = _fused(cfg, potential)
+    free_first = cfg.first_prediction == "oracle"
     records = []
     summaries = []
     optima = []
 
     while len(summaries) < len(games):
-        # A block of tasks: one batch, or the next task played by play_task
-        # from the meta state that every earlier task has been folded into.
+        # A block of tasks: one batch, or the next task played from the meta
+        # state that every earlier task has been folded into.
         t = len(summaries)
         if batches is not None:
             etas, tracks = next(batches)
@@ -462,32 +486,39 @@ def run_experiment(config) -> ExperimentResult:
             for restarts in range(MAX_RESTARTS + 1):
                 # Doubling trick: rerun the task at half the rate while the local
                 # RVU residual is positive; only the final attempt is logged.
-                learners = [
-                    make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                    for s, x0 in zip(sets, inits)
-                ]
-                play_task(
-                    games[t],
-                    learners,
-                    cfg.m,
-                    free_first=cfg.first_prediction == "oracle",
-                    alternating=cfg.alternating_updates,
-                )
+                if fused:
+                    tracks, first = _play_one(games[t], inits, task_eta, cfg.m, free_first)
+                else:
+                    learners = [
+                        make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                        for s, x0 in zip(sets, inits)
+                    ]
+                    play_task(
+                        games[t],
+                        learners,
+                        cfg.m,
+                        free_first=free_first,
+                        alternating=cfg.alternating_updates,
+                    )
+                    tracks = _tracks(learners)
                 if cfg.eta_mode != "doubling":
                     break
-                halved = doubling_trick_eta(learners, task_eta)
-                if halved == task_eta:
+                residual = (
+                    _tracks_residual(tracks, first, task_eta)
+                    if fused
+                    else doubling_residual(learners, task_eta)
+                )
+                if not residual > 0:
                     break
                 if restarts == MAX_RESTARTS:
                     raise NumericError(
                         f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                        f"residual={doubling_residual(learners, task_eta)!r} > 0 "
-                        f"at eta={task_eta!r}"
+                        f"residual={residual!r} > 0 at eta={task_eta!r}"
                     )
-                task_eta = halved
+                task_eta = task_eta / 2.0
             if cfg.eta_mode == "doubling":
                 eta = task_eta  # keep the calibrated rate for later tasks
-            etas, tracks = [task_eta], _tracks(learners)
+            etas = [task_eta]
         block = games[t : t + len(etas)]
         if potential:
             outcomes = _potential_summaries(block, tracks)
@@ -577,6 +608,71 @@ def _play_batch(games, starts, etas, m):
         px, py = ux, uy
     rates = [float(e) for e in etas]
     return [Track(X, X[:, 1:], ux_all, rates), Track(Y, Y[:, 1:], uy_all, rates)]
+
+
+def _play_one(game, start, eta, m, free_first):
+    """OGD self-play of one matrix-game task on Python floats.
+
+    Plays as ``play_task`` plays two Euclidean OMDLearners started at
+    ``start`` with rate ``eta``, recency predictions and the free first
+    prediction (else a zero one), and bit for bit equal to it: the steps
+    anchor + eta * g and the projections run elementwise on Python floats,
+    with the threshold of ``project_simplex``, and the utilities are the
+    matrix-vector products ``-A @ y`` and ``A.T @ x`` of ``utility_gradient``
+    on numpy. The start is feasible and the rate positive, as
+    ``run_experiment`` gives them. Returns the players' Tracks, one task
+    deep, and their first predictions.
+    """
+    eta = float(eta)
+    neg_a, a_t = -game.A, game.A.T
+    dx, dy = game.A.shape
+    X, Y = np.empty((m + 1, dx)), np.empty((m + 1, dy))
+    ux_all, uy_all = np.empty((m, dx)), np.empty((m, dy))
+    X[0], Y[0] = start
+    if free_first:
+        first = [neg_a @ Y[0], a_t @ X[0]]
+    else:
+        first = [np.zeros(dx), np.zeros(dy)]
+    x_hat, y_hat = X[0].tolist(), Y[0].tolist()
+    px, py = first[0].tolist(), first[1].tolist()
+    for i in range(m):
+        X[i + 1] = _ogd_step(x_hat, px, eta)
+        Y[i + 1] = _ogd_step(y_hat, py, eta)
+        ux = ux_all[i] = neg_a @ Y[i + 1]
+        uy = uy_all[i] = a_t @ X[i + 1]
+        # OMDLearner.update's check, player by player as play_task updates.
+        # Below 1e307 in absolute sum no order of summation overflows, so
+        # the entries are finite exactly when u.sum() is.
+        px, py = ux.tolist(), uy.tolist()
+        if not (sum(map(abs, px)) < 1e307 or math.isfinite(ux.sum())):
+            raise InvalidInputError("non-finite utility")
+        x_hat = _ogd_step(x_hat, px, eta)
+        if not (sum(map(abs, py)) < 1e307 or math.isfinite(uy.sum())):
+            raise InvalidInputError("non-finite utility")
+        y_hat = _ogd_step(y_hat, py, eta)
+    runs = ((X, ux_all), (Y, uy_all))
+    return [Track(path[None], path[None, 1:], u[None], [eta]) for path, u in runs], first
+
+
+def _ogd_step(anchor, g, eta):
+    """``project_simplex(anchor + eta * g)`` on lists of Python floats, bit for
+    bit: ``0.0 if v <= 0.0`` shifts as ``np.maximum(v, 0.0)`` does, also for
+    -0.0 and NaN, where ``max(v, 0.0)`` does not."""
+    v = [a + eta * b for a, b in zip(anchor, g)]
+    theta = simplex_threshold(v)
+    return [0.0 if (w := c - theta) <= 0.0 else w for c in v]
+
+
+def _tracks_residual(tracks, first, eta):
+    """``doubling_residual`` at rate ``eta`` of one task played by
+    ``_play_one``: recency predictions are the first prediction followed by
+    the utilities of every round but the last."""
+    runs = []
+    for tr, p0 in zip(tracks, first):
+        utilities = tr.utilities[0]
+        predictions = np.concatenate((p0[None], utilities[:-1]))
+        runs.append((tr.path[0], utilities, predictions))
+    return rvu_residual(runs, eta)
 
 
 def _matvecs(mats, vecs):

@@ -374,9 +374,9 @@ def alpha_regret(strategies, utilities, weights: AlphaWeights, strategy_set=None
     return external_regret(strategies, weighted, strategy_set, comparator)
 
 
-def _prediction_term(learner):
-    """sum_i ||u^(i) - m^(i)||^2 of a finished run."""
-    return float(np.sum((learner.utility_array() - learner.prediction_array()) ** 2))
+def _prediction_term(utilities, predictions):
+    """sum_i ||u^(i) - m^(i)||^2 of a finished run's (m, d) arrays."""
+    return float(np.sum((utilities - predictions) ** 2))
 
 
 def rvu_terms(learner, comparator, constant="eighth"):
@@ -387,7 +387,7 @@ def rvu_terms(learner, comparator, constant="eighth"):
     the primary-path form and c = 1/2 for the refined two-sequence form
     (both appear in the analysis; choose via ``constant``).
     """
-    pred = _prediction_term(learner)
+    pred = _prediction_term(learner.utility_array(), learner.prediction_array())
     breg = bregman(learner.reg, np.asarray(comparator, dtype=float), learner.init)
     if constant == "eighth":
         return breg, pred, path_lengths(learner.primary_array())[0]
@@ -396,14 +396,21 @@ def rvu_terms(learner, comparator, constant="eighth"):
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
-def doubling_residual(learners, eta):
-    """The joint local RVU residual of one task's finished runs at rate ``eta``:
+def rvu_residual(runs, eta):
+    """The joint local RVU residual at rate ``eta`` of one task's finished
+    runs, each given as its (primary path, utilities, predictions) arrays:
     eta * sum(prediction terms) - sum(path terms) / (8 eta). The Bregman term
     does not enter it, so it is never evaluated (it is undefined for entropic
     learners started on the boundary)."""
-    pred = sum(_prediction_term(lrn) for lrn in learners)
-    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
+    pred = sum(_prediction_term(u, p) for _, u, p in runs)
+    path = sum(path_lengths(x)[0] for x, _, _ in runs)
     return eta * pred - path / (8.0 * eta)
+
+
+def doubling_residual(learners, eta):
+    """``rvu_residual`` of learners that have played one task at rate ``eta``."""
+    runs = [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
+    return rvu_residual(runs, eta)
 
 
 def doubling_trick_eta(learners, eta):

@@ -299,7 +299,7 @@ def test_c08_swap_regret_chain():
         L = lipschitz_constant(game)
         eta = default_log_barrier_eta(2, max(dims), L)
         players = [SwapWrapper(dims[k], eta) for k in range(2)]
-        play_task(game, players, m, free_first=False)
+        play_task(game, players, m)
         alpha = (m * 100.0) ** (-1.0 / 3.0)
         for k, w in enumerate(players):
             sw = swap_regret(w.played_array(), w.utility_array())

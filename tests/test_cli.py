@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagames.cli import main
+from metagames.harness import SCHEMA
 
 BASE_CONFIG = {
     "T": 4,
@@ -203,6 +209,16 @@ def test_run_negative_eta_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("init", ["ftl-average", "cold"])
+def test_run_huge_eta_exits_2(tmp_path, capsys, init):
+    # A step too large for float precision leaves the simplex projection no
+    # threshold, task by task (ftl-average) and in a batch (cold, T = 4).
+    cfg = write_config(tmp_path, {"learner": {"algo": "ogd", "eta": 1e308}, "init": init})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: simplex projection") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "ewoo, field",
     [
@@ -311,3 +327,87 @@ def test_report_default_config(tmp_path):
     out = tmp_path / "rep2"
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+# Generated configs: valid SCHEMA rows on small runs (T <= 4, m <= 10, games
+# of at most 3x3), then at most one field broken.
+_SMALL = {"T": 4, "m": 10, "game.dim": 3}
+_BLOCKS = ("game", "learner", "meta", "meta.ewoo")
+
+
+def _valid(draw, f):
+    """A value that passes SCHEMA row ``f`` on its own."""
+    if f.kind == "str":
+        return draw(st.sampled_from(f.allowed))
+    if f.kind == "bool":
+        return draw(st.booleans())
+    if f.kind == "matrix":
+        dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        entry = st.floats(-10, 10)
+        return draw(st.lists(st.lists(entry, min_size=dy, max_size=dy), min_size=dx, max_size=dx))
+    if f.kind == "vector":
+        return draw(st.lists(st.floats(0.01, 10), min_size=1, max_size=3))
+    op, bound = f.allowed.split()
+    if f.kind == "int":
+        low = int(bound)
+        return draw(st.integers(low, _SMALL.get(f.path, low + 3)))
+    if f.default == "auto" and draw(st.booleans()):
+        return "auto"
+    if op == ">=" and draw(st.booleans()):
+        return float(bound)
+    return 10.0 ** draw(st.floats(-3, 300))  # every magnitude a float can hold
+
+
+def _invalid(draw, f):
+    """A value that breaks SCHEMA row ``f``: a wrong type, or out of range."""
+    if draw(st.booleans()) and f.kind in ("int", "float", "str"):
+        if f.kind == "str":
+            return "bogus"
+        bound = float(f.allowed.split()[1])
+        return int(bound) - 1 if f.kind == "int" else bound - 0.5
+    return draw(st.sampled_from(["x", [1, "a"], {"k": 1}, None, 1.5, -7, [[1, 2], [3]]]))
+
+
+def _put(cfg, path, value):
+    *blocks, key = path.split(".")
+    for block in blocks:
+        cfg = cfg.setdefault(block, {})
+    cfg[key] = value
+
+
+@st.composite
+def generated_configs(draw):
+    """A run config of SCHEMA rows: every required row and the family's matrix
+    or prior, the other rows at random, then one mutation or none."""
+    family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
+    needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
+    cfg = {"game": {"family": family}}
+    for f in SCHEMA:
+        if f.path != "game.family" and (f.default is ... or f.path == needed or draw(st.booleans())):
+            _put(cfg, f.path, _valid(draw, f))
+    mutation = draw(st.sampled_from(["none", "field", "unknown", "block"]))
+    if mutation == "field":
+        f = draw(st.sampled_from(SCHEMA))
+        _put(cfg, f.path, _invalid(draw, f))
+    elif mutation == "unknown":
+        block = draw(st.sampled_from(("",) + _BLOCKS))
+        _put(cfg, f"{block}.bogus".lstrip("."), 1)
+    elif mutation == "block":
+        _put(cfg, draw(st.sampled_from(_BLOCKS)), draw(st.sampled_from([5, "x", [], None])))
+    return cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(generated_configs())
+def test_generated_configs_exit_cleanly(cfg):
+    # Any config ends in exit 0, 2 or 3, never a traceback; an error is one
+    # stderr line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", path, "--out", f"{tmp}/out"])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()

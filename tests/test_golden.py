@@ -153,7 +153,7 @@ def _selfplay(seed, shape, m, algo="ogd", eta=0.1):
 def _swap_chain():
     rng = np.random.default_rng(17)
     game = NormalFormGame([rng.uniform(-1, 1, size=(3, 4)) for _ in range(2)])
-    players = play_task(game, [SwapWrapper(d, 0.01) for d in game.dims], 60, free_first=False)
+    players = play_task(game, [SwapWrapper(d, 0.01) for d in game.dims], 60)
     out = {}
     for k, w in enumerate(players):
         d = game.dims[k]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metagames import games, harness, metrics
-from metagames.errors import ConfigError
+from metagames.errors import ConfigError, InvalidInputError
 from metagames.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -23,7 +23,7 @@ from metagames.harness import (
     write_records_csv,
     write_task_summaries,
 )
-from metagames.learners import external_regret
+from metagames.learners import doubling_residual, external_regret
 
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
 
@@ -202,7 +202,7 @@ def test_t1_cold_equals_single_run():
     assert len(res.task_summaries) == 1
     from metagames.geometry import Simplex
     from metagames.harness import make_learner, play_task
-    from metagames.learners import external_regret
+    from metagames.learners import doubling_residual, external_regret
 
     game = res.games[0]
     xl = make_learner("ogd", Simplex(2), 0.05)
@@ -221,7 +221,7 @@ def test_secondary_anchor_run_matches_play_task():
     res = run_experiment(cfg)
     from metagames.geometry import Simplex
     from metagames.harness import make_learner, play_task
-    from metagames.learners import external_regret
+    from metagames.learners import doubling_residual, external_regret
 
     game = res.games[0]
     A = game.A
@@ -507,8 +507,8 @@ def observed_records(monkeypatch, config):
     """run_experiment's records as ``round_logger`` logs them round by round.
 
     Every task is played by ``play_task``, also on an arm that
-    ``run_experiment`` plays in batches, so batched records are checked
-    against the per-round oracle too. The observer sees each round when the
+    ``run_experiment`` plays in batches or by ``_play_one``, so those records
+    are checked against the per-round oracle too. The observer sees each round when the
     first learner is handed its utility, before any learner updates; the
     records of a task are those of its final attempt, the last one played
     before the task is logged.
@@ -537,7 +537,7 @@ def observed_records(monkeypatch, config):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
-        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
+        patch.setattr(harness, "_fused", lambda cfg, potential: False)
         return run_experiment(config).records
 
 
@@ -576,8 +576,32 @@ def observed_records(monkeypatch, config):
             "dump_strategies": True,
         },
         small_config(init="cold", log_every=3, metrics_every=6, dump_strategies=True),
+        small_config(
+            log_every=3,
+            metrics_every=3,
+            learner={"algo": "ogd", "eta": 0.05, "first_prediction": "zero"},
+        ),
+        small_config(
+            game={"family": "perturbed-base", "base": [[0.5, -1.0, 0.3], [-0.4, 0.8, -0.9]]},
+            learner={"algo": "ogd", "eta": 0.5},
+            init="last-iterate",
+            log_every=4,
+            metrics_every=4,
+            dump_strategies=True,
+        ),
     ],
-    ids=["dump", "alternating", "secondary-anchor", "doubling", "opthedge", "d10", "drift", "cold"],
+    ids=[
+        "dump",
+        "alternating",
+        "secondary-anchor",
+        "doubling",
+        "opthedge",
+        "d10",
+        "drift",
+        "cold",
+        "zero-first",
+        "2x3-boundary",
+    ],
 )
 def test_task_records_match_round_observer(monkeypatch, config):
     records = run_experiment(config).records
@@ -660,3 +684,56 @@ def test_play_batch_matches_play_task_bitwise(inputs):
             assert tr.utilities[b].tobytes() == lrn.utility_array().tobytes()
             assert repr(tr.eta[b]) == repr(lrn.eta)
         assert repr(rows[b][0]) == repr(summary_row(game, learners))
+
+
+@st.composite
+def task_inputs(draw):
+    """One game (d_x, d_y in 2..10) with a feasible start, a rate and a first
+    prediction (the free one or zero). Integer payoffs make exact ties."""
+    dx, dy = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    m = draw(st.integers(min_value=1, max_value=12))
+    tied, free_first = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(-2, 3, size=(dx, dy)).astype(float) if tied else rng.uniform(-1, 1, (dx, dy))
+    start = [_start(rng, dx), _start(rng, dy)]
+    return games.MatrixGame(A), start, float(10.0 ** rng.uniform(-3.0, 1.0)), m, free_first
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(task_inputs())
+def test_play_one_matches_play_task_bitwise(inputs):
+    # The fused kernel is play_task bit for bit: played points, utilities,
+    # rate, summary row and doubling residual.
+    game, start, eta, m, free_first = inputs
+    tracks, first = harness._play_one(game, start, eta, m, free_first)
+    learners = [make_learner("ogd", s, eta, init=x0) for s, x0 in zip(game.sets, start)]
+    play_task(game, learners, m, free_first=free_first)
+    for tr, lrn in zip(tracks, learners):
+        assert tr.path[0].tobytes() == lrn.primary_array().tobytes()
+        assert tr.played[0].tobytes() == np.asarray(lrn.path[1:]).tobytes()
+        assert tr.utilities[0].tobytes() == lrn.utility_array().tobytes()
+        assert repr(tr.eta[0]) == repr(lrn.eta)
+    row = harness._zero_sum_summaries([game], tracks, [None])[0][0]
+    assert repr(row) == repr(summary_row(game, learners))
+    residual = harness._tracks_residual(tracks, first, eta)
+    assert repr(residual) == repr(doubling_residual(learners, eta))
+
+
+@pytest.mark.parametrize(
+    "A, eta, free_first, message",
+    [
+        ([[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "simplex projection"),
+        ([[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
+    ],
+    ids=["huge-rate", "overflowing-utility"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_play_one_raises_as_play_task(A, eta, free_first, message):
+    game = games.MatrixGame(A)
+    start = [s.center() for s in game.sets]
+    with pytest.raises(InvalidInputError, match=message) as fused:
+        harness._play_one(game, start, eta, 5, free_first)
+    learners = [make_learner("ogd", s, eta, init=x0) for s, x0 in zip(game.sets, start)]
+    with pytest.raises(InvalidInputError) as oracle:
+        play_task(game, learners, 5, free_first=free_first)
+    assert str(fused.value) == str(oracle.value)

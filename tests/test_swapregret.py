@@ -127,7 +127,7 @@ def test_rvuswap_chain_random_games():
         m = 150
         alpha = (m * 1.0) ** (-1.0 / 3.0)
         eta = default_log_barrier_eta(2, max(dims), L)
-        players = play_task(game, [SwapWrapper(d, eta) for d in dims], m, free_first=False)
+        players = play_task(game, [SwapWrapper(d, eta) for d in dims], m)
         for k, w in enumerate(players):
             sw = swap_regret(w.played_array(), w.utility_array())
             sum_ext = float(np.sum(w.per_action_external_regrets()))
@@ -166,7 +166,7 @@ def test_ce_gap_decreases_with_horizon():
     game = NormalFormGame([rng.uniform(-1, 1, size=(3, 3)) for _ in range(2)])
     L = lipschitz_constant(game)
     eta = default_log_barrier_eta(2, 3, L)
-    players = play_task(game, [SwapWrapper(3, eta), SwapWrapper(3, eta)], 400, free_first=False)
+    players = play_task(game, [SwapWrapper(3, eta), SwapWrapper(3, eta)], 400)
     gaps = []
     for m in (100, 200, 400):
         mu = np.zeros((3, 3))
@@ -176,3 +176,15 @@ def test_ce_gap_decreases_with_horizon():
         _, ce = cce_ce_gap(mu, game)
         gaps.append(ce)
     assert gaps[2] <= gaps[1] + 1e-9 and gaps[1] <= gaps[0] + 1e-9
+
+
+def test_swap_self_play_default_free_first():
+    # SwapWrappers take no predictions, so the free first prediction skips
+    # them and the default flag plays as free_first=False does.
+    rng = np.random.default_rng(6)
+    game = NormalFormGame([rng.uniform(-1, 1, size=(2, 3)) for _ in range(2)])
+    default = play_task(game, [SwapWrapper(d, 0.05) for d in game.dims], 30)
+    explicit = play_task(game, [SwapWrapper(d, 0.05) for d in game.dims], 30, free_first=False)
+    for got, want in zip(default, explicit):
+        assert got.played_array().tobytes() == want.played_array().tobytes()
+        assert got.utility_array().tobytes() == want.utility_array().tobytes()
