@@ -617,9 +617,9 @@ def _play_one(game, start, eta, m, free_first):
     ``start`` with rate ``eta``, recency predictions and the free first
     prediction (else a zero one), and bit for bit equal to it: the steps
     anchor + eta * g and the projections run elementwise on Python floats,
-    with the threshold of ``project_simplex``, and the utilities are the
-    matrix-vector products ``-A @ y`` and ``A.T @ x`` of ``utility_gradient``
-    on numpy. The start is feasible and the rate positive, as
+    with the ``simplex_threshold`` of ``project_simplex``, and the
+    utilities are the matrix-vector products ``-A @ y`` and ``A.T @ x`` of
+    ``utility_gradient`` on numpy. The start is feasible and the rate positive, as
     ``run_experiment`` gives them. Returns the players' Tracks, one task
     deep, and their first predictions.
     """
@@ -656,8 +656,8 @@ def _play_one(game, start, eta, m, free_first):
 
 def _ogd_step(anchor, g, eta):
     """``project_simplex(anchor + eta * g)`` on lists of Python floats, bit for
-    bit: ``0.0 if v <= 0.0`` shifts as ``np.maximum(v, 0.0)`` does, also for
-    -0.0 and NaN, where ``max(v, 0.0)`` does not."""
+    bit: ``0.0 if w <= 0.0`` shifts as ``np.maximum(w, 0.0)`` does, also for
+    -0.0 and NaN, where ``max(w, 0.0)`` does not."""
     v = [a + eta * b for a, b in zip(anchor, g)]
     theta = simplex_threshold(v)
     return [0.0 if (w := c - theta) <= 0.0 else w for c in v]
