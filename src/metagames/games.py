@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -323,10 +324,15 @@ def sample_game_sequence(config: SequenceConfig):
     if config.family == "perturbed-base":
         if config.base is None:
             raise ConfigError("perturbed-base requires a base matrix")
+        if not math.isfinite(2.0 * config.delta):
+            raise ConfigError(f"config.game.delta: the noise range 2*delta overflows, got {config.delta!r}")
         base = np.asarray(config.base, dtype=float)
         noises = rng.uniform(-config.delta, config.delta, size=(config.T,) + base.shape)
-        keys = np.linalg.norm(noises.reshape(config.T, -1), axis=1)
         games = [MatrixGame(base + noises[t]).rescaled() for t in range(config.T)]
+        if config.sequencing != "random":
+            # noise / delta lies in [-1, 1], so its norm cannot overflow
+            scaled = noises / config.delta if config.delta > 0 else noises
+            keys = np.linalg.norm(scaled.reshape(config.T, -1), axis=1)
     elif config.family == "lower-bound-prior":
         if config.prior is None:
             raise ConfigError("lower-bound-prior requires a prior over rows")

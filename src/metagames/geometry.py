@@ -209,10 +209,10 @@ def project_l2(strategy_set, y):
 
 
 def lift_interior(xp):
-    """Lift coordinates below INTERIOR_FLOOR and renormalize onto the simplex."""
-    xp = np.asarray(xp, dtype=float)
+    """Lift coordinates below INTERIOR_FLOOR and renormalize onto the simplex;
+    row by row for a (k, d) stack."""
     lifted = np.maximum(xp, INTERIOR_FLOOR)
-    return lifted / np.sum(lifted)
+    return lifted / np.add.reduce(lifted, -1, keepdims=True)
 
 
 def bregman(reg, x, xp):
@@ -238,8 +238,19 @@ def bregman(reg, x, xp):
     return float(np.sum(np.log(xp / x) + x / xp - 1.0))
 
 
+def _rowdot(x, y):
+    """Row-wise dot products of two (k, d) stacks; a (1, d) @ (d, 1) matmul
+    rounds as the 1-D dot does, which a sum or ``einsum`` does not."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+_rowsum = np.add.reduce
+
+
 def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
-    """Log-barrier prox on the simplex via safeguarded Newton on the dual.
+    """Log-barrier prox on the simplex of every row of the (k, d) interior
+    ``anchor`` along the matching row of ``g``, via safeguarded Newton on the
+    dual.
 
     First-order conditions give x_a = 1 / (eta * nu + b_a) with
     b = 1 / anchor - eta * g; the simplex multiplier nu is the root of the
@@ -248,29 +259,50 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     lo = max(1 - b) / eta has f(lo) >= 0 and hi = max(d - b) / eta has
     f(hi) <= 0. Newton starts from the first-order guess
     (anchor^2 . g) / sum(anchor^2) and falls back to the bracket midpoint
-    whenever a step leaves the bracket, which shrinks on every step.
+    whenever a step leaves the bracket, which shrinks on every step. Each row
+    is solved on its own: a row is written out once |sum x - 1| <= tol and
+    dropped from the iteration, which the other rows continue.
     """
     b = 1.0 / anchor - eta * g
-    b_min = float(np.min(b))
+    b_min = np.minimum.reduce(b, 1)
     lo = (1.0 - b_min) / eta
-    hi = (len(b) - b_min) / eta
+    hi = (b.shape[1] - b_min) / eta
     a2 = anchor * anchor
-    nu = min(max(float(a2 @ g) / float(np.sum(a2)), lo), hi)
+    nu = _rowdot(a2, g) / _rowsum(a2, 1)
+    # min(max(nu, lo), hi) as Python floats take it, signed zeros included
+    nu = np.where(lo > nu, lo, nu)
+    nu = np.where(hi < nu, hi, nu)
+    out = rows = None  # set once some rows converge before the others
     for _ in range(max_iter):
-        x = 1.0 / (eta * nu + b)
-        s = float(np.sum(x))
-        if abs(s - 1.0) <= tol:
-            return x / s
-        if s > 1.0:
-            lo = nu
-        else:
-            hi = nu
-        nu += (s - 1.0) / (eta * float(x @ x))
-        if not lo < nu < hi:
-            nu = 0.5 * (lo + hi)
+        x = 1.0 / ((eta * nu)[:, None] + b)
+        s = _rowsum(x, 1)
+        excess = s - 1.0
+        residual = abs(excess)
+        # max and fmin are NaN-aware as "every row" and "some row" need
+        if np.maximum.reduce(residual) <= tol:
+            x /= s[:, None]
+            if rows is None:
+                return x
+            out[rows] = x
+            return out
+        if np.fmin.reduce(residual) <= tol:
+            done = residual <= tol
+            kept = ~done
+            if rows is None:
+                out, rows = np.empty_like(b), np.arange(len(b))
+            out[rows[done]] = x[done] / s[done, None]
+            rows, b, x, excess, nu, lo, hi = (
+                rows[kept], b[kept], x[kept], excess[kept], nu[kept], lo[kept], hi[kept]
+            )
+        above = excess > 0.0
+        lo = np.where(above, nu, lo)
+        hi = np.where(above, hi, nu)
+        nu = nu + excess / (eta * _rowdot(x, x))
+        nu = np.where((lo < nu) & (nu < hi), nu, 0.5 * (lo + hi))
+    worst = int(np.argmax(abs(excess)))
     raise NumericError(
-        f"log-barrier prox Newton solve did not converge: residual={abs(s - 1.0):.3e}, "
-        f"eta={eta}, bracket=({lo}, {hi})"
+        f"log-barrier prox Newton solve did not converge: residual={abs(excess[worst]):.3e}, "
+        f"eta={eta}, bracket=({lo[worst]}, {hi[worst]})"
     )
 
 
@@ -308,4 +340,4 @@ def prox_step(reg, strategy_set, anchor, g, eta):
     anchor = lift_interior(anchor)
     if reg.kind == ENTROPIC:
         return mwu_step(anchor, g, eta)
-    return _prox_log_barrier_simplex(anchor, g, eta)
+    return _prox_log_barrier_simplex(anchor[None], g[None], eta)[0]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,25 @@ def test_run_huge_eta_exits_2(tmp_path, capsys, init):
     assert err.startswith("input error: simplex projection") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("sequencing", ["random", "sorted", "alternating"])
+def test_run_huge_delta_is_quiet(tmp_path, capsys, sequencing):
+    # The ordering keys are norms of noise / delta, which cannot overflow.
+    game = dict(BASE_CONFIG["game"], delta=1e300, sequencing=sequencing)
+    cfg = write_config(tmp_path, {"game": game})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_overflowing_delta_exits_2(tmp_path, capsys):
+    game = dict(BASE_CONFIG["game"], delta=1e308)
+    cfg = write_config(tmp_path, {"game": game})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.game.delta:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "ewoo, field",
     [
@@ -376,15 +396,22 @@ def _put(cfg, path, value):
 
 
 @st.composite
-def generated_configs(draw):
+def valid_configs(draw):
     """A run config of SCHEMA rows: every required row and the family's matrix
-    or prior, the other rows at random, then one mutation or none."""
+    or prior, the other rows at random."""
     family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
     needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
     cfg = {"game": {"family": family}}
     for f in SCHEMA:
         if f.path != "game.family" and (f.default is ... or f.path == needed or draw(st.booleans())):
             _put(cfg, f.path, _valid(draw, f))
+    return cfg
+
+
+@st.composite
+def generated_configs(draw):
+    """A valid config, then one mutation or none."""
+    cfg = draw(valid_configs())
     mutation = draw(st.sampled_from(["none", "field", "unknown", "block"]))
     if mutation == "field":
         f = draw(st.sampled_from(SCHEMA))
@@ -397,17 +424,103 @@ def generated_configs(draw):
     return cfg
 
 
+def _exits_cleanly(command, files):
+    """Write ``files`` (name -> JSON object) to a temporary directory and run
+    ``command`` there; it must end in exit 0, 2 or 3, never a traceback, and
+    an error is one stderr line. Warnings, which a run would print on stderr,
+    are raised as errors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            with open(f"{tmp}/{name}", "w") as fh:
+                json.dump(obj, fh)
+        argv = [a.replace("{tmp}", tmp) for a in command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(generated_configs())
 def test_generated_configs_exit_cleanly(cfg):
-    # Any config ends in exit 0, 2 or 3, never a traceback; an error is one
-    # stderr line.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/config.json"
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", "--config", path, "--out", f"{tmp}/out"])
-    assert code in (0, 2, 3)
-    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+    _exits_cleanly(
+        ["run", "--config", "{tmp}/config.json", "--out", "{tmp}/out"], {"config.json": cfg}
+    )
+
+
+@st.composite
+def generated_arm_configs(draw):
+    """A valid config with an ``arms`` list of 2-3 objects of SCHEMA-row
+    overrides and optional checkpoints, then one mutation of an arm, of the
+    ``arms`` list or of the checkpoints, or none."""
+    cfg = draw(valid_configs())
+    cfg.pop("metrics_every", None)  # valid only with a matching log_every
+    arms = []
+    for i in range(draw(st.integers(2, 3))):
+        arm = {"name": f"arm{i}"} if draw(st.booleans()) else {}
+        for f in draw(st.lists(st.sampled_from(SCHEMA), max_size=2)):
+            _put(arm, f.path, _valid(draw, f))
+        arms.append(arm)
+    cfg["arms"] = arms
+    if draw(st.booleans()):
+        cfg["checkpoints"] = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    i = draw(st.integers(0, len(arms) - 1))
+    mutation = draw(st.sampled_from(["none", "field", "unknown", "name", "arm", "arms", "checkpoints"]))
+    if mutation == "field":
+        f = draw(st.sampled_from(SCHEMA))
+        _put(arms[i], f.path, _invalid(draw, f))
+    elif mutation == "unknown":
+        arms[i]["bogus"] = 1
+    elif mutation == "name":
+        for arm in arms:
+            arm["name"] = draw(st.sampled_from([5, None, "twin"]))
+    elif mutation == "arm":
+        arms[i] = draw(st.sampled_from([5, "x", [], None]))
+    elif mutation == "arms":
+        cfg["arms"] = draw(st.sampled_from([[], [{}], {}, "x", None]))
+    elif mutation == "checkpoints":
+        cfg["checkpoints"] = draw(st.sampled_from([[], [0], [99], ["a"], [True], 3, None]))
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(generated_arm_configs())
+def test_generated_arm_configs_exit_cleanly(cfg):
+    _exits_cleanly(
+        ["run", "--config", "{tmp}/config.json", "--out", "{tmp}/out"], {"config.json": cfg}
+    )
+
+
+@st.composite
+def generated_sweeps(draw):
+    """A valid config and a grid of 1-2 SCHEMA rows with 1-2 values each,
+    then one mutation of a grid value, a value list, the grid or a grid key,
+    or none."""
+    cfg = draw(valid_configs())
+    cfg.pop("metrics_every", None)  # valid only with a matching log_every
+    rows = draw(st.lists(st.sampled_from(SCHEMA), min_size=1, max_size=2, unique_by=lambda f: f.path))
+    grid = {f.path: [_valid(draw, f) for _ in range(draw(st.integers(1, 2)))] for f in rows}
+    mutation = draw(st.sampled_from(["none", "value", "list", "grid", "key"]))
+    if mutation == "value":
+        f = rows[0]
+        grid[f.path][0] = _invalid(draw, f)
+    elif mutation == "list":
+        grid[rows[0].path] = draw(st.sampled_from([[], 5, "x", None, {}]))
+    elif mutation == "grid":
+        grid = draw(st.sampled_from([{}, [], 5, None]))
+    elif mutation == "key":
+        grid[draw(st.sampled_from(["game.family.x", "bogus", "learner.bogus", "T.x"]))] = [1]
+    return cfg, grid
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(generated_sweeps())
+def test_generated_sweeps_exit_cleanly(sweep):
+    cfg, grid = sweep
+    _exits_cleanly(
+        ["sweep", "--config", "{tmp}/config.json", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        {"config.json": cfg, "grid.json": grid},
+    )

@@ -322,6 +322,62 @@ def bisection_log_barrier_prox(anchor, g, eta, tol=1e-10):
     raise AssertionError("reference bisection did not converge")
 
 
+def newton_log_barrier_prox(anchor, g, eta, tol=1e-10, max_iter=200):
+    """Reference log-barrier prox of one interior anchor: the 1-D safeguarded
+    Newton solve on the simplex multiplier nu, on Python floats between the
+    array operations. The row kernel must reproduce it bit for bit."""
+    b = 1.0 / anchor - eta * g
+    b_min = float(np.min(b))
+    lo = (1.0 - b_min) / eta
+    hi = (len(b) - b_min) / eta
+    a2 = anchor * anchor
+    nu = min(max(float(a2 @ g) / float(np.sum(a2)), lo), hi)
+    for _ in range(max_iter):
+        x = 1.0 / (eta * nu + b)
+        s = float(np.sum(x))
+        if abs(s - 1.0) <= tol:
+            return x / s
+        if s > 1.0:
+            lo = nu
+        else:
+            hi = nu
+        nu += (s - 1.0) / (eta * float(x @ x))
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+    raise AssertionError("reference Newton solve did not converge")
+
+
+@st.composite
+def log_barrier_row_stacks(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=8))
+    low = float(np.log10(INTERIOR_FLOOR)) - 1.0
+    weights = 10.0 ** np.array(
+        draw(st.lists(st.floats(low, 0.0), min_size=k * d, max_size=k * d))
+    ).reshape(k, d)
+    anchors = lift_interior(weights)
+    g = np.array(
+        draw(st.lists(st.floats(-10.0, 10.0), min_size=k * d, max_size=k * d))
+    ).reshape(k, d)
+    eta = 10.0 ** draw(st.floats(-4.0, 1.0))
+    return anchors, g, eta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_barrier_row_stacks())
+def test_prox_log_barrier_rows_match_newton_oracle(inputs):
+    anchors, g, eta = inputs
+    x = _prox_log_barrier_simplex(anchors, g, eta)
+    assert x.shape == anchors.shape
+    for a in range(len(anchors)):
+        assert x[a].tobytes() == newton_log_barrier_prox(anchors[a], g[a], eta).tobytes()
+        # prox_step is the kernel on one row, after the interior lift
+        want = newton_log_barrier_prox(lift_interior(anchors[a]), g[a], eta)
+        assert prox_step(LOG, Simplex(anchors.shape[1]), anchors[a], g[a], eta).tobytes() == (
+            want.tobytes()
+        )
+
+
 @st.composite
 def log_barrier_prox_inputs(draw):
     d = draw(st.integers(min_value=2, max_value=8))
@@ -390,9 +446,12 @@ def test_prox_entropic_properties(inputs):
 
 
 def test_prox_log_barrier_reports_non_convergence():
-    anchor, g = np.array([0.3, 0.7]), np.array([1.0, -1.0])
+    # The second row converges on its first evaluation and is dropped; the
+    # message names the residual and bracket of the row that did not.
+    anchors = np.array([[0.3, 0.7], [0.5, 0.5]])
+    g = np.array([[1.0, -1.0], [0.0, 0.0]])
     with pytest.raises(NumericError, match=r"residual=.*eta=0\.5, bracket=\("):
-        _prox_log_barrier_simplex(anchor, g, 0.5, max_iter=1)
+        _prox_log_barrier_simplex(anchors, g, 0.5, max_iter=1)
 
 
 def test_prox_rejects_bad_eta():

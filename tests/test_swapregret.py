@@ -7,6 +7,7 @@ from metagames.errors import InvalidInputError
 from metagames.games import NormalFormGame, lipschitz_constant
 from metagames.geometry import Regularizer, Simplex, bregman
 from metagames.harness import play_task
+from metagames.learners import OMDLearner, external_regret
 from metagames.metrics import cce_ce_gap
 from metagames.swapregret import (
     SwapWrapper,
@@ -75,8 +76,6 @@ def test_swap_regret_examples():
 
 
 def test_swap_matches_bruteforce_and_dominates_external():
-    from metagames.learners import external_regret
-
     rng = np.random.default_rng(1)
     for _ in range(20):
         d = int(rng.integers(2, 4))
@@ -188,3 +187,57 @@ def test_swap_self_play_default_free_first():
     for got, want in zip(default, explicit):
         assert got.played_array().tobytes() == want.played_array().tobytes()
         assert got.utility_array().tobytes() == want.utility_array().tobytes()
+
+
+class ReferenceSwap:
+    """The per-action reduction as d separate log-barrier ``OMDLearner``s,
+    each fed ``mix[a] * u``, mixed through ``stationary_distribution``."""
+
+    def __init__(self, dim, eta):
+        reg = Regularizer("log-barrier")
+        self.learners = [OMDLearner(Simplex(dim), eta, regularizer=reg) for _ in range(dim)]
+        self.mix_path = [self._mix()]
+
+    def _mix(self):
+        return stationary_distribution(np.asarray([lrn.play() for lrn in self.learners]))
+
+    def play(self):
+        return self.mix_path[-1]
+
+    def update(self, utility):
+        for a, lrn in enumerate(self.learners):
+            lrn.update(self.mix_path[-1][a] * np.asarray(utility, dtype=float))
+        self.mix_path.append(self._mix())
+
+
+def test_wrapper_matches_per_learner_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        dims = [int(rng.integers(1, 5)) for _ in range(2)]
+        game = NormalFormGame([rng.uniform(-1, 1, size=tuple(dims)) for _ in range(2)])
+        eta = default_log_barrier_eta(2, max(dims), lipschitz_constant(game)) * 10.0 ** rng.uniform(0, 3)
+        m = int(rng.integers(1, 40))
+        got = play_task(game, [SwapWrapper(d, eta) for d in dims], m)
+        want = play_task(game, [ReferenceSwap(d, eta) for d in dims], m)
+        for w, ref in zip(got, want):
+            assert np.asarray(w.mix_path).tobytes() == np.asarray(ref.mix_path).tobytes()
+            assert w._transition().tobytes() == np.asarray([r.play() for r in ref.learners]).tobytes()
+            for view, lrn in zip(w.action_learners, ref.learners):
+                assert np.asarray(view.path).tobytes() == np.asarray(lrn.path).tobytes()
+                assert view.utility_array().tobytes() == lrn.utility_array().tobytes()
+                assert view.init.tobytes() == lrn.init.tobytes()
+            regrets = [external_regret(r.path[1:], r.utility_array(), r.set)[0] for r in ref.learners]
+            assert w.per_action_external_regrets().tobytes() == np.asarray(regrets).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+def test_wrapper_rejects_bad_utility_before_recording_it(bad):
+    w = SwapWrapper(3, eta=0.05)
+    w.update(np.array([0.1, -0.2, 0.3]))
+    mix = w.play().copy()
+    with pytest.raises(InvalidInputError):
+        w.update(np.array([0.1, bad, 0.3]))
+    assert w.played_array().shape == w.utility_array().shape == (1, 3)
+    assert all(view.utility_array().shape == (1, 3) for view in w.action_learners)
+    np.testing.assert_array_equal(w.play(), mix)
+    assert swap_regret(w.played_array(), w.utility_array()) >= 0.0
