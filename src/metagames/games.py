@@ -325,7 +325,9 @@ def sample_game_sequence(config: SequenceConfig):
         if config.base is None:
             raise ConfigError("perturbed-base requires a base matrix")
         if not math.isfinite(2.0 * config.delta):
-            raise ConfigError(f"config.game.delta: the noise range 2*delta overflows, got {config.delta!r}")
+            raise ConfigError(
+                f"config.game.delta: the noise range 2*delta overflows, got {config.delta!r}"
+            )
         base = np.asarray(config.base, dtype=float)
         noises = rng.uniform(-config.delta, config.delta, size=(config.T,) + base.shape)
         games = [MatrixGame(base + noises[t]).rescaled() for t in range(config.T)]

@@ -244,9 +244,6 @@ def _rowdot(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-_rowsum = np.add.reduce
-
-
 def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     """Log-barrier prox on the simplex of every row of the (k, d) interior
     ``anchor`` along the matching row of ``g``, via safeguarded Newton on the
@@ -268,14 +265,14 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     lo = (1.0 - b_min) / eta
     hi = (b.shape[1] - b_min) / eta
     a2 = anchor * anchor
-    nu = _rowdot(a2, g) / _rowsum(a2, 1)
+    nu = _rowdot(a2, g) / np.add.reduce(a2, 1)
     # min(max(nu, lo), hi) as Python floats take it, signed zeros included
-    nu = np.where(lo > nu, lo, nu)
-    nu = np.where(hi < nu, hi, nu)
+    np.copyto(nu, lo, where=lo > nu)
+    np.copyto(nu, hi, where=hi < nu)
     out = rows = None  # set once some rows converge before the others
     for _ in range(max_iter):
         x = 1.0 / ((eta * nu)[:, None] + b)
-        s = _rowsum(x, 1)
+        s = np.add.reduce(x, 1)
         excess = s - 1.0
         residual = abs(excess)
         # max and fmin are NaN-aware as "every row" and "some row" need
@@ -295,10 +292,10 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
                 rows[kept], b[kept], x[kept], excess[kept], nu[kept], lo[kept], hi[kept]
             )
         above = excess > 0.0
-        lo = np.where(above, nu, lo)
-        hi = np.where(above, hi, nu)
+        np.copyto(lo, nu, where=above)
+        np.copyto(hi, nu, where=~above)
         nu = nu + excess / (eta * _rowdot(x, x))
-        nu = np.where((lo < nu) & (nu < hi), nu, 0.5 * (lo + hi))
+        np.copyto(nu, 0.5 * (lo + hi), where=~((lo < nu) & (nu < hi)))
     worst = int(np.argmax(abs(excess)))
     raise NumericError(
         f"log-barrier prox Newton solve did not converge: residual={abs(excess[worst]):.3e}, "

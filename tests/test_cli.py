@@ -468,7 +468,9 @@ def generated_arm_configs(draw):
     if draw(st.booleans()):
         cfg["checkpoints"] = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
     i = draw(st.integers(0, len(arms) - 1))
-    mutation = draw(st.sampled_from(["none", "field", "unknown", "name", "arm", "arms", "checkpoints"]))
+    mutation = draw(
+        st.sampled_from(["none", "field", "unknown", "name", "arm", "arms", "checkpoints"])
+    )
     if mutation == "field":
         f = draw(st.sampled_from(SCHEMA))
         _put(arms[i], f.path, _invalid(draw, f))
@@ -501,7 +503,9 @@ def generated_sweeps(draw):
     or none."""
     cfg = draw(valid_configs())
     cfg.pop("metrics_every", None)  # valid only with a matching log_every
-    rows = draw(st.lists(st.sampled_from(SCHEMA), min_size=1, max_size=2, unique_by=lambda f: f.path))
+    rows = draw(
+        st.lists(st.sampled_from(SCHEMA), min_size=1, max_size=2, unique_by=lambda f: f.path)
+    )
     grid = {f.path: [_valid(draw, f) for _ in range(draw(st.integers(1, 2)))] for f in rows}
     mutation = draw(st.sampled_from(["none", "value", "list", "grid", "key"]))
     if mutation == "value":
@@ -521,6 +525,6 @@ def generated_sweeps(draw):
 def test_generated_sweeps_exit_cleanly(sweep):
     cfg, grid = sweep
     _exits_cleanly(
-        ["sweep", "--config", "{tmp}/config.json", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        "sweep --config {tmp}/config.json --grid {tmp}/grid.json --out {tmp}/out".split(),
         {"config.json": cfg, "grid.json": grid},
     )

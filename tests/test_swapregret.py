@@ -215,13 +215,15 @@ def test_wrapper_matches_per_learner_reference():
     for _ in range(12):
         dims = [int(rng.integers(1, 5)) for _ in range(2)]
         game = NormalFormGame([rng.uniform(-1, 1, size=tuple(dims)) for _ in range(2)])
-        eta = default_log_barrier_eta(2, max(dims), lipschitz_constant(game)) * 10.0 ** rng.uniform(0, 3)
+        eta = default_log_barrier_eta(2, max(dims), lipschitz_constant(game))
+        eta *= 10.0 ** rng.uniform(0, 3)
         m = int(rng.integers(1, 40))
         got = play_task(game, [SwapWrapper(d, eta) for d in dims], m)
         want = play_task(game, [ReferenceSwap(d, eta) for d in dims], m)
         for w, ref in zip(got, want):
             assert np.asarray(w.mix_path).tobytes() == np.asarray(ref.mix_path).tobytes()
-            assert w._transition().tobytes() == np.asarray([r.play() for r in ref.learners]).tobytes()
+            rows = np.asarray([lrn.play() for lrn in ref.learners])
+            assert w._transition().tobytes() == rows.tobytes()
             for view, lrn in zip(w.action_learners, ref.learners):
                 assert np.asarray(view.path).tobytes() == np.asarray(lrn.path).tobytes()
                 assert view.utility_array().tobytes() == lrn.utility_array().tobytes()
