@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +105,7 @@ def _cmd_sweep(args):
         configs.append(harness.ExperimentConfig.from_dict(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(harness.thread_cap(), len(configs))) as pool:
-        results = list(pool.map(harness.run_experiment, configs))
+    results = [harness.run_experiment(cfg) for cfg in configs]
     rows = []
     for combo, res in zip(combos, results):
         key = harness.gap_key(res.task_summaries[0])

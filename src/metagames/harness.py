@@ -10,10 +10,8 @@ import copy
 import json
 import math
 import numbers
-import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -44,6 +42,7 @@ from metagames.learners import (
     SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
+    best_point,
     doubling_residual,
     external_regret,
     rvu_residual,
@@ -391,11 +390,10 @@ MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericEr
 
 # The fewest tasks a play-independent arm must have to be played in batches;
 # shorter arms play task by task through _play_one. The time of one batch of
-# B tasks over that of B _play_one calls (paired medians at m = 1000, and
-# m = 5 where noted): B = 3: 1.2-1.3 on 2x2 and 3x3 games, 1.7-1.9 on 2x3
-# games (m = 5 and 1000); B = 4: 0.86-1.00 on 2x2 and 3x3 (m = 5 and 1000),
-# 1.3-1.4 on 2x3; B = 5: 0.70-0.80 and 1.1-1.2. A batch projects both
-# players in one call only on square games.
+# B tasks over that of B _play_one calls (medians of 7 pairs at m = 5 and of
+# 5 at m = 1000, two runs, on 2x2, 3x3 and 2x3 games alike): B = 3: 1.18-1.38;
+# B = 4: 0.91-1.08; B = 5: 0.75-0.88. With two projection calls per half-step,
+# 2x3 games read 1.41-1.55 at B = 4 and 1.13-1.26 at B = 5.
 BATCH_MIN_TASKS = 4
 # The most bytes of paths and utilities that one batch of tasks holds; longer
 # arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
@@ -439,17 +437,16 @@ def run_experiment(config) -> ExperimentResult:
     m iterations, log regrets/gaps, and fold the task outcome into the meta
     state. Zero-sum matrix tasks are played by the configured learner;
     potential-game tasks by plain gradient ascent at a fixed rate. The tasks
-    of a play-independent arm (``_play_independent``) are played and
-    summarized in batches, the other tasks of a ``_fused`` arm one by one by
-    ``_play_one``, and the rest by ``play_task``, all with the results of
-    ``play_task``. Deterministic under the config seed.
+    of a play-independent arm (``_play_independent``) are played in batches,
+    the other tasks of a ``_fused`` arm one by one by ``_play_one``, and the
+    rest by ``play_task``, all with the results of ``play_task``. Finished
+    tasks are summarized and logged in blocks. Deterministic under the
+    config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
     potential = isinstance(games[0], PotentialGame)
-    algo = "gd" if potential else cfg.algo
     sets = games[0].sets
-    initializer = Initializer(cfg.init_mode, sets)
     eta = None if cfg.eta == "auto" else float(cfg.eta)
     if cfg.eta_mode == "ewoo":
         D = cfg.ewoo_D if cfg.ewoo_D is not None else np.sqrt(sum(s.diameter**2 for s in sets))
@@ -464,85 +461,110 @@ def run_experiment(config) -> ExperimentResult:
     nash = [None] * len(games)
     if cfg.init_mode == "ne-average":
         nash = [list(saddle_point(game)[:2]) for game in games]
-    batches = None
     if _play_independent(cfg, potential) and len(games) >= BATCH_MIN_TASKS:
         etas = [_task_eta(cfg, game, len(sets), eta, None) for game in games]
-        batches = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
-    fused = _fused(cfg, potential)
-    free_first = cfg.first_prediction == "oracle"
+        blocks = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
+    else:
+        blocks = _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash)
     records = []
     summaries = []
-    optima = []
-
-    while len(summaries) < len(games):
-        # A block of tasks: one batch, or the next task played from the meta
-        # state that every earlier task has been folded into.
+    for etas, tracks in blocks:
         t = len(summaries)
-        if batches is not None:
-            etas, tracks = next(batches)
-        else:
-            inits = initializer.initialization()
-            task_eta = _task_eta(cfg, games[t], len(sets), eta, ewoo_state)
-            for restarts in range(MAX_RESTARTS + 1):
-                # Doubling trick: rerun the task at half the rate while the local
-                # RVU residual is positive; only the final attempt is logged.
-                if fused:
-                    tracks, first = _play_one(games[t], inits, task_eta, cfg.m, free_first)
-                else:
-                    learners = [
-                        make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                        for s, x0 in zip(sets, inits)
-                    ]
-                    play_task(
-                        games[t],
-                        learners,
-                        cfg.m,
-                        free_first=free_first,
-                        alternating=cfg.alternating_updates,
-                    )
-                    tracks = _tracks(learners)
-                if cfg.eta_mode != "doubling":
-                    break
-                residual = (
-                    _tracks_residual(tracks, first, task_eta)
-                    if fused
-                    else doubling_residual(learners, task_eta)
-                )
-                if not residual > 0:
-                    break
-                if restarts == MAX_RESTARTS:
-                    raise NumericError(
-                        f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                        f"residual={residual!r} > 0 at eta={task_eta!r}"
-                    )
-                task_eta = task_eta / 2.0
-            if cfg.eta_mode == "doubling":
-                eta = task_eta  # keep the calibrated rate for later tasks
-            etas = [task_eta]
         block = games[t : t + len(etas)]
-        if potential:
-            outcomes = _potential_summaries(block, tracks)
-        else:
-            outcomes = _zero_sum_summaries(block, tracks, nash[t : t + len(etas)])
-        for b, (row, outcome) in enumerate(outcomes):
-            if cfg.log_every:
-                records.extend(_task_records(cfg, block[b], t + b, tracks, b))
+        rows = (_potential_summaries if potential else _zero_sum_summaries)(block, tracks)
+        if cfg.log_every:
+            records.extend(_task_records(cfg, block, t, tracks))
+        for b, row in enumerate(rows):
             summaries.append({"task": t + b, "eta": etas[b], **row})
-            if not potential:
-                optima.append(outcome.optima)
-            initializer.observe(outcome)
-            if ewoo_state is not None:
-                ewoo_state.record(0.5 * row["init_dist2"], 1.0)
 
     sim = SimilarityStats()
     if not potential:
-        per_player = [np.asarray(a) for a in zip(*optima)]
+        per_player = [np.asarray(a) for a in zip(*(row["optima"] for row in summaries))]
         sim.v_opt2 = np.asarray([anchor_variance(a) for a in per_player])
         if cfg.similarity_report:
             sim.v_kl = np.asarray([kl_anchor_variance(a) for a in per_player])
             if cfg.init_mode == "ne-average":
                 sim.v_ne2_worst = ne_similarity_worst([np.concatenate(n) for n in nash])
     return ExperimentResult(cfg, records, summaries, sim, games)
+
+
+def _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash):
+    """(rates, Tracks) of consecutive blocks of tasks played one by one, each
+    from the meta state that every earlier task has been folded into.
+
+    A finished task is folded in by what the meta layer reads of it: its
+    optima in hindsight (as ``external_regret`` finds them) or its last
+    iterates, and for EWOO its ``init_dist2``. Its paths and utilities are
+    then copied into the arrays of a block of at most BATCH_BYTES, which is
+    summarized as a whole.
+    """
+    sets = games[0].sets
+    algo = "gd" if potential else cfg.algo
+    fused = _fused(cfg, potential)
+    free_first = cfg.first_prediction == "oracle"
+    initializer = Initializer(cfg.init_mode, sets)
+    size = _block_size(cfg.m, sets)
+    etas = []
+    for t, game in enumerate(games):
+        if not etas:
+            n = min(size, len(games) - t)
+            paths = [np.empty((n, cfg.m + 1, s.dim)) for s in sets]
+            utilities = [np.empty((n, cfg.m, s.dim)) for s in sets]
+        inits = initializer.initialization()
+        task_eta = _task_eta(cfg, game, len(sets), eta, ewoo_state)
+        for restarts in range(MAX_RESTARTS + 1):
+            # Doubling trick: rerun the task at half the rate while the local
+            # RVU residual is positive; only the final attempt is logged.
+            if fused:
+                tracks, first = _play_one(game, inits, task_eta, cfg.m, free_first)
+            else:
+                learners = [
+                    make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                    for s, x0 in zip(sets, inits)
+                ]
+                play_task(
+                    game,
+                    learners,
+                    cfg.m,
+                    free_first=free_first,
+                    alternating=cfg.alternating_updates,
+                )
+                tracks = _tracks(learners)
+            if cfg.eta_mode != "doubling":
+                break
+            residual = (
+                _tracks_residual(tracks, first, task_eta)
+                if fused
+                else doubling_residual(learners, task_eta)
+            )
+            if not residual > 0:
+                break
+            if restarts == MAX_RESTARTS:
+                raise NumericError(
+                    f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
+                    f"residual={residual!r} > 0 at eta={task_eta!r}"
+                )
+            task_eta = task_eta / 2.0
+        if cfg.eta_mode == "doubling":
+            eta = task_eta  # keep the calibrated rate for later tasks
+        last = [tr.path[0, -1] for tr in tracks]
+        if potential:
+            initializer.observe(TaskOutcome(optima=last, last_iterates=last))
+        else:
+            optima = [best_point(s, tr.utilities.sum(axis=-2)) for s, tr in zip(sets, tracks)]
+            initializer.observe(
+                TaskOutcome(optima=[o[0] for o in optima], last_iterates=last, nash=nash[t])
+            )
+            if ewoo_state is not None:
+                ewoo_state.record(0.5 * float(_init_dist2(optima, tracks)[0]), 1.0)
+        for path, u, tr in zip(paths, utilities, tracks):
+            path[len(etas)], u[len(etas)] = tr.path[0], tr.utilities[0]
+        etas.append(task_eta)
+        if len(etas) == n:
+            # A GDLearner plays the point it last reached, an OMDLearner the next.
+            lead = slice(None, -1) if potential else slice(1, None)
+            yield etas, [Track(p, p[:, lead], u, etas) for p, u in zip(paths, utilities)]
+            etas = []
 
 
 def _planned_starts(cfg, sets, nash):
@@ -559,11 +581,16 @@ def _planned_starts(cfg, sets, nash):
 def _batched_tasks(m, games, starts, etas):
     """(rates, Tracks) of consecutive blocks of tasks, each played by
     ``_play_batch`` and holding at most BATCH_BYTES of paths and utilities."""
-    dims = sum(len(x0) for x0 in starts[0])
-    size = max(1, BATCH_BYTES // (8 * (2 * m + 1) * dims))
+    size = _block_size(m, games[0].sets)
     for lo in range(0, len(games), size):
         part = slice(lo, lo + size)
         yield etas[part], _play_batch(games[part], starts[part], etas[part], m)
+
+
+def _block_size(m, sets):
+    """The most tasks of m rounds on the strategy sets whose paths and
+    utilities fit in BATCH_BYTES, and at least one."""
+    return max(1, BATCH_BYTES // (8 * (2 * m + 1) * sum(s.dim for s in sets)))
 
 
 def _play_batch(games, starts, etas, m):
@@ -590,11 +617,17 @@ def _play_batch(games, starts, etas, m):
     y_hat = np.asarray([y0 for _, y0 in starts])
     X[:, 0], Y[:, 0] = x_hat, y_hat
 
+    # Both players' rows are projected in one call, as rows are independent.
+    # A -inf pads the narrower player's rows: it sorts last and never passes
+    # the u_k * k > css_k count, so each row's threshold is that of its own
+    # entries. (Only a +inf entry, which has no threshold and raises, meets
+    # the pad in a NaN sum; it comes from an overflow numpy has warned of.)
+    both = np.full((2 * B, max(dx, dy)), -np.inf)
+
     def project(x_in, y_in):
-        if dx != dy:
-            return project_simplex_rows(x_in), project_simplex_rows(y_in)
-        both = project_simplex_rows(np.concatenate((x_in, y_in)))  # rows are independent
-        return both[:B], both[B:]
+        both[:B, :dx], both[B:, :dy] = x_in, y_in
+        out = project_simplex_rows(both)
+        return out[:B, :dx], out[B:, :dy]
 
     # The free first prediction: the utilities at the starting profile.
     px, py = _matvecs(neg_a, y_hat), _matvecs(a_t, x_hat)
@@ -681,8 +714,9 @@ def _matvecs(mats, vecs):
 
 
 def _dots(us, vecs):
-    """Entry b is the 1-D dot us[b] @ vecs[b]."""
-    return np.matmul(us[:, None, :], vecs[:, :, None])[:, 0, 0]
+    """The 1-D dots of the last axes: entry b is us[b] @ vecs[b], also for
+    more leading axes."""
+    return np.matmul(us[..., None, :], vecs[..., :, None])[..., 0, 0]
 
 
 # One player's side of B finished tasks, stacked on a leading task axis: the
@@ -704,55 +738,55 @@ def _tracks(learners):
     return tracks
 
 
-def _task_records(cfg, game, t, tracks, b):
-    """RunRecords of the finished task ``b`` of the Tracks: one per player
-    every ``log_every`` rounds and at the last round.
+def _task_records(cfg, games, t, tracks):
+    """RunRecords of the finished tasks t, t+1, ... of the Tracks, one per
+    game of ``games``: one per player every ``log_every`` rounds and at the
+    last round.
 
     Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
     the duality gap of the running average is defined for zero-sum games
-    only. The running sums are ``cumsum``s, which add in round order as a
-    per-round ``+=`` would.
+    only. The running sums are ``cumsum``s over the round axis, which add
+    in round order as a per-round ``+=`` would.
     """
     m, n = cfg.m, len(tracks)
-    played = [tr.played[b] for tr in tracks]
     sums, regrets, path2 = [], [], []
-    for tr, hist in zip(tracks, played):
+    for tr in tracks:
         # The 1-D dots of the rounds; a row-wise einsum adds in another order.
-        realized = np.cumsum(_dots(hist, tr.utilities[b]))
-        steps = np.diff(hist, axis=0, prepend=tr.path[b, :1])
-        sums.append(np.cumsum(hist, axis=0))
-        regrets.append(np.max(np.cumsum(tr.utilities[b], axis=0), axis=1) - realized)
-        path2.append(np.cumsum(np.sum(steps**2, axis=1)))
+        realized = np.cumsum(_dots(tr.played, tr.utilities), axis=1)
+        steps = np.diff(tr.played, axis=1, prepend=tr.path[:, :1])
+        sums.append(np.cumsum(tr.played, axis=1))
+        regrets.append(np.max(np.cumsum(tr.utilities, axis=1), axis=2) - realized)
+        path2.append(np.cumsum(np.sum(steps**2, axis=2), axis=1))
     records = []
-    for i in [*range(cfg.log_every, m, cfg.log_every), m]:
-        j = i - 1
-        profile = [hist[j] for hist in played]
-        gap, gaps = float("nan"), [float("nan")] * n
-        if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
-            if isinstance(game, MatrixGame):
-                gap = duality_gap(game, sums[0][j] / i, sums[1][j] / i)
-            gaps = ne_gap(game, profile)
-        for k, (s, tr) in enumerate(zip(profile, tracks)):
-            records.append(
-                RunRecord(
-                    task=t,
-                    iter=i,
-                    player=k,
-                    regret_cum=float(regrets[k][j]),
-                    dualgap=float(gap),
-                    negap=float(gaps[k]),
-                    pathlen2=float(path2[k][j]),
-                    eta=tr.eta[b],
-                    init_mode=cfg.init_mode,
-                    strategy=s.copy() if cfg.dump_strategies else None,
+    for b, game in enumerate(games):
+        for i in [*range(cfg.log_every, m, cfg.log_every), m]:
+            j = i - 1
+            profile = [tr.played[b, j] for tr in tracks]
+            gap, gaps = float("nan"), [float("nan")] * n
+            if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
+                if isinstance(game, MatrixGame):
+                    gap = duality_gap(game, sums[0][b, j] / i, sums[1][b, j] / i)
+                gaps = ne_gap(game, profile)
+            for k, (s, tr) in enumerate(zip(profile, tracks)):
+                records.append(
+                    RunRecord(
+                        task=t + b,
+                        iter=i,
+                        player=k,
+                        regret_cum=float(regrets[k][b, j]),
+                        dualgap=float(gap),
+                        negap=float(gaps[k]),
+                        pathlen2=float(path2[k][b, j]),
+                        eta=tr.eta[b],
+                        init_mode=cfg.init_mode,
+                        strategy=s.copy() if cfg.dump_strategies else None,
+                    )
                 )
-            )
     return records
 
 
-def _zero_sum_summaries(games, tracks, nash):
-    """Task-summary rows and meta outcomes of the B two-player zero-sum tasks
-    of the Tracks.
+def _zero_sum_summaries(games, tracks):
+    """Task-summary rows of the B two-player zero-sum tasks of the Tracks.
 
     Every quantity is that of ``external_regret``, ``duality_gap``,
     ``ne_gap`` and ``path_lengths`` on one task, computed for all B at once:
@@ -780,11 +814,11 @@ def _zero_sum_summaries(games, tracks, nash):
         dualgap,
         gains.max(axis=1),
         path_lengths(x.path)[0] + path_lengths(y.path)[0],
-        ((opt_x - x0) ** 2).sum(axis=1) + ((opt_y - y0) ** 2).sum(axis=1),
+        _init_dist2((opt_x, opt_y), tracks),
     )
-    outcomes = []
+    rows = []
     for b, (rx, ry, gap, negap, path2, dist2) in enumerate(zip(*(c.tolist() for c in columns))):
-        row = {
+        rows.append({
             "regret_x": rx,
             "regret_y": ry,
             "dualgap_avg": gap,
@@ -793,30 +827,29 @@ def _zero_sum_summaries(games, tracks, nash):
             "init_dist2": dist2,
             "inits": [x0[b].tolist(), y0[b].tolist()],
             "optima": [opt_x[b].tolist(), opt_y[b].tolist()],
-        }
-        outcome = TaskOutcome(
-            optima=[opt_x[b], opt_y[b]],
-            last_iterates=[x.played[b, -1], y.played[b, -1]],
-            nash=nash[b],
-        )
-        outcomes.append((row, outcome))
-    return outcomes
+        })
+    return rows
+
+
+def _init_dist2(optima, tracks):
+    """Per task, the squared distance of the two players' starts to their
+    optima in hindsight, added over the players."""
+    (opt_x, opt_y), (x, y) = optima, tracks
+    return ((opt_x - x.path[:, 0]) ** 2).sum(axis=1) + ((opt_y - y.path[:, 0]) ** 2).sum(axis=1)
 
 
 def _potential_summaries(games, tracks):
-    """Task-summary rows and meta outcomes of the potential-game tasks of the
-    Tracks; the last iterates stand in for the optima."""
-    outcomes = []
+    """Task-summary rows of the potential-game tasks of the Tracks."""
+    rows = []
     for b, game in enumerate(games):
         paths = [tr.path[b] for tr in tracks]
         last = [p[-1] for p in paths]
-        row = {
+        rows.append({
             "pathlen2": sum(path_lengths(p)[0] for p in paths),
             "phi_gain": game.potential(last) - game.potential([p[0] for p in paths]),
             "negap_last": float(np.max(ne_gap(game.base, last))),
-        }
-        outcomes.append((row, TaskOutcome(optima=last, last_iterates=last)))
-    return outcomes
+        })
+    return rows
 
 
 def write_records_csv(path, records, dump_strategies=False):
@@ -854,21 +887,19 @@ def _fmt(v):
 
 
 def thread_cap():
-    """Parallelism cap from METAGAMES_THREADS (default: cpu count, min 1)."""
-    raw = os.environ.get("METAGAMES_THREADS")
-    if raw is None:
-        return max(os.cpu_count() or 1, 1)
-    try:
-        return max(int(raw), 1)
-    except ValueError as exc:
-        raise ConfigError(f"METAGAMES_THREADS: not an integer: {raw!r}") from exc
+    """1: arms and sweep points run one after another on the calling thread.
+
+    Kept only for the benchmark's machine record, which still reads it.
+    """
+    return 1
 
 
 def compare_arms(config):
     """Run >= 2 arms sharing the game sequence and seed; tabulate ratios.
 
-    Each arm is a dict of config overrides with a 'name'. Returns (results
-    by arm, table) where the table holds task-averaged duality gaps at the
+    Each arm is a dict of config overrides with a 'name'. The arms run one
+    after another, and the first that fails raises. Returns (results by
+    arm, table) where the table holds task-averaged duality gaps at the
     checkpoints plus ratios against the first arm.
     """
     base = dict(config)
@@ -905,8 +936,7 @@ def compare_arms(config):
         if isinstance(cp, bool) or not isinstance(cp, numbers.Integral) or not 1 <= cp <= T:
             raise ConfigError(f"config.checkpoints[{j}]: expected a task count in 1..{T}, got {cp!r}")
 
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(configs))) as pool:
-        results = list(pool.map(run_experiment, configs))
+    results = [run_experiment(cfg) for cfg in configs]
 
     key = gap_key(results[0].task_summaries[0])
     table = {"arms": names, "checkpoints": checkpoints, "metric": key, "rows": []}

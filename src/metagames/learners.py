@@ -283,7 +283,7 @@ class OptAdaGradLearner:
         return np.asarray(self.hat_path)
 
 
-def _best_point(strategy_set, cum_utility):
+def best_point(strategy_set, cum_utility):
     """argmax over the set of <x, cum_utility> with lexicographic ties; row by
     row for a stack of cumulative utilities over a simplex or a box."""
     if isinstance(strategy_set, Simplex):
@@ -294,7 +294,7 @@ def _best_point(strategy_set, cum_utility):
         return np.where(cum_utility > 0, strategy_set.upper, strategy_set.lower)
     # product set: blockwise
     parts = [
-        _best_point(b, c)
+        best_point(b, c)
         for b, c in zip(strategy_set.blocks, strategy_set.split(cum_utility))
     ]
     return strategy_set.join(parts)
@@ -318,7 +318,7 @@ def external_regret(strategies, utilities, strategy_set=None, comparator=None):
     if comparator is None:
         if strategy_set is None:
             raise InvalidInputError("need a strategy set or an explicit comparator")
-        comparator = _best_point(strategy_set, cum)
+        comparator = best_point(strategy_set, cum)
     comparator = np.asarray(comparator, dtype=float)
     realized = (strategies * utilities).sum(axis=(-2, -1))
     # A (1, d) @ (d, 1) matmul is the 1-D dot, also for each row of a stack.

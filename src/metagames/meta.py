@@ -221,13 +221,28 @@ def anchor_variance(anchors):
 
 
 def kl_anchor_variance(anchors):
-    """(1/T) sum_t KL(a_t || mean) for simplex anchors."""
+    """(1/T) sum_t KL(a_t || mean) for simplex anchors.
+
+    Each KL sums the terms of the positive entries of a_t. The rows with k
+    positive entries have their terms summed as one (n_k, k) array, whose
+    ``sum(axis=1)`` adds each row as ``np.sum`` adds it alone; zero-filled
+    rows of full length would be added in another grouping from d = 8 on.
+    The KLs are then added in row order, as floats.
+    """
     anchors = np.asarray(anchors, dtype=float)
     mean = np.mean(anchors, axis=0)
+    mask = anchors > 0
+    a = anchors[mask]  # row by row
+    terms = a * np.log(a / np.maximum(np.broadcast_to(mean, anchors.shape)[mask], 1e-300))
+    counts = mask.sum(axis=1)
+    offsets = np.cumsum(counts) - counts
+    kl = np.empty(len(anchors))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        kl[rows] = terms[offsets[rows, None] + np.arange(k)].sum(axis=1)
     total = 0.0
-    for a in anchors:
-        mask = a > 0
-        total += float(np.sum(a[mask] * np.log(a[mask] / np.maximum(mean[mask], 1e-300))))
+    for x in kl.tolist():  # sum() compensates from Python 3.12 on
+        total += x
     return total / anchors.shape[0]
 
 

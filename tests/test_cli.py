@@ -1,13 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 import tempfile
+import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metagames import harness
 from metagames.cli import main
 from metagames.harness import SCHEMA
 
@@ -257,14 +261,35 @@ def test_run_bad_ewoo_radius_exits_2(tmp_path, capsys, ewoo, field):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_sweep_subcommand(tmp_path):
+def no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_sweep_subcommand(tmp_path, monkeypatch):
+    # The points run in turn on this thread, each as a run on its own would.
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    results = []
+    real_run = harness.run_experiment
+    monkeypatch.setattr(
+        harness, "run_experiment", lambda cfg: results.append(real_run(cfg)) or results[-1]
+    )
     cfg = write_config(tmp_path)
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"learner.eta": [0.1, 0.01]}))
+    grid.write_text(
+        json.dumps({"learner.eta": [0.1, 0.01], "learner.eta_mode": ["fixed", "doubling"]})
+    )
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(out)]) == 0
     rows = json.loads((out / "sweep.json").read_text())
-    assert len(rows) == 2
+    assert len(rows) == len(results) == 4
+    for row, res in zip(rows, results):
+        alone = copy.deepcopy(BASE_CONFIG)
+        for key, val in row["params"].items():
+            _put(alone, key, val)
+        want = real_run(alone)
+        assert repr(res.task_summaries) == repr(want.task_summaries)
+        assert [r.csv_row() for r in res.records] == [r.csv_row() for r in want.records]
+        assert row["task_mean"] == float(np.mean(want.task_column("dualgap_avg")))
 
 
 @pytest.mark.parametrize(
@@ -398,13 +423,16 @@ def _put(cfg, path, value):
 @st.composite
 def valid_configs(draw):
     """A run config of SCHEMA rows: every required row and the family's matrix
-    or prior, the other rows at random."""
+    or prior, the other rows at random. A positive metrics_every comes with
+    a positive log_every, since gaps are measured on logged rounds only."""
     family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
     needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
     cfg = {"game": {"family": family}}
     for f in SCHEMA:
         if f.path != "game.family" and (f.default is ... or f.path == needed or draw(st.booleans())):
             _put(cfg, f.path, _valid(draw, f))
+    if cfg.get("metrics_every", 0) and not cfg.get("log_every", 0):
+        cfg["log_every"] = draw(st.integers(1, 3))
     return cfg
 
 

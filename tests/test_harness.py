@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metagames import games, harness, metrics
-from metagames.errors import ConfigError, InvalidInputError
+from metagames import games, harness, meta, metrics
+from metagames.errors import ConfigError, InvalidInputError, NumericError
 from metagames.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -23,7 +24,7 @@ from metagames.harness import (
     write_records_csv,
     write_task_summaries,
 )
-from metagames.learners import doubling_residual, external_regret
+from metagames.learners import GDLearner, doubling_residual, external_regret
 
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
 
@@ -329,6 +330,33 @@ def test_compare_arms_potential_drift():
     assert gaps[1] == float(np.mean(results["cold"].task_column("negap_last")))
 
 
+def no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_compare_arms_runs_arms_in_turn_on_this_thread(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    base = small_config(log_every=5, metrics_every=10, meta={"similarity_report": True})
+    arms = [
+        {"name": "cold", "init": "cold"},
+        {"name": "ftl", "init": "ftl-average"},
+        {"name": "doubling", "learner": {"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}},
+        {"name": "ewoo", "learner": {"algo": "ogd", "eta": 0.05, "eta_mode": "ewoo"}},
+    ]
+    results, _ = compare_arms({**base, "arms": arms})
+    assert list(results) == [arm["name"] for arm in arms]
+    for arm in arms:
+        alone = {**base, **{key: val for key, val in arm.items() if key != "name"}}
+        assert run_outputs(results[arm["name"]]) == run_outputs(run_experiment(alone))
+    # The first failing arm raises, before a later one fails otherwise.
+    huge_rate = {"learner": {"algo": "ogd", "eta": 1e308}}
+    no_calibration = {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}}
+    with pytest.raises(NumericError, match="doubling trick gave up"):
+        run_experiment({**base, **no_calibration})
+    with pytest.raises(InvalidInputError, match="simplex projection"):
+        compare_arms({**base, "arms": [arms[0], huge_rate, no_calibration]})
+
+
 def test_compare_arms_needs_two():
     with pytest.raises(ConfigError):
         compare_arms(small_config(arms=[{"name": "only"}]))
@@ -447,16 +475,6 @@ def test_emit_plot_golden_snapshot():
         assert name in text
 
 
-def test_thread_cap_env(monkeypatch):
-    from metagames.harness import thread_cap
-
-    monkeypatch.setenv("METAGAMES_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("METAGAMES_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_cap()
-
-
 def round_logger(cfg, game, t, learners, records):
     """Per-round observer that appends a RunRecord per player every
     ``log_every`` rounds and at the last round; the reference for
@@ -511,7 +529,8 @@ def observed_records(monkeypatch, config):
     are checked against the per-round oracle too. The observer sees each round when the
     first learner is handed its utility, before any learner updates; the
     records of a task are those of its final attempt, the last one played
-    before the task is logged.
+    before the task is logged. Blocks of one task log each task before the
+    next is played.
     """
     cfg = ExperimentConfig.from_dict(config)
     latest = []
@@ -531,13 +550,14 @@ def observed_records(monkeypatch, config):
         first.update = observed_update
         return real_play(game, learners, m, **kwargs)
 
-    def task_records(cfg, game, t, tracks, b):
+    def task_records(cfg, games, t, tracks):
         return [dataclasses.replace(r, task=t) for r in latest]
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
         patch.setattr(harness, "_fused", lambda cfg, potential: False)
+        patch.setattr(harness, "BATCH_BYTES", 1)
         return run_experiment(config).records
 
 
@@ -674,7 +694,7 @@ def test_play_batch_matches_play_task_bitwise(inputs):
     # rounds differently from the per-task product would fail here.
     batch, starts, etas, m = inputs
     tracks = harness._play_batch(batch, starts, etas, m)
-    rows = harness._zero_sum_summaries(batch, tracks, [None] * len(batch))
+    rows = harness._zero_sum_summaries(batch, tracks)
     for b, game in enumerate(batch):
         learners = [make_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
         play_task(game, learners, m)
@@ -683,7 +703,7 @@ def test_play_batch_matches_play_task_bitwise(inputs):
             assert tr.played[b].tobytes() == np.asarray(lrn.path[1:]).tobytes()
             assert tr.utilities[b].tobytes() == lrn.utility_array().tobytes()
             assert repr(tr.eta[b]) == repr(lrn.eta)
-        assert repr(rows[b][0]) == repr(summary_row(game, learners))
+        assert repr(rows[b]) == repr(summary_row(game, learners))
 
 
 @st.composite
@@ -713,7 +733,7 @@ def test_play_one_matches_play_task_bitwise(inputs):
         assert tr.played[0].tobytes() == np.asarray(lrn.path[1:]).tobytes()
         assert tr.utilities[0].tobytes() == lrn.utility_array().tobytes()
         assert repr(tr.eta[0]) == repr(lrn.eta)
-    row = harness._zero_sum_summaries([game], tracks, [None])[0][0]
+    row = harness._zero_sum_summaries([game], tracks)[0]
     assert repr(row) == repr(summary_row(game, learners))
     residual = harness._tracks_residual(tracks, first, eta)
     assert repr(residual) == repr(doubling_residual(learners, eta))
@@ -737,3 +757,143 @@ def test_play_one_raises_as_play_task(A, eta, free_first, message):
     with pytest.raises(InvalidInputError) as oracle:
         play_task(game, learners, 5, free_first=free_first)
     assert str(fused.value) == str(oracle.value)
+
+
+def _choices(path):
+    return next(f.allowed for f in harness.SCHEMA if f.path == path)
+
+
+@st.composite
+def play_path_configs(draw):
+    """A small run config of SCHEMA rows, aimed at one driver: ``_play_batch``
+    (a play-independent arm), ``_play_one`` (any other fused arm) or any
+    driver. Zero-sum and potential families, square and non-square games,
+    every initializer, rate mode, prediction and first prediction, drawn
+    evenly. Also a number of tasks per block, or None for BATCH_BYTES as it
+    is."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def allowed(path, *skip):
+        return pick([v for v in _choices(path) if v not in skip])
+
+    family = allowed("game.family")
+    potential = family == "potential-drift"
+    m = int(rng.integers(1, 9))
+    log_every = int(rng.integers(0, m + 2))
+    game = {"family": family, "sequencing": allowed("game.sequencing")}
+    if family == "perturbed-base":
+        # Eighths make exact ties; delta perturbs them.
+        game["base"] = (rng.integers(-8, 9, size=rng.integers(1, 5, size=2)) / 8).tolist()
+        game["delta"] = pick([0.0, 0.02, 0.3])
+    elif family == "lower-bound-prior":
+        game["prior"] = rng.uniform(0.05, 1.0, size=rng.integers(2, 5)).tolist()
+    else:
+        game["dim"] = int(rng.integers(1, 5))
+        game["alpha"] = pick([0.0, 0.05])
+    learner = {
+        "algo": allowed("learner.algo") if potential else allowed("learner.algo", "gd"),
+        "eta": pick(["auto", 0.01, 0.1, 0.7]),
+        "eta_mode": "fixed" if potential else allowed("learner.eta_mode"),
+        "prediction": allowed("learner.prediction"),
+        "first_prediction": allowed("learner.first_prediction"),
+        "alternating": pick([False, True]),
+    }
+    cfg = {
+        "T": int(rng.integers(1, 7)),
+        "m": m,
+        "seed": int(rng.integers(1000)),
+        "init": allowed("init", "ne-average") if potential else allowed("init"),
+        "log_every": log_every,
+        "metrics_every": int(rng.integers(0, m + 1)) if log_every else 0,
+        "dump_strategies": pick([False, True]),
+        "game": game,
+        "learner": learner,
+        "meta": {"similarity_report": pick([False, True])},
+    }
+    if pick([False, True]):
+        cfg["meta"]["ewoo"] = {"D": rng.uniform(0.5, 3.0), "rho": rng.uniform(0.1, 1.0)}
+    driver = "any" if potential else pick(["batch", "fused", "any"])
+    if driver != "any":
+        learner.update(algo="ogd", prediction="recency", alternating=False)
+    if driver == "batch":
+        learner.update(eta_mode="fixed", first_prediction="oracle")
+        cfg.update(T=int(rng.integers(4, 7)), init=pick(["cold", "ne-average"]))
+    return cfg, pick([None, 1, 2, 3])
+
+
+def outputs_or_error(config):
+    """``run_outputs`` of a run, or the error it raised."""
+    try:
+        return run_outputs(run_experiment(config))
+    except (InvalidInputError, NumericError) as exc:
+        return repr(exc)
+
+
+def run_outputs(res):
+    """Records, strategies, summaries and similarity stats of a run result
+    as reprs."""
+    sim = res.similarity
+    return (
+        [r.csv_row() for r in res.records],
+        [None if r.strategy is None else r.strategy.tobytes() for r in res.records],
+        repr(res.task_summaries),
+        repr([None if v is None else np.asarray(v).tolist() for v in (sim.v_opt2, sim.v_kl)]),
+        repr(sim.v_ne2_worst),
+    )
+
+
+def oracle_outputs(config):
+    """``outputs_or_error`` of the per-round oracle: every task played by
+    ``play_task`` and summarized alone, and folded into the meta state from
+    the learners of its final attempt, as ``summary_row`` reads them."""
+    latest = []
+    real_play, real_record = harness.play_task, meta.EwooState.record
+
+    def play(game, learners, m, **kwargs):
+        latest[:] = learners
+        return real_play(game, learners, m, **kwargs)
+
+    def learner_optima():
+        return [
+            external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), lrn.set)[1]
+            for lrn in latest
+        ]
+
+    class LearnerFold(meta.Initializer):
+        def observe(self, outcome):
+            last = [np.asarray(lrn.path[-1]) for lrn in latest]
+            if isinstance(latest[0], GDLearner):
+                return super().observe(meta.TaskOutcome(optima=last, last_iterates=last))
+            optima = learner_optima()
+            super().observe(meta.TaskOutcome(optima=optima, last_iterates=last, nash=outcome.nash))
+
+    def record(state, b_square, gamma):
+        dist2 = sum(np.sum((o - lrn.init) ** 2) for o, lrn in zip(learner_optima(), latest))
+        return real_record(state, 0.5 * float(dist2), gamma)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_fused", lambda cfg, potential: False)
+        patch.setattr(harness, "BATCH_BYTES", 1)
+        patch.setattr(harness, "play_task", play)
+        patch.setattr(harness, "Initializer", LearnerFold)
+        patch.setattr(meta.EwooState, "record", record)
+        return outputs_or_error(config)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(play_path_configs())
+def test_drivers_match_per_round_oracle(drawn):
+    # run_experiment, with blocks of the drawn size, gives the bytes of the
+    # per-round oracle. The two share the summaries and records, which
+    # summary_row and round_logger check.
+    config, block_tasks = drawn
+    cfg = ExperimentConfig.from_dict(config)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_tasks is not None:
+            dims = sum(s.dim for s in games.sample_game_sequence(cfg.game)[0].sets)
+            patch.setattr(harness, "BATCH_BYTES", block_tasks * 8 * (2 * cfg.m + 1) * dims)
+        got = outputs_or_error(config)
+    assert got == oracle_outputs(config)

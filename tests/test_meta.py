@@ -299,6 +299,39 @@ def test_similarity_examples():
     assert kl_anchor_variance(np.tile(np.array([0.5, 0.5]), (3, 1))) < 1e-15
 
 
+def loop_kl_anchor_variance(anchors):
+    """kl_anchor_variance row by row: the reference for the grouped sums."""
+    anchors = np.asarray(anchors, dtype=float)
+    mean = np.mean(anchors, axis=0)
+    total = 0.0
+    for a in anchors:
+        mask = a > 0
+        total += float(np.sum(a[mask] * np.log(a[mask] / np.maximum(mean[mask], 1e-300))))
+    return total / anchors.shape[0]
+
+
+@st.composite
+def anchor_stacks(draw):
+    """T anchors on the d-simplex (d = 1..11): interior points, points with
+    zeroed entries (so rows hold different counts of positive entries) and
+    vertices, as the optima in hindsight are."""
+    T, d = draw(st.integers(1, 40)), draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["interior", "sparse", "vertex"]))
+    if kind == "vertex":
+        return (np.arange(d) == rng.integers(d, size=T)[:, None]).astype(float)
+    anchors = rng.dirichlet(np.ones(d), size=T)
+    if kind == "sparse":
+        anchors[rng.random((T, d)) < 0.4] = 0.0
+    return anchors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(anchor_stacks())
+def test_kl_anchor_variance_matches_row_loop(anchors):
+    assert repr(kl_anchor_variance(anchors)) == repr(loop_kl_anchor_variance(anchors))
+
+
 def test_ftl_regret_bound():
     # FTL over Euclidean Bregman losses: regret <= 2 Omega^2 (1 + log T).
     rng = np.random.default_rng(1)
