@@ -204,29 +204,34 @@ def utility_gradient(game, player, opponents_profile):
 
 
 def _power_iteration_spectral_norm(A, rel_tol=1e-10, max_iter=10_000):
-    """Largest singular value of A via power iteration on A^T A."""
+    """Largest singular value of A via power iteration on A^T A, run on A
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    so that nothing underflows or overflows. The scaling is exact: 2**k * A
+    gets 2**k times the norm of A, bit for bit."""
     A = np.asarray(A, dtype=float)
     if A.size == 0 or not np.any(A):
         return 0.0
+    e = int(np.frexp(np.max(np.abs(A)))[1])
+    A = np.ldexp(A, -e)
     d = A.shape[1]
     v = np.full(d, 1.0 / np.sqrt(d))
     v += 1e-3 * (np.arange(d) + 1.0) / d  # break symmetry deterministically
     v /= np.linalg.norm(v)
-    sigma_prev = 0.0
+    sigma = 0.0
     for _ in range(max_iter):
         w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            # v landed in the kernel; restart against the first basis vector.
+            # v landed in the null space; restart on the basis vector of the
+            # largest column, whose image is at least 0.25 in norm.
             v = np.zeros(d)
-            v[0] = 1.0
+            v[np.argmax(np.sum(A * A, axis=0))] = 1.0
             continue
         v = w / norm
-        sigma = float(np.linalg.norm(A @ v))
+        sigma, sigma_prev = float(np.linalg.norm(A @ v)), sigma
         if abs(sigma - sigma_prev) <= rel_tol * max(sigma, 1e-300):
-            return sigma
-        sigma_prev = sigma
-    return sigma_prev
+            break
+    return float(np.ldexp(sigma, e))  # inf, with a warning, beyond the float range
 
 
 def lipschitz_constant(game):

@@ -50,8 +50,8 @@ class Simplex:
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and np.all(x >= -tol)
-            and abs(float(np.sum(x)) - 1.0) <= tol
+            and x.min() >= -tol
+            and abs(float(x.sum()) - 1.0) <= tol
         )
 
 

@@ -39,13 +39,14 @@ from metagames.geometry import (
 )
 from metagames.learners import (
     PREDICTION_MODES,
+    RECENCY,
     SECONDARY_ANCHOR,
     GDLearner,
     OMDLearner,
     best_point,
     doubling_residual,
+    doubling_trick_eta,
     external_regret,
-    rvu_residual,
 )
 from metagames.meta import (
     INITIALIZER_MODES,
@@ -89,7 +90,7 @@ class RunRecord:
 
 
 def play_task(game, learners, m, free_first=True, alternating=False):
-    """Self-play on any game for m rounds; the one per-round play loop.
+    """Self-play on any game for m rounds; every task is played here.
 
     Utilities come from ``utility_gradient``, so matrix, normal-form and
     potential games and VI operators (one player) share this loop. With
@@ -100,17 +101,22 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     predicts with the first mover's current move.
     The learners keep their played points and utilities, from which
     ``_task_records`` logs the rounds afterwards. Returns the learners.
+    Without alternation, learners that ``_takes_kernel`` admits (OGD self-play
+    on a MatrixGame) play in ``_play_ogd``, bit for bit as in this loop.
     """
-    n = len(learners)
     predicts = [hasattr(lrn, "set_prediction") for lrn in learners]
-    anchored = [
-        k for k, lrn in enumerate(learners) if getattr(lrn, "mode", None) == SECONDARY_ANCHOR
-    ]
     if free_first and any(predicts):
         start = [lrn.init for lrn in learners]
         for k, lrn in enumerate(learners):
             if predicts[k]:
                 lrn.set_prediction(utility_gradient(game, k, start))
+    if m and not alternating and _takes_kernel(game, learners):
+        _play_ogd(game, learners, m)
+        return learners
+    n = len(learners)
+    anchored = [
+        k for k, lrn in enumerate(learners) if getattr(lrn, "mode", None) == SECONDARY_ANCHOR
+    ]
     for i in range(1, m + 1):
         if anchored:
             hats = [lrn.x_hat for lrn in learners]
@@ -127,15 +133,36 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     return learners
 
 
+def _takes_kernel(game, learners):
+    """Whether ``_play_ogd`` may play the learners: two fresh OMDLearners
+    (no round played; not a subclass, nor an instance with its own ``play``
+    or ``update``), Euclidean with recency predictions over the simplex of
+    their side of a MatrixGame."""
+    return (
+        isinstance(game, MatrixGame)
+        and len(learners) == 2
+        and all(
+            type(lrn) is OMDLearner
+            and len(lrn.path) == 1
+            and lrn.euclidean_simplex
+            and lrn.mode == RECENCY
+            and lrn.x_hat.shape == lrn.prediction.shape == (d,)
+            and not {"play", "update"} & vars(lrn).keys()
+            for lrn, d in zip(learners, game.A.shape)
+        )
+    )
+
+
 def _default_eta(game, n_players):
-    L = max(lipschitz_constant(game), 1e-12)
-    return float(1.0 / (4.0 * L * np.sqrt(max(n_players - 1, 1))))
+    # A zero game takes L = 1e-12; below 2**-1020, 1/(4L) would overflow.
+    L = lipschitz_constant(game) or 1e-12
+    return 1.0 / (4.0 * max(L, 2.0**-1020) * math.sqrt(max(n_players - 1, 1)))
 
 
 _REGS = {
-    "ogd": EUCLIDEAN,
-    "opthedge": ENTROPIC,
-    "omd-logbar": LOG_BARRIER,
+    "ogd": Regularizer(EUCLIDEAN),
+    "opthedge": Regularizer(ENTROPIC),
+    "omd-logbar": Regularizer(LOG_BARRIER),
 }
 
 
@@ -143,13 +170,7 @@ def make_learner(algo, strategy_set, eta, init=None, prediction="recency"):
     if algo == "gd":
         return GDLearner(strategy_set, eta, init=init)
     if algo in _REGS:
-        return OMDLearner(
-            strategy_set,
-            eta,
-            regularizer=Regularizer(_REGS[algo]),
-            init=init,
-            prediction_mode=prediction,
-        )
+        return OMDLearner(strategy_set, eta, _REGS[algo], init=init, prediction_mode=prediction)
     raise ConfigError(f"config.learner.algo: unknown algorithm {algo!r}")
 
 
@@ -389,11 +410,12 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
 # The fewest tasks a play-independent arm must have to be played in batches;
-# shorter arms play task by task through _play_one. The time of one batch of
-# B tasks over that of B _play_one calls (medians of 7 pairs at m = 5 and of
-# 5 at m = 1000, two runs, on 2x2, 3x3 and 2x3 games alike): B = 3: 1.18-1.38;
-# B = 4: 0.91-1.08; B = 5: 0.75-0.88. With two projection calls per half-step,
-# 2x3 games read 1.41-1.55 at B = 4 and 1.13-1.26 at B = 5.
+# shorter arms play task by task through play_task's OGD kernel. The time of
+# one batch of B tasks over that of B tasks of the kernel alone (medians of 7
+# pairs at m = 5 and of 5 at m = 1000, two runs, on 2x2, 3x3 and 2x3 games
+# alike): B = 3: 1.18-1.38; B = 4: 0.91-1.08; B = 5: 0.75-0.88. With two
+# projection calls per half-step, 2x3 games read 1.41-1.55 at B = 4 and
+# 1.13-1.26 at B = 5. play_task also builds the learners of each task.
 BATCH_MIN_TASKS = 4
 # The most bytes of paths and utilities that one batch of tasks holds; longer
 # arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
@@ -402,28 +424,17 @@ BATCH_MIN_TASKS = 4
 BATCH_BYTES = 16 * 2**20
 
 
-def _fused(cfg, potential):
-    """Whether ``_play_one`` plays the arm's tasks: OGD self-play on zero-sum
-    matrix games with recency predictions and no alternation, at any rate
-    mode, start and first prediction."""
+def _play_independent(cfg, potential):
+    """Whether no task of the arm depends on how earlier ones were played, so
+    ``_play_batch`` plays them: OGD self-play on zero-sum matrix games with
+    recency predictions, no alternation, an oracle first prediction, a fixed
+    (or per-game auto) rate and cold or ne-average starts. Other arms play
+    task by task through ``play_task``."""
     return (
         not potential
         and cfg.algo == "ogd"
         and cfg.prediction == "recency"
         and not cfg.alternating_updates
-    )
-
-
-def _play_independent(cfg, potential):
-    """Whether no task of the arm depends on how earlier tasks were played:
-    a ``_fused`` arm with an oracle first prediction, a fixed (or per-game
-    auto) rate and cold or ne-average starts. Such an arm's tasks are
-    independent runs, which ``_play_batch`` plays together; the other fused
-    arms (warm starts, doubling and EWOO rates, a zero first prediction) play
-    task by task through ``_play_one``, and every other arm through
-    ``play_task``."""
-    return (
-        _fused(cfg, potential)
         and cfg.eta_mode == "fixed"
         and cfg.init_mode in ("cold", "ne-average")
         and cfg.first_prediction == "oracle"
@@ -437,11 +448,10 @@ def run_experiment(config) -> ExperimentResult:
     m iterations, log regrets/gaps, and fold the task outcome into the meta
     state. Zero-sum matrix tasks are played by the configured learner;
     potential-game tasks by plain gradient ascent at a fixed rate. The tasks
-    of a play-independent arm (``_play_independent``) are played in batches,
-    the other tasks of a ``_fused`` arm one by one by ``_play_one``, and the
-    rest by ``play_task``, all with the results of ``play_task``. Finished
-    tasks are summarized and logged in blocks. Deterministic under the
-    config seed.
+    of a play-independent arm (``_play_independent``) are played in batches
+    with the results of ``play_task``; every other task is played by
+    ``play_task`` itself. Finished tasks are summarized and logged in
+    blocks. Deterministic under the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
@@ -492,15 +502,14 @@ def _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash):
     """(rates, Tracks) of consecutive blocks of tasks played one by one, each
     from the meta state that every earlier task has been folded into.
 
-    A finished task is folded in by what the meta layer reads of it: its
+    The paths and utilities of a finished task's learners are copied into
+    the arrays of a block of at most BATCH_BYTES, which is summarized as a
+    whole. The task is folded in by what the meta layer reads of it: its
     optima in hindsight (as ``external_regret`` finds them) or its last
-    iterates, and for EWOO its ``init_dist2``. Its paths and utilities are
-    then copied into the arrays of a block of at most BATCH_BYTES, which is
-    summarized as a whole.
+    iterates, and for EWOO its ``init_dist2``.
     """
     sets = games[0].sets
     algo = "gd" if potential else cfg.algo
-    fused = _fused(cfg, potential)
     free_first = cfg.first_prediction == "oracle"
     initializer = Initializer(cfg.init_mode, sets)
     size = _block_size(cfg.m, sets)
@@ -515,50 +524,38 @@ def _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash):
         for restarts in range(MAX_RESTARTS + 1):
             # Doubling trick: rerun the task at half the rate while the local
             # RVU residual is positive; only the final attempt is logged.
-            if fused:
-                tracks, first = _play_one(game, inits, task_eta, cfg.m, free_first)
-            else:
-                learners = [
-                    make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                    for s, x0 in zip(sets, inits)
-                ]
-                play_task(
-                    game,
-                    learners,
-                    cfg.m,
-                    free_first=free_first,
-                    alternating=cfg.alternating_updates,
-                )
-                tracks = _tracks(learners)
+            learners = [
+                make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                for s, x0 in zip(sets, inits)
+            ]
+            play_task(game, learners, cfg.m, free_first=free_first, alternating=cfg.alternating_updates)
             if cfg.eta_mode != "doubling":
                 break
-            residual = (
-                _tracks_residual(tracks, first, task_eta)
-                if fused
-                else doubling_residual(learners, task_eta)
-            )
-            if not residual > 0:
+            next_eta = doubling_trick_eta(learners, task_eta)
+            if next_eta == task_eta:
                 break
             if restarts == MAX_RESTARTS:
                 raise NumericError(
                     f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                    f"residual={residual!r} > 0 at eta={task_eta!r}"
+                    f"residual={doubling_residual(learners, task_eta)!r} > 0 at eta={task_eta!r}"
                 )
-            task_eta = task_eta / 2.0
+            task_eta = next_eta
         if cfg.eta_mode == "doubling":
             eta = task_eta  # keep the calibrated rate for later tasks
-        last = [tr.path[0, -1] for tr in tracks]
+        b = slice(len(etas), len(etas) + 1)  # the task's row of the block
+        for path, u, lrn in zip(paths, utilities, learners):
+            path[b], u[b] = lrn.primary_array(), lrn.utility_array()
+        last = [path[b.start, -1] for path in paths]
         if potential:
             initializer.observe(TaskOutcome(optima=last, last_iterates=last))
         else:
-            optima = [best_point(s, tr.utilities.sum(axis=-2)) for s, tr in zip(sets, tracks)]
+            optima = [best_point(s, u[b].sum(axis=-2)) for s, u in zip(sets, utilities)]
             initializer.observe(
                 TaskOutcome(optima=[o[0] for o in optima], last_iterates=last, nash=nash[t])
             )
             if ewoo_state is not None:
-                ewoo_state.record(0.5 * float(_init_dist2(optima, tracks)[0]), 1.0)
-        for path, u, tr in zip(paths, utilities, tracks):
-            path[len(etas)], u[len(etas)] = tr.path[0], tr.utilities[0]
+                starts = [p[b, 0] for p in paths]
+                ewoo_state.record(0.5 * float(_init_dist2(optima, starts)[0]), 1.0)
         etas.append(task_eta)
         if len(etas) == n:
             # A GDLearner plays the point it last reached, an OMDLearner the next.
@@ -643,48 +640,45 @@ def _play_batch(games, starts, etas, m):
     return [Track(X, X[:, 1:], ux_all, rates), Track(Y, Y[:, 1:], uy_all, rates)]
 
 
-def _play_one(game, start, eta, m, free_first):
-    """OGD self-play of one matrix-game task on Python floats.
-
-    Plays as ``play_task`` plays two Euclidean OMDLearners started at
-    ``start`` with rate ``eta``, recency predictions and the free first
-    prediction (else a zero one), and bit for bit equal to it: the steps
-    anchor + eta * g and the projections run elementwise on Python floats,
-    with the ``simplex_threshold`` of ``project_simplex``, and the
-    utilities are the matrix-vector products ``-A @ y`` and ``A.T @ x`` of
-    ``utility_gradient`` on numpy. The start is feasible and the rate positive, as
-    ``run_experiment`` gives them. Returns the players' Tracks, one task
-    deep, and their first predictions.
-    """
-    eta = float(eta)
+def _play_ogd(game, learners, m):
+    """The m >= 1 rounds of ``play_task`` for learners that ``_takes_kernel``
+    admits, from each one's start, first prediction and rate, and bit for
+    bit as the per-round loop: the steps anchor + eta * g and projections
+    run on Python floats with the ``simplex_threshold`` of
+    ``project_simplex``, and the utilities are ``utility_gradient``'s
+    ``-A @ y`` and ``A.T @ x`` on numpy. The histories are handed over as
+    arrays (``OMDLearner.set_history``); a round that raises, with the
+    loop's error, leaves the learners as they were."""
     neg_a, a_t = -game.A, game.A.T
+    xl, yl = learners
+    ex, ey = xl.eta, yl.eta
     dx, dy = game.A.shape
     X, Y = np.empty((m + 1, dx)), np.empty((m + 1, dy))
-    ux_all, uy_all = np.empty((m, dx)), np.empty((m, dy))
-    X[0], Y[0] = start
-    if free_first:
-        first = [neg_a @ Y[0], a_t @ X[0]]
-    else:
-        first = [np.zeros(dx), np.zeros(dy)]
-    x_hat, y_hat = X[0].tolist(), Y[0].tolist()
-    px, py = first[0].tolist(), first[1].tolist()
-    for i in range(m):
-        X[i + 1] = _ogd_step(x_hat, px, eta)
-        Y[i + 1] = _ogd_step(y_hat, py, eta)
-        ux = ux_all[i] = neg_a @ Y[i + 1]
-        uy = uy_all[i] = a_t @ X[i + 1]
+    X_hat, Y_hat = np.empty((m + 1, dx)), np.empty((m + 1, dy))
+    # Row 0 is the first prediction and row i the utility of round i: with
+    # recency, rows 0..m-1 are the predictions of rounds 1..m.
+    UX, UY = np.empty((m + 1, dx)), np.empty((m + 1, dy))
+    X[0], Y[0], X_hat[0], Y_hat[0] = xl.init, yl.init, xl.hat_path[0], yl.hat_path[0]
+    UX[0], UY[0] = xl.prediction, yl.prediction
+    x_hat, y_hat = xl.x_hat.tolist(), yl.x_hat.tolist()
+    px, py = xl.prediction.tolist(), yl.prediction.tolist()
+    for i in range(1, m + 1):
+        X[i] = _ogd_step(x_hat, px, ex)
+        Y[i] = _ogd_step(y_hat, py, ey)
+        ux = UX[i] = neg_a @ Y[i]
+        uy = UY[i] = a_t @ X[i]
         # OMDLearner.update's check, player by player as play_task updates.
         # Below 1e307 in absolute sum no order of summation overflows, so
         # the entries are finite exactly when u.sum() is.
         px, py = ux.tolist(), uy.tolist()
         if not (sum(map(abs, px)) < 1e307 or math.isfinite(ux.sum())):
             raise InvalidInputError("non-finite utility")
-        x_hat = _ogd_step(x_hat, px, eta)
+        X_hat[i] = x_hat = _ogd_step(x_hat, px, ex)
         if not (sum(map(abs, py)) < 1e307 or math.isfinite(uy.sum())):
             raise InvalidInputError("non-finite utility")
-        y_hat = _ogd_step(y_hat, py, eta)
-    runs = ((X, ux_all), (Y, uy_all))
-    return [Track(path[None], path[None, 1:], u[None], [eta]) for path, u in runs], first
+        Y_hat[i] = y_hat = _ogd_step(y_hat, py, ey)
+    xl.set_history(X, X_hat, UX[1:], UX[:-1])
+    yl.set_history(Y, Y_hat, UY[1:], UY[:-1])
 
 
 def _ogd_step(anchor, g, eta):
@@ -694,18 +688,6 @@ def _ogd_step(anchor, g, eta):
     v = [a + eta * b for a, b in zip(anchor, g)]
     theta = simplex_threshold(v)
     return [0.0 if (w := c - theta) <= 0.0 else w for c in v]
-
-
-def _tracks_residual(tracks, first, eta):
-    """``doubling_residual`` at rate ``eta`` of one task played by
-    ``_play_one``: recency predictions are the first prediction followed by
-    the utilities of every round but the last."""
-    runs = []
-    for tr, p0 in zip(tracks, first):
-        utilities = tr.utilities[0]
-        predictions = np.concatenate((p0[None], utilities[:-1]))
-        runs.append((tr.path[0], utilities, predictions))
-    return rvu_residual(runs, eta)
 
 
 def _matvecs(mats, vecs):
@@ -724,18 +706,6 @@ def _dots(us, vecs):
 # and the utilities seen, both (B, m, d), and the B rates. The summaries read
 # tasks only through these arrays.
 Track = namedtuple("Track", "path played utilities eta")
-
-
-def _tracks(learners):
-    """The Tracks, one task deep, of learners that ``play_task`` has played."""
-    tracks = []
-    for lrn in learners:
-        path = np.asarray(lrn.path)[None]
-        # An OMDLearner appends each played point to its path after x^(0);
-        # a GDLearner plays the point it last reached.
-        played = path[:, :-1] if isinstance(lrn, GDLearner) else path[:, 1:]
-        tracks.append(Track(path, played, lrn.utility_array()[None], [lrn.eta]))
-    return tracks
 
 
 def _task_records(cfg, games, t, tracks):
@@ -814,7 +784,7 @@ def _zero_sum_summaries(games, tracks):
         dualgap,
         gains.max(axis=1),
         path_lengths(x.path)[0] + path_lengths(y.path)[0],
-        _init_dist2((opt_x, opt_y), tracks),
+        _init_dist2((opt_x, opt_y), (x0, y0)),
     )
     rows = []
     for b, (rx, ry, gap, negap, path2, dist2) in enumerate(zip(*(c.tolist() for c in columns))):
@@ -831,11 +801,11 @@ def _zero_sum_summaries(games, tracks):
     return rows
 
 
-def _init_dist2(optima, tracks):
+def _init_dist2(optima, starts):
     """Per task, the squared distance of the two players' starts to their
     optima in hindsight, added over the players."""
-    (opt_x, opt_y), (x, y) = optima, tracks
-    return ((opt_x - x.path[:, 0]) ** 2).sum(axis=1) + ((opt_y - y.path[:, 0]) ** 2).sum(axis=1)
+    (opt_x, opt_y), (x0, y0) = optima, starts
+    return ((opt_x - x0) ** 2).sum(axis=1) + ((opt_y - y0) ** 2).sum(axis=1)
 
 
 def _potential_summaries(games, tracks):

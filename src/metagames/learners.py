@@ -10,6 +10,11 @@ with a configurable prediction rule for m^(i). Extra-gradient is this
 update in 'secondary-anchor' mode (m^(i) is the utility at xhat^(i-1)),
 played on a VI operator by ``harness.play_task``. Projected gradient ascent
 and the preconditioned variant are thin relatives of the same prox kernel.
+
+Every learner here is played by ``harness.play_task``. It plays two
+Euclidean 'recency' OMDLearners on a matrix game in a fused kernel, which
+leaves their histories, secondary iterate and prediction exactly as the
+per-round ``play``/``update`` calls would; a subclass always gets the calls.
 """
 
 from __future__ import annotations
@@ -53,17 +58,11 @@ class OMDLearner:
     'secondary-anchor' expects the driver to call ``set_prediction`` before
     each ``play``, as does alternation (``harness.play_task`` with
     ``alternating=True``) in any mode. History keeps the full primary
-    path (including x^(0)), the secondary path, utilities, and predictions.
+    path (including x^(0)), the secondary path, utilities, and predictions,
+    each a list of (d,) arrays; ``set_history`` sets all four at once.
     """
 
-    def __init__(
-        self,
-        strategy_set,
-        eta,
-        regularizer=None,
-        init=None,
-        prediction_mode=RECENCY,
-    ):
+    def __init__(self, strategy_set, eta, regularizer=None, init=None, prediction_mode=RECENCY):
         if eta <= 0:
             raise InvalidInputError(f"learning rate must be positive, got {eta}")
         if prediction_mode not in PREDICTION_MODES:
@@ -76,25 +75,35 @@ class OMDLearner:
         if not strategy_set.contains(x0, tol=1e-9):
             raise InvalidInputError("initialization is infeasible")
         self.x_hat = x0.copy()
-        self.prediction = np.zeros_like(x0)
-        self.path = [x0.copy()]  # primary iterates x^(0..i)
-        self.hat_path = [x0.copy()]  # secondary iterates xhat^(0..i)
-        self.utilities = []
-        self.predictions = []
+        self.prediction = np.zeros(x0.shape)
+        # path (x^(0..i)), hat_path (xhat^(0..i)), utilities, predictions
+        self._lists = ([x0.copy()], [x0.copy()], [], [])
+        self._arrays = None  # the four as set_history was given them
         self._current = None
-        if self.reg.kind == EUCLIDEAN and isinstance(strategy_set, Simplex):
-            # Hot path: anchors are feasible by induction and utilities are
-            # validated in update(), so skip the kernel's argument checks.
-            eta_ = self.eta
-            self._prox = lambda anchor, g: project_simplex(anchor + eta_ * g)
-        else:
-            self._prox = lambda anchor, g: prox_step(
-                self.reg, self.set, anchor, g, self.eta
-            )
+        self.euclidean_simplex = self.reg.kind == EUCLIDEAN and isinstance(strategy_set, Simplex)
+
+    path = property(lambda self: self._histories()[0])
+    hat_path = property(lambda self: self._histories()[1])
+    utilities = property(lambda self: self._histories()[2])
+    predictions = property(lambda self: self._histories()[3])
 
     @property
     def init(self):
         return self.path[0]
+
+    def _histories(self):
+        """The history lists, made from ``set_history``'s arrays on first use."""
+        if self._arrays is not None:
+            self._lists = tuple(list(rows) for rows in self._arrays)
+            self._arrays = None
+        return self._lists
+
+    def _prox(self, anchor, g):
+        if self.euclidean_simplex:
+            # Hot path: anchors are feasible by induction and utilities are
+            # validated in update(), so skip the kernel's argument checks.
+            return project_simplex(anchor + self.eta * g)
+        return prox_step(self.reg, self.set, anchor, g, self.eta)
 
     def set_prediction(self, m):
         self.prediction = np.asarray(m, dtype=float)
@@ -113,29 +122,43 @@ class OMDLearner:
         if not math.isfinite(utility.sum()):
             raise InvalidInputError("non-finite utility")
         x = self.play()
-        self.path.append(x)
-        self.predictions.append(self.prediction)
+        path, hat_path, utilities, predictions = self._histories()
+        path.append(x)
+        predictions.append(self.prediction)
         u = utility.copy()
-        self.utilities.append(u)
+        utilities.append(u)
         self.x_hat = self._prox(self.x_hat, u)
-        self.hat_path.append(self.x_hat)
+        hat_path.append(self.x_hat)
         if self.mode == RECENCY:
             self.prediction = u
         elif self.mode == ZERO:
             self.prediction = np.zeros_like(u)
         self._current = None
 
+    def set_history(self, path, hat_path, utilities, predictions):
+        """Make the histories the rows of these (n, d) arrays, which the
+        ``*_array`` methods copy until a history is used as a list. As after
+        recency updates, the secondary iterate and the prediction are the
+        last rows of ``hat_path`` and ``utilities``."""
+        self._arrays = (path, hat_path, utilities, predictions)
+        self.x_hat, self.prediction, self._current = hat_path[-1], utilities[-1], None
+
+    def _stacked(self, k):
+        if self._arrays is not None:
+            return self._arrays[k].copy()
+        return np.asarray(self._lists[k])
+
     def primary_array(self):
-        return np.asarray(self.path)
+        return self._stacked(0)
 
     def secondary_array(self):
-        return np.asarray(self.hat_path)
+        return self._stacked(1)
 
     def utility_array(self):
-        return np.asarray(self.utilities)
+        return self._stacked(2)
 
     def prediction_array(self):
-        return np.asarray(self.predictions)
+        return self._stacked(3)
 
 
 class GDLearner:
@@ -396,21 +419,14 @@ def rvu_terms(learner, comparator, constant="eighth"):
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
-def rvu_residual(runs, eta):
-    """The joint local RVU residual at rate ``eta`` of one task's finished
-    runs, each given as its (primary path, utilities, predictions) arrays:
-    eta * sum(prediction terms) - sum(path terms) / (8 eta). The Bregman term
-    does not enter it, so it is never evaluated (it is undefined for entropic
-    learners started on the boundary)."""
-    pred = sum(_prediction_term(u, p) for _, u, p in runs)
-    path = sum(path_lengths(x)[0] for x, _, _ in runs)
-    return eta * pred - path / (8.0 * eta)
-
-
 def doubling_residual(learners, eta):
-    """``rvu_residual`` of learners that have played one task at rate ``eta``."""
-    runs = [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
-    return rvu_residual(runs, eta)
+    """The joint local RVU residual of learners that have played one task at
+    rate ``eta``: eta * sum(prediction terms) - sum(path terms) / (8 eta).
+    The Bregman term does not enter it, so it is never evaluated (it is
+    undefined for entropic learners started on the boundary)."""
+    pred = sum(_prediction_term(lrn.utility_array(), lrn.prediction_array()) for lrn in learners)
+    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
+    return eta * pred - path / (8.0 * eta)
 
 
 def doubling_trick_eta(learners, eta):

@@ -64,11 +64,8 @@ class Initializer:
 
     def initialization(self):
         """Per-player starting points for the upcoming task."""
-        cold = [cold_start(s) for s in self.sets]
-        if self.mode == COLD:
-            return cold
-        if self.count == 0:
-            return cold
+        if self.mode == COLD or self.count == 0:
+            return [cold_start(s) for s in self.sets]
         if self.mode in (FTL_AVERAGE, NE_AVERAGE):
             return [m.copy() for m in self.means]
         return [p.copy() for p in self.prev]

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import (
@@ -12,6 +16,7 @@ from metagames.games import (
     sample_game_sequence,
     utility_gradient,
 )
+from metagames.harness import run_experiment
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -69,6 +74,36 @@ def test_lipschitz_examples():
     eig = float(np.sqrt(np.max(np.linalg.eigvalsh(ones.A.T @ ones.A))))
     assert abs(eig - 2.0) < 1e-12
     assert abs(lipschitz_constant(ones) - eig) < 1e-9
+
+
+def test_lipschitz_of_tiny_and_huge_games():
+    # Power iteration on 2**-e * A: entries of 1e-170 no longer underflow
+    # A^T A v to zero (10 000 iterations, then 0.0), nor do entries of 1e200
+    # overflow it (NaN, with a warning).
+    tiny = [[1e-170], [1e-170], [1e-170], [1e-170]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lipschitz_constant(MatrixGame(tiny)) == pytest.approx(2e-170, rel=1e-12)
+        assert lipschitz_constant(MatrixGame(np.full((2, 2), 1e200))) == pytest.approx(2e200, rel=1e-12)
+    config = {
+        "T": 1,
+        "m": 3,
+        "game": {"family": "perturbed-base", "base": tiny},
+        "learner": {"algo": "ogd", "eta": "auto"},
+    }
+    assert run_experiment(config).task_summaries[0]["eta"] == pytest.approx(1.25e169, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-900, 900))
+def test_lipschitz_commutes_with_powers_of_two(seed, k):
+    # Scaling a game by 2**k scales its spectral norm by 2**k, bit for bit.
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, size=rng.integers(1, 8, size=2)) * 10.0 ** rng.uniform(-3, 3)
+    if rng.integers(2):
+        A[rng.random(A.shape) < 0.3] = 0.0  # zero rows and columns too
+    L = lipschitz_constant(MatrixGame(A))
+    assert lipschitz_constant(MatrixGame(np.ldexp(A, k))) == np.ldexp(L, k)
 
 
 def test_lipschitz_bounds_utility_variation():

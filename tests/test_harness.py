@@ -24,7 +24,7 @@ from metagames.harness import (
     write_records_csv,
     write_task_summaries,
 )
-from metagames.learners import GDLearner, doubling_residual, external_regret
+from metagames.learners import GDLearner, OMDLearner, doubling_residual, external_regret
 
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
 
@@ -475,6 +475,19 @@ def test_emit_plot_golden_snapshot():
         assert name in text
 
 
+class LoopOMDLearner(OMDLearner):
+    """An OMDLearner that ``play_task`` steps round by round: its OGD kernel
+    refuses subclasses, so the per-round loop stays the oracle."""
+
+
+def loop_learner(algo, strategy_set, eta, init=None, prediction="recency"):
+    """``make_learner``, with a LoopOMDLearner in place of an OMDLearner."""
+    if algo not in harness._REGS:
+        return make_learner(algo, strategy_set, eta, init=init, prediction=prediction)
+    reg = harness._REGS[algo]
+    return LoopOMDLearner(strategy_set, eta, regularizer=reg, init=init, prediction_mode=prediction)
+
+
 def round_logger(cfg, game, t, learners, records):
     """Per-round observer that appends a RunRecord per player every
     ``log_every`` rounds and at the last round; the reference for
@@ -524,13 +537,15 @@ def round_logger(cfg, game, t, learners, records):
 def observed_records(monkeypatch, config):
     """run_experiment's records as ``round_logger`` logs them round by round.
 
-    Every task is played by ``play_task``, also on an arm that
-    ``run_experiment`` plays in batches or by ``_play_one``, so those records
-    are checked against the per-round oracle too. The observer sees each round when the
-    first learner is handed its utility, before any learner updates; the
-    records of a task are those of its final attempt, the last one played
-    before the task is logged. Blocks of one task log each task before the
-    next is played.
+    Every task is played by ``play_task`` round by round, also on an arm
+    that ``run_experiment`` plays in batches or ``play_task`` by its OGD
+    kernel: no arm is batched, and ``make_learner`` builds ``loop_learner``s,
+    which the kernel refuses. So those records are checked against the
+    per-round oracle too. The observer sees each round when the first
+    learner is handed its utility, before any learner updates; the records
+    of a task are those of its final attempt, the last one played before
+    the task is logged. Blocks of one task log each task before the next is
+    played.
     """
     cfg = ExperimentConfig.from_dict(config)
     latest = []
@@ -556,7 +571,8 @@ def observed_records(monkeypatch, config):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
-        patch.setattr(harness, "_fused", lambda cfg, potential: False)
+        patch.setattr(harness, "make_learner", loop_learner)
+        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
         patch.setattr(harness, "BATCH_BYTES", 1)
         return run_experiment(config).records
 
@@ -689,14 +705,14 @@ def batch_inputs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch_inputs())
 def test_play_batch_matches_play_task_bitwise(inputs):
-    # Each batched row is the scalar task bit for bit: played points,
-    # utilities, rate and summary row. A BLAS build whose stacked matmul
-    # rounds differently from the per-task product would fail here.
+    # Each batched row is the per-round loop's task bit for bit: played
+    # points, utilities, rate and summary row. A BLAS build whose stacked
+    # matmul rounds differently from the per-task product would fail here.
     batch, starts, etas, m = inputs
     tracks = harness._play_batch(batch, starts, etas, m)
     rows = harness._zero_sum_summaries(batch, tracks)
     for b, game in enumerate(batch):
-        learners = [make_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
+        learners = [loop_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
         play_task(game, learners, m)
         for tr, lrn in zip(tracks, learners):
             assert tr.path[b].tobytes() == lrn.primary_array().tobytes()
@@ -706,37 +722,63 @@ def test_play_batch_matches_play_task_bitwise(inputs):
         assert repr(rows[b]) == repr(summary_row(game, learners))
 
 
+def learner_state(lrn):
+    """The histories, secondary iterate and prediction of an OMDLearner, as
+    bytes and shapes."""
+    histories = [
+        [(a.shape, a.tobytes()) for a in getattr(lrn, key)]
+        for key in ("path", "hat_path", "utilities", "predictions")
+    ]
+    current = [(a.shape, a.tobytes()) for a in (lrn.x_hat, lrn.prediction)]
+    return histories, current
+
+
 @st.composite
 def task_inputs(draw):
-    """One game (d_x, d_y in 2..10) with a feasible start, a rate and a first
-    prediction (the free one or zero). Integer payoffs make exact ties."""
+    """One game (d_x, d_y in 2..10) with a feasible start, a rate per player
+    (the same or two), and two calls of play_task: each with its number of
+    rounds and first prediction (the free one, zero, or one set beforehand).
+    Integer payoffs make exact ties."""
     dx, dy = draw(st.integers(2, 10)), draw(st.integers(2, 10))
-    m = draw(st.integers(min_value=1, max_value=12))
-    tied, free_first = draw(st.booleans()), draw(st.booleans())
+    tied = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.integers(-2, 3, size=(dx, dy)).astype(float) if tied else rng.uniform(-1, 1, (dx, dy))
     start = [_start(rng, dx), _start(rng, dy)]
-    return games.MatrixGame(A), start, float(10.0 ** rng.uniform(-3.0, 1.0)), m, free_first
+    etas = (10.0 ** rng.uniform(-3.0, 1.0, size=2)).tolist()
+    if draw(st.booleans()):
+        etas[1] = etas[0]
+    calls = []
+    for ms in (st.integers(1, 12), st.integers(0, 6)):
+        first = draw(st.sampled_from(["free", "zero", "set"]))
+        preset = None
+        if first == "set":
+            preset = [rng.integers(-2, 3, size=d).astype(float) for d in (dx, dy)]
+        calls.append((draw(ms), first == "free", preset))
+    return games.MatrixGame(A), start, etas, calls
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(task_inputs())
-def test_play_one_matches_play_task_bitwise(inputs):
-    # The fused kernel is play_task bit for bit: played points, utilities,
-    # rate, summary row and doubling residual.
-    game, start, eta, m, free_first = inputs
-    tracks, first = harness._play_one(game, start, eta, m, free_first)
-    learners = [make_learner("ogd", s, eta, init=x0) for s, x0 in zip(game.sets, start)]
-    play_task(game, learners, m, free_first=free_first)
-    for tr, lrn in zip(tracks, learners):
-        assert tr.path[0].tobytes() == lrn.primary_array().tobytes()
-        assert tr.played[0].tobytes() == np.asarray(lrn.path[1:]).tobytes()
-        assert tr.utilities[0].tobytes() == lrn.utility_array().tobytes()
-        assert repr(tr.eta[0]) == repr(lrn.eta)
-    row = harness._zero_sum_summaries([game], tracks)[0]
-    assert repr(row) == repr(summary_row(game, learners))
-    residual = harness._tracks_residual(tracks, first, eta)
-    assert repr(residual) == repr(doubling_residual(learners, eta))
+def test_play_task_kernel_matches_loop_bitwise(inputs):
+    # play_task's OGD kernel leaves its learners as the per-round loop leaves
+    # a LoopOMDLearner pair, over two calls: histories, secondary iterates,
+    # predictions, summary row and doubling residual.
+    game, start, etas, calls = inputs
+    fused, loop = (
+        [build("ogd", s, eta, init=x0) for s, eta, x0 in zip(game.sets, etas, start)]
+        for build in (make_learner, loop_learner)
+    )
+    assert harness._takes_kernel(game, fused) and not harness._takes_kernel(game, loop)
+    for m, free_first, preset in calls:
+        for learners in (fused, loop):
+            for lrn, p in zip(learners, preset or ()):
+                lrn.set_prediction(p)
+            play_task(game, learners, m, free_first=free_first)
+        assert [learner_state(lrn) for lrn in fused] == [learner_state(lrn) for lrn in loop]
+        for eta in etas:
+            assert repr(doubling_residual(fused, eta)) == repr(doubling_residual(loop, eta))
+        if len(fused[0].path) == m + 1:
+            assert repr(summary_row(game, fused)) == repr(summary_row(game, loop))
 
 
 @pytest.mark.parametrize(
@@ -748,15 +790,40 @@ def test_play_one_matches_play_task_bitwise(inputs):
     ids=["huge-rate", "overflowing-utility"],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_play_one_raises_as_play_task(A, eta, free_first, message):
+def test_play_task_kernel_raises_as_loop(A, eta, free_first, message):
+    # The kernel raises the loop's error and leaves its learners untouched.
     game = games.MatrixGame(A)
-    start = [s.center() for s in game.sets]
-    with pytest.raises(InvalidInputError, match=message) as fused:
-        harness._play_one(game, start, eta, 5, free_first)
-    learners = [make_learner("ogd", s, eta, init=x0) for s, x0 in zip(game.sets, start)]
+    fused, loop = (
+        [build("ogd", s, eta, init=s.center()) for s in game.sets]
+        for build in (make_learner, loop_learner)
+    )
+    before = [learner_state(lrn) for lrn in fused]
+    with pytest.raises(InvalidInputError, match=message) as kernel:
+        play_task(game, fused, 5, free_first=free_first)
     with pytest.raises(InvalidInputError) as oracle:
-        play_task(game, learners, 5, free_first=free_first)
-    assert str(fused.value) == str(oracle.value)
+        play_task(game, loop, 5, free_first=free_first)
+    assert str(kernel.value) == str(oracle.value)
+    if not free_first:
+        assert [learner_state(lrn) for lrn in fused] == before
+
+
+def test_kernel_refuses_learners_that_may_play_otherwise():
+    game = games.MatrixGame(BASE)
+
+    def pair(**kwargs):
+        return [make_learner("ogd", s, 0.1, **kwargs) for s in game.sets]
+
+    assert harness._takes_kernel(game, pair())
+    assert not harness._takes_kernel(game, pair(prediction="secondary-anchor"))
+    assert not harness._takes_kernel(game, [make_learner("opthedge", s, 0.1) for s in game.sets])
+    assert not harness._takes_kernel(game, pair()[:1])
+    assert not harness._takes_kernel(games.NormalFormGame([-np.asarray(BASE), np.asarray(BASE)]), pair())
+    patched = pair()
+    patched[1].update = patched[1].update
+    assert not harness._takes_kernel(game, patched)
+    wrong_shape = pair()
+    wrong_shape[0].set_prediction([1.0, 2.0, 3.0])
+    assert not harness._takes_kernel(game, wrong_shape)
 
 
 def _choices(path):
@@ -766,7 +833,7 @@ def _choices(path):
 @st.composite
 def play_path_configs(draw):
     """A small run config of SCHEMA rows, aimed at one driver: ``_play_batch``
-    (a play-independent arm), ``_play_one`` (any other fused arm) or any
+    (a play-independent arm), ``play_task``'s kernel (other fused arms) or any
     driver. Zero-sum and potential families, square and non-square games,
     every initializer, rate mode, prediction and first prediction, drawn
     evenly. Also a number of tasks per block, or None for BATCH_BYTES as it
@@ -847,8 +914,9 @@ def run_outputs(res):
 
 def oracle_outputs(config):
     """``outputs_or_error`` of the per-round oracle: every task played by
-    ``play_task`` and summarized alone, and folded into the meta state from
-    the learners of its final attempt, as ``summary_row`` reads them."""
+    ``play_task`` round by round on ``loop_learner``s (no arm is batched)
+    and summarized alone, and folded into the meta state from the learners
+    of its final attempt, as ``summary_row`` reads them."""
     latest = []
     real_play, real_record = harness.play_task, meta.EwooState.record
 
@@ -875,7 +943,8 @@ def oracle_outputs(config):
         return real_record(state, 0.5 * float(dist2), gamma)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_fused", lambda cfg, potential: False)
+        patch.setattr(harness, "make_learner", loop_learner)
+        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
         patch.setattr(harness, "BATCH_BYTES", 1)
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "Initializer", LearnerFold)
