@@ -33,6 +33,7 @@ from metagames.geometry import (
     ENTROPIC,
     EUCLIDEAN,
     LOG_BARRIER,
+    _NO_THRESHOLD,
     Regularizer,
     project_simplex_rows,
     simplex_threshold,
@@ -409,14 +410,19 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
-# The fewest tasks a play-independent arm must have to be played in batches;
-# shorter arms play task by task through play_task's OGD kernel. The time of
-# one batch of B tasks over that of B tasks of the kernel alone (medians of 7
-# pairs at m = 5 and of 5 at m = 1000, two runs, on 2x2, 3x3 and 2x3 games
-# alike): B = 3: 1.18-1.38; B = 4: 0.91-1.08; B = 5: 0.75-0.88. With two
-# projection calls per half-step, 2x3 games read 1.41-1.55 at B = 4 and
-# 1.13-1.26 at B = 5. play_task also builds the learners of each task.
-BATCH_MIN_TASKS = 4
+# The fewest tasks a play-independent arm must have to be played in batches,
+# indexed by how many of its two players have two actions: the kernel's
+# two-action step is the faster one. Shorter arms play task by task through
+# play_task's OGD kernel. The play time of a cold arm of B tasks batched over
+# that of the same arm task by task (medians of 7 alternated pairs on 2 CPUs):
+#   2x2, m = 1000: B = 4: 2.10, 6: 1.39, 8: 1.08, 10: 0.83, 12: 0.71
+#   2x2, m = 100:  B = 4: 1.78, 6: 1.24, 8: 0.95, 10: 0.83, 12: 0.72
+#   2x3, m = 1000: B = 4: 1.31, 6: 0.99, 8: 0.72; m = 100: 1.30, 0.91, 0.76
+#   3x3, m = 1000: B = 4: 0.96, 6: 0.62; m = 100: 1.01, 0.61
+# At m = 5 a batch of 4 takes 0.58-0.76 on all three shapes, as the per-task
+# set-up of the sequential driver outweighs its rounds; the minimum follows the
+# long tasks, where the time is.
+BATCH_MIN_TASKS = (4, 6, 8)
 # The most bytes of paths and utilities that one batch of tasks holds; longer
 # arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
@@ -448,8 +454,9 @@ def run_experiment(config) -> ExperimentResult:
     m iterations, log regrets/gaps, and fold the task outcome into the meta
     state. Zero-sum matrix tasks are played by the configured learner;
     potential-game tasks by plain gradient ascent at a fixed rate. The tasks
-    of a play-independent arm (``_play_independent``) are played in batches
-    with the results of ``play_task``; every other task is played by
+    of a play-independent arm (``_play_independent``) of at least
+    ``BATCH_MIN_TASKS`` tasks are played in batches with the results of
+    ``play_task``; every other task is played by
     ``play_task`` itself. Finished tasks are summarized and logged in
     blocks. Deterministic under the config seed.
     """
@@ -471,7 +478,10 @@ def run_experiment(config) -> ExperimentResult:
     nash = [None] * len(games)
     if cfg.init_mode == "ne-average":
         nash = [list(saddle_point(game)[:2]) for game in games]
-    if _play_independent(cfg, potential) and len(games) >= BATCH_MIN_TASKS:
+    batched = _play_independent(cfg, potential) and (
+        len(games) >= BATCH_MIN_TASKS[sum(s.dim == 2 for s in sets)]
+    )
+    if batched:
         etas = [_task_eta(cfg, game, len(sets), eta, None) for game in games]
         blocks = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
     else:
@@ -644,15 +654,17 @@ def _play_ogd(game, learners, m):
     """The m >= 1 rounds of ``play_task`` for learners that ``_takes_kernel``
     admits, from each one's start, first prediction and rate, and bit for
     bit as the per-round loop: the steps anchor + eta * g and projections
-    run on Python floats with the ``simplex_threshold`` of
-    ``project_simplex``, and the utilities are ``utility_gradient``'s
-    ``-A @ y`` and ``A.T @ x`` on numpy. The histories are handed over as
-    arrays (``OMDLearner.set_history``); a round that raises, with the
-    loop's error, leaves the learners as they were."""
+    run on Python floats with the arithmetic of ``project_simplex``
+    (``_two_action_step`` for a player with two actions, ``_ogd_step`` for
+    any other), and the utilities are ``utility_gradient``'s ``-A @ y`` and
+    ``A.T @ x``, written by ``np.dot`` into their rows. The histories are
+    handed over as arrays (``OMDLearner.set_history``); a round that raises,
+    with the loop's error, leaves the learners as they were."""
     neg_a, a_t = -game.A, game.A.T
     xl, yl = learners
     ex, ey = xl.eta, yl.eta
     dx, dy = game.A.shape
+    step_x, step_y = (_two_action_step if d == 2 else _ogd_step for d in (dx, dy))
     X, Y = np.empty((m + 1, dx)), np.empty((m + 1, dy))
     X_hat, Y_hat = np.empty((m + 1, dx)), np.empty((m + 1, dy))
     # Row 0 is the first prediction and row i the utility of round i: with
@@ -663,20 +675,20 @@ def _play_ogd(game, learners, m):
     x_hat, y_hat = xl.x_hat.tolist(), yl.x_hat.tolist()
     px, py = xl.prediction.tolist(), yl.prediction.tolist()
     for i in range(1, m + 1):
-        X[i] = _ogd_step(x_hat, px, ex)
-        Y[i] = _ogd_step(y_hat, py, ey)
-        ux = UX[i] = neg_a @ Y[i]
-        uy = UY[i] = a_t @ X[i]
+        X[i] = step_x(x_hat, px, ex)
+        Y[i] = step_y(y_hat, py, ey)
+        ux = np.dot(neg_a, Y[i], out=UX[i])
+        uy = np.dot(a_t, X[i], out=UY[i])
         # OMDLearner.update's check, player by player as play_task updates.
         # Below 1e307 in absolute sum no order of summation overflows, so
         # the entries are finite exactly when u.sum() is.
         px, py = ux.tolist(), uy.tolist()
         if not (sum(map(abs, px)) < 1e307 or math.isfinite(ux.sum())):
             raise InvalidInputError("non-finite utility")
-        X_hat[i] = x_hat = _ogd_step(x_hat, px, ex)
+        X_hat[i] = x_hat = step_x(x_hat, px, ex)
         if not (sum(map(abs, py)) < 1e307 or math.isfinite(uy.sum())):
             raise InvalidInputError("non-finite utility")
-        Y_hat[i] = y_hat = _ogd_step(y_hat, py, ey)
+        Y_hat[i] = y_hat = step_y(y_hat, py, ey)
     xl.set_history(X, X_hat, UX[1:], UX[:-1])
     yl.set_history(Y, Y_hat, UY[1:], UY[:-1])
 
@@ -688,6 +700,28 @@ def _ogd_step(anchor, g, eta):
     v = [a + eta * b for a, b in zip(anchor, g)]
     theta = simplex_threshold(v)
     return [0.0 if (w := c - theta) <= 0.0 else w for c in v]
+
+
+def _two_action_step(anchor, g, eta):
+    """``_ogd_step`` of two-entry sequences, bit for bit, on scalars: the
+    stable descending sort keeps v0 first on a tie, and the running sums,
+    count rho and threshold are ``simplex_threshold``'s for d = 2 (a sum
+    from 0.0 differs from u0 + u1 only in the sign of a zero, which the
+    subtraction of 1.0 drops)."""
+    a0, a1 = anchor
+    g0, g1 = g
+    v0 = a0 + eta * g0
+    v1 = a1 + eta * g1
+    u0, u1 = (v1, v0) if v1 > v0 else (v0, v1)
+    c0 = u0 - 1.0
+    c1 = (u0 + u1) - 1.0
+    rho = (u0 > c0) + (u1 * 2 > c1)
+    if not rho:
+        raise InvalidInputError(_NO_THRESHOLD.format(u0))
+    theta = c1 / 2 if rho == 2 else c0
+    w0 = v0 - theta
+    w1 = v1 - theta
+    return [0.0 if w0 <= 0.0 else w0, 0.0 if w1 <= 0.0 else w1]
 
 
 def _matvecs(mats, vecs):

@@ -285,11 +285,16 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     table_game = None
     for t in range(T):
         game = games[t]
-        script = list(attacker_script[t])
-        if len(script) != m:
-            raise ConfigError(f"task {t} script has {len(script)} rounds, expected {m}")
-        if any(not 0 <= f < game.k for f in script):
-            raise ConfigError("attacker type index out of range")
+        try:
+            script = np.asarray(attacker_script[t])
+        except ValueError as exc:  # a ragged nesting
+            raise ConfigError(f"task {t} script is not a list of rounds: {exc}") from exc
+        if script.ndim != 1 or len(script) != m:
+            raise ConfigError(f"task {t} script has shape {script.shape}, expected ({m},)")
+        if script.dtype.kind not in "iu":
+            raise ConfigError(f"task {t} script holds {script.dtype} entries, not attacker type indices")
+        if script.min() < 0 or script.max() >= game.k:
+            raise ConfigError(f"task {t} script has an attacker type index outside 0..{game.k - 1}")
         if game is not table_game:  # consecutive tasks on one game share the table
             payoffs = payoff_table(game, E.points)
             table_game = game

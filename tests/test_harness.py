@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metagames import games, harness, meta, metrics
@@ -572,7 +572,7 @@ def observed_records(monkeypatch, config):
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
         patch.setattr(harness, "make_learner", loop_learner)
-        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
+        patch.setattr(harness, "BATCH_MIN_TASKS", (float("inf"),) * 3)
         patch.setattr(harness, "BATCH_BYTES", 1)
         return run_experiment(config).records
 
@@ -735,11 +735,13 @@ def learner_state(lrn):
 
 @st.composite
 def task_inputs(draw):
-    """One game (d_x, d_y in 2..10) with a feasible start, a rate per player
-    (the same or two), and two calls of play_task: each with its number of
-    rounds and first prediction (the free one, zero, or one set beforehand).
-    Integer payoffs make exact ties."""
-    dx, dy = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    """One game (d_x, d_y in 2..10, each 2 about half the time, so that the
+    kernel's two-action step plays 2x2 and 2xN games alike) with a feasible
+    start, a rate per player (the same or two), and two calls of play_task:
+    each with its number of rounds and first prediction (the free one, zero,
+    or one set beforehand). Integer payoffs make exact ties."""
+    actions = st.one_of(st.just(2), st.integers(3, 10))
+    dx, dy = draw(actions), draw(actions)
     tied = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.integers(-2, 3, size=(dx, dy)).astype(float) if tied else rng.uniform(-1, 1, (dx, dy))
@@ -805,6 +807,76 @@ def test_play_task_kernel_raises_as_loop(A, eta, free_first, message):
     assert str(kernel.value) == str(oracle.value)
     if not free_first:
         assert [learner_state(lrn) for lrn in fused] == before
+
+
+INF = float("inf")
+# Doubles that stress the projection's arithmetic: signed zeros, subnormals,
+# small integers (exact ties), entries near 2**53 (from where subtracting 1
+# can round away), infinities and NaN, besides any double.
+STEP_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 0.5, INF, -INF]),
+    st.integers(-3, 3).map(float),
+    st.floats(2.0**52, 2.0**54) | st.floats(-(2.0**54), -(2.0**52)),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+)
+
+
+def step_outcome(step, anchor, g, eta):
+    """The bytes of a step's result, or the text of its InvalidInputError."""
+    try:
+        return np.asarray(step(anchor, g, eta), dtype=float).tobytes()
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@st.composite
+def step_inputs(draw):
+    """An anchor, a gradient and a rate of a two-action step; an entry drawn
+    equal to the other makes ties."""
+    a0, g0 = draw(STEP_FLOATS), draw(STEP_FLOATS)
+    a1, g1 = draw(st.just(a0) | STEP_FLOATS), draw(st.just(g0) | STEP_FLOATS)
+    return [a0, a1], [g0, g1], draw(STEP_FLOATS)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(step_inputs())
+@example(([-0.0, 0.0], [-0.0, 0.0], 1.0))  # a tie of -0.0 and 0.0: the sort keeps the first
+@example(([1.0, -0.0], [0.0, -0.0], 1.0))  # -0.0 less a zero threshold, clamped to 0.0
+@example(([0.5, 0.5], [5e-324, 0.0], 1.0))  # a subnormal gap
+@example(([2.0**53, 0.0], [0.0, 0.0], 1.0))  # u0 - 1.0 is still exact
+@example(([0.0, 2.0**54], [0.0, 0.0], 1.0))  # u0 - 1.0 rounds to u0: no threshold
+@example(([0.0, 0.0], [INF, 1.0], 0.1))
+@example(([1.0, 0.0], [-INF, INF], 0.1))
+def test_two_action_step_matches_ogd_step_bitwise(inputs):
+    # The kernel's scalar step for two actions is _ogd_step (the list form of
+    # project_simplex) byte for byte, and raises its error with its text.
+    anchor, g, eta = inputs
+    for a, b in ((anchor, g), (anchor[::-1], g[::-1])):
+        want = step_outcome(harness._ogd_step, a, b, eta)
+        assert step_outcome(harness._two_action_step, a, b, eta) == want
+
+
+@pytest.mark.parametrize(
+    "base, driver",
+    [
+        (BASE, "_play_ogd"),
+        ([[0.2, -0.6, 0.1], [-0.6, 1.0, 0.3], [0.0, 0.4, -0.5]], "_play_batch"),
+    ],
+    ids=["2x2-kernel", "3x3-batch"],
+)
+def test_short_play_independent_arm_driver(monkeypatch, base, driver):
+    # A 4-task cold arm is played by the driver that is faster on its shape:
+    # the kernel, whose two-action step is the faster one, on 2x2 games and
+    # one batch on 3x3 games.
+    calls = []
+    for name in ("_play_ogd", "_play_batch"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    game = {"family": "perturbed-base", "base": base, "delta": 0.02}
+    run_experiment(small_config(T=4, init="cold", game=game))
+    assert set(calls) == {driver}
+    assert len(calls) == (4 if driver == "_play_ogd" else 1)
 
 
 def test_kernel_refuses_learners_that_may_play_otherwise():
@@ -944,7 +1016,7 @@ def oracle_outputs(config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "make_learner", loop_learner)
-        patch.setattr(harness, "BATCH_MIN_TASKS", float("inf"))
+        patch.setattr(harness, "BATCH_MIN_TASKS", (float("inf"),) * 3)
         patch.setattr(harness, "BATCH_BYTES", 1)
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "Initializer", LearnerFold)

@@ -304,6 +304,10 @@ def test_run_config_errors():
         run_meta_stackelberg([single], [[0] * 4], cfg, extreme_points=E)  # short script
     with pytest.raises(ConfigError):
         run_meta_stackelberg([single], [[2] * 5], cfg, extreme_points=E)  # bad type id
+    # A script that is not an integer index per round names its task.
+    for script in ([0, 0, 0.5, 0, 0], [0, 0, -1, 0, 0], [True] * 5, [0, [0], 0, 0, 0], [[0] * 5]):
+        with pytest.raises(ConfigError, match="task 1 script"):
+            run_meta_stackelberg([single] * 2, [[0] * 5, script], cfg, extreme_points=E)
     two = two_target_game()
     with pytest.raises(ConfigError):
         run_meta_stackelberg([single, two], [[0] * 5] * 2, cfg, extreme_points=E)
