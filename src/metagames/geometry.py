@@ -208,11 +208,29 @@ def project_l2(strategy_set, y):
     raise InvalidInputError(f"unsupported set {type(strategy_set).__name__}")
 
 
-def lift_interior(xp):
-    """Lift coordinates below INTERIOR_FLOOR and renormalize onto the simplex;
-    row by row for a (k, d) stack."""
-    lifted = np.maximum(xp, INTERIOR_FLOOR)
-    return lifted / np.add.reduce(lifted, -1, keepdims=True)
+def _rowsums(rows):
+    """The sum of each of a list of equal-length rows of Python floats,
+    rounded as numpy sums a row: from +0.0 left to right below 8 entries,
+    pairwise from 8 entries on, which is left to numpy. The threshold of 8
+    copies numpy's pairwise-sum block size, an internal of numpy;
+    ``test_rowsums_match_numpy_bitwise`` guards it, and it must be checked
+    again on a numpy upgrade."""
+    if len(rows[0]) >= 8:
+        return np.add.reduce(np.array(rows), 1).tolist()
+    sums = []
+    for row in rows:
+        total = 0.0
+        for v in row:
+            total += v
+        sums.append(total)
+    return sums
+
+
+def lift_interior(rows):
+    """Lift coordinates below INTERIOR_FLOOR and renormalize onto the simplex,
+    row by row, on lists of Python floats."""
+    lifted = [[max(v, INTERIOR_FLOOR) for v in row] for row in rows]  # NaN stays, as in np.maximum
+    return [[v / total for v in row] for row, total in zip(lifted, _rowsums(lifted))]
 
 
 def bregman(reg, x, xp):
@@ -244,10 +262,17 @@ def _rowdot(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
+def _numpy_quotient(a, b):
+    """a / b as numpy divides floats: an infinity or NaN at b = 0, where
+    Python raises ``ZeroDivisionError``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
+
+
 def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     """Log-barrier prox on the simplex of every row of the (k, d) interior
     ``anchor`` along the matching row of ``g``, via safeguarded Newton on the
-    dual.
+    dual; both stacks and the result are lists of rows of Python floats.
 
     First-order conditions give x_a = 1 / (eta * nu + b_a) with
     b = 1 / anchor - eta * g; the simplex multiplier nu is the root of the
@@ -259,47 +284,63 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     whenever a step leaves the bracket, which shrinks on every step. Each row
     is solved on its own: a row is written out once |sum x - 1| <= tol and
     dropped from the iteration, which the other rows continue.
+
+    The rows step on Python floats. The two dot products, anchor^2 . g and
+    x . x, are one ``_rowdot`` over the rows still iterating, so they keep
+    the rounding of a BLAS dot; every other step is the floating-point
+    operation that the same solve on numpy arrays takes, so the two agree
+    bit for bit.
     """
-    b = 1.0 / anchor - eta * g
-    b_min = np.minimum.reduce(b, 1)
-    lo = (1.0 - b_min) / eta
-    hi = (b.shape[1] - b_min) / eta
-    a2 = anchor * anchor
-    nu = _rowdot(a2, g) / np.add.reduce(a2, 1)
-    # min(max(nu, lo), hi) as Python floats take it, signed zeros included
-    np.copyto(nu, lo, where=lo > nu)
-    np.copyto(nu, hi, where=hi < nu)
-    out = rows = None  # set once some rows converge before the others
+    d = len(anchor[0])
+    a2 = [[a * a for a in row] for row in anchor]
+    a2g = np.array((a2, g))
+    guesses = _rowdot(a2g[0], a2g[1]).tolist()
+    out = [None] * len(anchor)
+    rows = []  # [row index, b, nu, lo, hi, excess] of each row still iterating
+    for i, (arow, grow, dot, sq) in enumerate(zip(anchor, g, guesses, _rowsums(a2))):
+        b = [1.0 / a - eta * u for a, u in zip(arow, grow)]
+        b_min = min(b)  # no NaN in b, so Python's min is numpy's
+        lo = (1.0 - b_min) / eta
+        hi = (d - b_min) / eta
+        rows.append([i, b, min(max(dot / sq, lo), hi), lo, hi, 0.0])
     for _ in range(max_iter):
-        x = 1.0 / ((eta * nu)[:, None] + b)
-        s = np.add.reduce(x, 1)
-        excess = s - 1.0
-        residual = abs(excess)
-        # max and fmin are NaN-aware as "every row" and "some row" need
-        if np.maximum.reduce(residual) <= tol:
-            x /= s[:, None]
-            if rows is None:
-                return x
-            out[rows] = x
+        xs = []
+        for row in rows:
+            en = eta * row[2]
+            try:
+                xs.append([1.0 / (en + v) for v in row[1]])
+            except ZeroDivisionError:
+                xs.append([_numpy_quotient(1.0, en + v) for v in row[1]])
+        kept, kept_xs = [], []
+        for row, x, s in zip(rows, xs, _rowsums(xs)):
+            excess = s - 1.0
+            if abs(excess) <= tol:
+                out[row[0]] = [v / s for v in x]
+            else:
+                row[5] = excess
+                kept.append(row)
+                kept_xs.append(x)
+        if not kept:
             return out
-        if np.fmin.reduce(residual) <= tol:
-            done = residual <= tol
-            kept = ~done
-            if rows is None:
-                out, rows = np.empty_like(b), np.arange(len(b))
-            out[rows[done]] = x[done] / s[done, None]
-            rows, b, x, excess, nu, lo, hi = (
-                rows[kept], b[kept], x[kept], excess[kept], nu[kept], lo[kept], hi[kept]
-            )
-        above = excess > 0.0
-        np.copyto(lo, nu, where=above)
-        np.copyto(hi, nu, where=~above)
-        nu = nu + excess / (eta * _rowdot(x, x))
-        np.copyto(nu, 0.5 * (lo + hi), where=~((lo < nu) & (nu < hi)))
-    worst = int(np.argmax(abs(excess)))
+        x = np.array(kept_xs)
+        for row, xx in zip(kept, _rowdot(x, x).tolist()):
+            _, _, nu, lo, hi, excess = row
+            if excess > 0.0:
+                lo = nu
+            else:
+                hi = nu
+            step = eta * xx
+            nu = nu + excess / step if step else math.nan  # nan: the midpoint below
+            if not lo < nu < hi:
+                nu = 0.5 * (lo + hi)
+            row[2], row[3], row[4] = nu, lo, hi
+        rows = kept
+    residuals = [abs(row[5]) for row in rows]
+    worst = int(np.argmax(residuals))  # the first largest residual, or the first NaN
+    _, _, _, lo, hi, _ = rows[worst]
     raise NumericError(
-        f"log-barrier prox Newton solve did not converge: residual={abs(excess[worst]):.3e}, "
-        f"eta={eta}, bracket=({lo[worst]}, {hi[worst]})"
+        f"log-barrier prox Newton solve did not converge: residual={residuals[worst]:.3e}, "
+        f"eta={eta}, bracket=({lo}, {hi})"
     )
 
 
@@ -324,8 +365,8 @@ def prox_step(reg, strategy_set, anchor, g, eta):
     from the lifted anchor, log-barrier by a safeguarded Newton solve of the
     one-dimensional dual.
     """
-    if eta <= 0:
-        raise InvalidInputError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise InvalidInputError(f"eta must be positive and finite, got {eta}")
     anchor = _check_finite(anchor)
     g = _check_finite(g)
     if reg.kind == EUCLIDEAN:
@@ -334,7 +375,9 @@ def prox_step(reg, strategy_set, anchor, g, eta):
         return project_l2(strategy_set, anchor + eta * g)
     if not isinstance(strategy_set, Simplex):
         raise DomainError(f"{reg.kind} prox is defined on the simplex only")
-    anchor = lift_interior(anchor)
     if reg.kind == ENTROPIC:
-        return mwu_step(anchor, g, eta)
-    return _prox_log_barrier_simplex(anchor[None], g[None], eta)[0]
+        # lift_interior on the array, which mwu_step takes as it is
+        lifted = np.maximum(anchor, INTERIOR_FLOOR)
+        return mwu_step(lifted / np.add.reduce(lifted, -1, keepdims=True), g, eta)
+    lifted = lift_interior([anchor.tolist()])
+    return np.array(_prox_log_barrier_simplex(lifted, [g.tolist()], eta)[0])

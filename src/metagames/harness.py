@@ -349,6 +349,13 @@ class ExperimentConfig:
             )
         eta_mode = v["learner.eta_mode"] or ("ewoo" if v["meta.ewoo.enabled"] else "fixed")
         init_mode = v["init"] or v["meta.initializer"]
+        if eta_mode == "doubling" and v["learner.prediction"] == "zero":
+            # The RVU residual then shrinks only in proportion to the rate, so
+            # no halving makes it non-positive.
+            raise ConfigError(
+                "config.learner.prediction: 'zero' never calibrates the doubling "
+                "trick; use 'recency' or 'secondary-anchor', or another learner.eta_mode"
+            )
         if family == "potential-drift" and eta_mode != "fixed":
             raise ConfigError(
                 f"config.learner.eta_mode: {eta_mode!r} needs an RVU learner; "

@@ -6,18 +6,27 @@ to a stationary distribution of the row-stochastic matrix assembled from the
 per-action strategies, and each learner ``a`` is fed the utility scaled by
 the mass the mix put on ``a``. The d learners of a player are stepped
 together: their secondary iterates, played rows and scaled utilities are
-(d, d) stacks, and each half-step is one row-wise log-barrier prox.
+(d, d) stacks, and each half-step is one row-wise log-barrier prox. A round
+runs on lists of Python floats; only the dot products that BLAS rounds
+(in the prox and in pi @ Q) are taken by numpy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from metagames.errors import InvalidInputError, NumericError
-from metagames.geometry import Simplex, _prox_log_barrier_simplex, lift_interior
+from metagames.geometry import Simplex, _prox_log_barrier_simplex, _rowsums, lift_interior
 from metagames.learners import external_regret
 
 _DAMPING = 1e-12
+
+
+def _l1_distance(p, q):
+    """sum |p - q| of two lists of Python floats, rounded as numpy's sum."""
+    return _rowsums([[abs(a - b) for a, b in zip(p, q)]])[0]
 
 
 def stationary_distribution(Q, tol=1e-12, max_iter=20_000):
@@ -26,28 +35,43 @@ def stationary_distribution(Q, tol=1e-12, max_iter=20_000):
     Power iteration from uniform with a vanishing damping term (avoids
     periodic chains); falls back to a direct linear solve for small
     matrices. Deterministic among multiple stationary distributions.
+
+    The iteration runs on Python floats; only the product pi @ Q is taken
+    by numpy, so it keeps the rounding of the BLAS product, and the result is
+    that of the same iteration on arrays, bit for bit.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise InvalidInputError("transition matrix must be square")
-    if not (Q.min() >= -1e-12 and abs(Q.sum(axis=1) - 1.0).max() <= 1e-9):
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] == 0:
+        raise InvalidInputError("transition matrix must be square and non-empty")
+    rows = Q.tolist()
+    # A NaN or an infinity fails the row-sum test; without them, Python's
+    # min is numpy's.
+    if not (
+        min(map(min, rows)) >= -1e-12
+        and all(abs(total - 1.0) <= 1e-9 for total in _rowsums(rows))
+    ):
         raise InvalidInputError("rows must be distributions")
-    d = Q.shape[0]
+    d = len(rows)
     if d == 1:
         return np.array([1.0])
-    pi = np.full(d, 1.0 / d)
+    pi = [1.0 / d] * d
     keep = 1.0 - _DAMPING
-    damping = _DAMPING * pi
+    damping = _DAMPING * (1.0 / d)
+    # Q^T . pi is the BLAS product that pi @ Q is, with less call overhead.
+    Qt = Q.T
     for _ in range(max_iter):
-        nxt = keep * (pi @ Q) + damping
-        np.maximum(nxt, 0.0, out=nxt)
-        nxt /= nxt.sum()
-        if abs(nxt - pi).sum() <= tol:
-            pi = nxt
-            break
+        # keep * v + damping is finite for a checked Q, and the clamp takes
+        # -0.0 to 0.0 as np.maximum does
+        nxt = [t if (t := keep * v + damping) > 0.0 else 0.0 for v in Qt.dot(pi).tolist()]
+        total = _rowsums([nxt])[0]
+        nxt = [v / total for v in nxt]
+        converged = _l1_distance(nxt, pi) <= tol
         pi = nxt
-    if abs(pi @ Q - pi).sum() <= 1e-8:
-        return pi
+        if converged:
+            break
+    if _l1_distance(Qt.dot(pi).tolist(), pi) <= 1e-8:
+        return np.array(pi)
+    pi = np.array(pi)
     if d <= 64:
         # Solve (Q^T - I) pi = 0 with sum(pi) = 1 by least squares.
         system = np.vstack([Q.T - np.eye(d), np.ones((1, d))])
@@ -89,17 +113,18 @@ class SwapWrapper:
     """
 
     def __init__(self, dim, eta):
-        if not eta > 0:
-            raise InvalidInputError(f"learning rate must be positive, got {eta}")
+        if not 0.0 < eta < math.inf:
+            raise InvalidInputError(f"learning rate must be positive and finite, got {eta}")
         self.dim = dim
         self.eta = float(eta)
         self._set = Simplex(dim)
-        start = np.full((dim, dim), 1.0 / dim)
-        self._paths = [start]  # the starting rows, then the rows played each round
+        start = [[1.0 / dim] * dim for _ in range(dim)]
+        self._paths = [np.array(start)]  # the starting rows, then the rows played each round
         self._scaled = []  # the (d, d) scaled utilities of each round
-        # the lifted secondary iterates: the anchors of both half-steps
+        # the lifted secondary iterates, lists of rows: the anchors of both half-steps
         self._anchors = lift_interior(start)
-        self._played = _prox_log_barrier_simplex(self._anchors, np.zeros((dim, dim)), self.eta)
+        zeros = [[0.0] * dim for _ in range(dim)]
+        self._played = np.array(_prox_log_barrier_simplex(self._anchors, zeros, self.eta))
         self.mix = stationary_distribution(self._played)
         self.mix_path = [self.mix.copy()]
         self.utilities = []
@@ -129,15 +154,16 @@ class SwapWrapper:
         utility = np.array(utility, dtype=float)
         if utility.shape != (self.dim,):
             raise InvalidInputError(f"utility must have shape ({self.dim},), got {utility.shape}")
+        u = utility.tolist()
         # A NaN fails the comparison as an infinity does.
-        if not abs(utility).max() <= 1.0 + 1e-9:
+        if not all(abs(v) <= 1.0 + 1e-9 for v in u):
             raise InvalidInputError("utilities must be finite with ||u||_inf <= 1")
-        scaled = self.mix[:, None] * utility
+        scaled = [[w * v for v in u] for w in self.mix.tolist()]
         anchors = lift_interior(_prox_log_barrier_simplex(self._anchors, scaled, self.eta))
-        played = _prox_log_barrier_simplex(anchors, scaled, self.eta)
+        played = np.array(_prox_log_barrier_simplex(anchors, scaled, self.eta))
         mix = stationary_distribution(played)
         self.utilities.append(utility)
-        self._scaled.append(scaled)
+        self._scaled.append(np.array(scaled))
         self._paths.append(self._played)
         self._anchors, self._played, self.mix = anchors, played, mix
         self.mix_path.append(mix.copy())
@@ -168,8 +194,8 @@ def swap_regret(strategies, utilities):
     """
     strategies = np.asarray(strategies, dtype=float)
     utilities = np.asarray(utilities, dtype=float)
-    if strategies.shape != utilities.shape:
-        raise InvalidInputError("strategy/utility histories must align")
+    if strategies.ndim != 2 or strategies.shape != utilities.shape:
+        raise InvalidInputError("strategy/utility histories must be aligned (m, d) arrays")
     # R[a, b] = sum_i x_i[a] * (u_i[b] - u_i[a])
     weighted = strategies.T @ utilities  # [a, b] = sum_i x_i[a] u_i[b]
     realized = np.diag(weighted)

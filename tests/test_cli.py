@@ -150,15 +150,43 @@ def test_run_doubling_from_boundary_init(tmp_path, algo):
     ],
 )
 def test_run_doubling_at_restart_cap_exits_3(tmp_path, capsys, game):
-    # With zero predictions the local RVU residual stays positive however
-    # small the rate, so every halving is followed by another.
-    learner = {"algo": "ogd", "eta": 0.5, "eta_mode": "doubling", "prediction": "zero"}
+    # On these games, log-barrier OMD with a zero first prediction keeps the
+    # local RVU residual positive however small the rate, so every halving
+    # is followed by another.
+    learner = {"algo": "omd-logbar", "eta": 0.5, "eta_mode": "doubling", "first_prediction": "zero"}
     cfg = write_config(tmp_path, {"T": 2, "m": 10, "game": game, "learner": learner})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: task 0: doubling trick gave up after 60 restarts")
     assert "residual=" in err and "eta=" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_doubling_with_zero_predictions_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # Zero predictions leave a doubling run's residual positive at every rate,
+    # so such a run, arm or sweep combination is refused when it is read.
+    runs = []  # the game sequences drawn: a run's first step after its config
+    real_sample = harness.sample_game_sequence
+    monkeypatch.setattr(
+        harness, "sample_game_sequence", lambda cfg: runs.append(cfg) or real_sample(cfg)
+    )
+    zero = {"algo": "ogd", "eta": 0.5, "eta_mode": "doubling", "prediction": "zero"}
+    arms = [{"name": "cold", "init": "cold"}, {"name": "zero", "learner": zero}]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"learner.eta_mode": ["fixed", "doubling"]}))
+    commands = [
+        ("run", {"learner": zero}),
+        ("run", {"arms": arms}),
+        ("sweep", {"learner": {**zero, "eta_mode": "fixed"}}),
+    ]
+    for i, (command, extra) in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        argv = [command, "--config", str(write_config(tmp_path, extra)), "--out", str(out)]
+        assert main(argv + ["--grid", str(grid)] * (command == "sweep")) == 2
+        err = capsys.readouterr().err
+        assert "config.learner.prediction:" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
+    assert runs == []
 
 
 def test_run_arms_comparison(tmp_path):
@@ -424,7 +452,8 @@ def _put(cfg, path, value):
 def valid_configs(draw):
     """A run config of SCHEMA rows: every required row and the family's matrix
     or prior, the other rows at random. A positive metrics_every comes with
-    a positive log_every, since gaps are measured on logged rounds only."""
+    a positive log_every, since gaps are measured on logged rounds only, and
+    a doubling eta_mode with predictions that are not zero."""
     family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
     needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
     cfg = {"game": {"family": family}}
@@ -433,6 +462,9 @@ def valid_configs(draw):
             _put(cfg, f.path, _valid(draw, f))
     if cfg.get("metrics_every", 0) and not cfg.get("log_every", 0):
         cfg["log_every"] = draw(st.integers(1, 3))
+    learner = cfg.get("learner", {})
+    if learner.get("eta_mode") == "doubling" and learner.get("prediction") == "zero":
+        learner["prediction"] = draw(st.sampled_from(["recency", "secondary-anchor"]))
     return cfg
 
 

@@ -11,6 +11,7 @@ from metagames.geometry import (
     Regularizer,
     Simplex,
     _prox_log_barrier_simplex,
+    _rowsums,
     bregman,
     lift_interior,
     mwu_step,
@@ -23,6 +24,14 @@ from metagames.geometry import (
 EUC = Regularizer("euclidean")
 ENT = Regularizer("entropic")
 LOG = Regularizer("log-barrier")
+
+
+def lift(x):
+    """``lift_interior`` of the rows of a (k, d) array, or of one (d,) row,
+    as an array of the same shape."""
+    x = np.asarray(x, dtype=float)
+    rows = lift_interior(np.atleast_2d(x).tolist())
+    return np.array(rows if x.ndim == 2 else rows[0])
 
 
 def brute_force_simplex_argmin(y=None, objective=None, step=1e-4, interior=False):
@@ -350,12 +359,13 @@ def newton_log_barrier_prox(anchor, g, eta, tol=1e-10, max_iter=200):
 @st.composite
 def log_barrier_row_stacks(draw):
     k = draw(st.integers(min_value=1, max_value=8))
-    d = draw(st.integers(min_value=1, max_value=8))
+    # From 8 entries on, numpy sums a row pairwise, not left to right.
+    d = draw(st.integers(min_value=1, max_value=10))
     low = float(np.log10(INTERIOR_FLOOR)) - 1.0
     weights = 10.0 ** np.array(
         draw(st.lists(st.floats(low, 0.0), min_size=k * d, max_size=k * d))
     ).reshape(k, d)
-    anchors = lift_interior(weights)
+    anchors = lift(weights)
     g = np.array(
         draw(st.lists(st.floats(-10.0, 10.0), min_size=k * d, max_size=k * d))
     ).reshape(k, d)
@@ -367,12 +377,12 @@ def log_barrier_row_stacks(draw):
 @given(log_barrier_row_stacks())
 def test_prox_log_barrier_rows_match_newton_oracle(inputs):
     anchors, g, eta = inputs
-    x = _prox_log_barrier_simplex(anchors, g, eta)
+    x = np.array(_prox_log_barrier_simplex(anchors.tolist(), g.tolist(), eta))
     assert x.shape == anchors.shape
     for a in range(len(anchors)):
         assert x[a].tobytes() == newton_log_barrier_prox(anchors[a], g[a], eta).tobytes()
         # prox_step is the kernel on one row, after the interior lift
-        want = newton_log_barrier_prox(lift_interior(anchors[a]), g[a], eta)
+        want = newton_log_barrier_prox(lift(anchors[a]), g[a], eta)
         assert prox_step(LOG, Simplex(anchors.shape[1]), anchors[a], g[a], eta).tobytes() == (
             want.tobytes()
         )
@@ -386,7 +396,7 @@ def log_barrier_prox_inputs(draw):
     low = float(np.log10(INTERIOR_FLOOR)) - 1.0
     exps = draw(st.lists(st.floats(low, 0.0), min_size=d, max_size=d))
     weights = 10.0 ** np.array(exps)
-    anchor = lift_interior(weights / np.sum(weights))
+    anchor = lift(weights / np.sum(weights))
     g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
     eta = 10.0 ** draw(st.floats(-4.0, 1.0))
     w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d)))
@@ -438,7 +448,7 @@ def test_prox_entropic_properties(inputs):
     # Three-point inequality against the lifted anchor, which is the point
     # the step starts from; for the exact multiplicative-weights step it holds
     # with equality, and the slack is relative to the size of the KL terms.
-    lifted = lift_interior(anchor)
+    lifted = lift(anchor)
     terms = (bregman(ENT, w, lifted), bregman(ENT, w, x), bregman(ENT, x, lifted))
     lhs = (w - x) @ g
     rhs = (terms[0] - terms[1] - terms[2]) / eta
@@ -448,15 +458,63 @@ def test_prox_entropic_properties(inputs):
 def test_prox_log_barrier_reports_non_convergence():
     # The second row converges on its first evaluation and is dropped; the
     # message names the residual and bracket of the row that did not.
-    anchors = np.array([[0.3, 0.7], [0.5, 0.5]])
-    g = np.array([[1.0, -1.0], [0.0, 0.0]])
+    anchors = [[0.3, 0.7], [0.5, 0.5]]
+    g = [[1.0, -1.0], [0.0, 0.0]]
     with pytest.raises(NumericError, match=r"residual=.*eta=0\.5, bracket=\("):
         _prox_log_barrier_simplex(anchors, g, 0.5, max_iter=1)
 
 
+@pytest.mark.parametrize("eta", [1e308, 1e-320, 5e-324])
+def test_prox_log_barrier_extreme_rates_end_cleanly(eta):
+    # At 1e308, eta * nu + b is zero for some entries on every step: the
+    # quotient is numpy's infinity rather than a ZeroDivisionError, the
+    # residual stays infinite and the solve raises NumericError. At
+    # subnormal rates x is the anchor to rounding, and every row ends on
+    # the simplex at its first evaluation.
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 9):
+        anchors = lift(rng.dirichlet(np.ones(d), size=3)).tolist()
+        g = rng.uniform(-1.0, 1.0, (3, d)).tolist()
+        if eta > 1.0:
+            with pytest.raises(NumericError, match=r"residual=inf, eta=1e\+308"):
+                _prox_log_barrier_simplex(anchors, g, eta)
+            continue
+        x = np.array(_prox_log_barrier_simplex(anchors, g, eta, max_iter=1))
+        assert x.shape == (3, d) and x.min() >= 0.0
+        np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
+
+
 def test_prox_rejects_bad_eta():
-    with pytest.raises(InvalidInputError):
-        prox_step(EUC, Simplex(2), np.array([0.5, 0.5]), np.zeros(2), 0.0)
+    # A NaN passes eta <= 0; it and an infinite rate are refused before any step.
+    for reg in (EUC, ENT, LOG):
+        for eta in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="eta must be positive and finite"):
+                prox_step(reg, Simplex(2), np.array([0.5, 0.5]), np.array([0.3, -0.2]), eta)
+
+
+@st.composite
+def float_rows(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=20))
+    entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-16, 1.0, 3e-17]))
+    return [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(float_rows())
+def test_rowsums_match_numpy_bitwise(rows):
+    want = np.add.reduce(np.array(rows), 1)
+    assert np.array(_rowsums(rows)).tobytes() == want.tobytes()
+    assert np.array(_rowsums(rows[:1])).tobytes() == np.array([np.sum(rows[0])]).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(float_rows())
+def test_lift_interior_matches_array_form_bitwise(rows):
+    x = np.abs(np.array(rows)) * 1e-3
+    lifted = np.maximum(x, INTERIOR_FLOOR)
+    want = lifted / np.add.reduce(lifted, -1, keepdims=True)
+    assert lift(x).tobytes() == want.tobytes()
 
 
 def test_diameters():

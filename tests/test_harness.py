@@ -98,6 +98,15 @@ def test_config_validation_field_paths():
         # gradient ascent plays path[:-1]; the zero-sum accounting reads path[1:]
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05}}),
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05, "eta_mode": "doubling"}}),
+        # zero predictions leave a doubling run's residual positive at every rate
+        (
+            "config.learner.prediction",
+            {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}},
+        ),
+        (
+            "config.learner.prediction",
+            {"learner": {"algo": "omd-logbar", "eta_mode": "doubling", "prediction": "zero"}},
+        ),
         ("config.game.base", {"game": {"family": "perturbed-base", "base": [1, 2]}}),
         ("config.game.base", {"game": {"family": "perturbed-base", "base": [[]]}}),
         ("config.game.base", {"game": {"family": "perturbed-base"}}),
@@ -350,11 +359,17 @@ def test_compare_arms_runs_arms_in_turn_on_this_thread(monkeypatch):
         assert run_outputs(results[arm["name"]]) == run_outputs(run_experiment(alone))
     # The first failing arm raises, before a later one fails otherwise.
     huge_rate = {"learner": {"algo": "ogd", "eta": 1e308}}
-    no_calibration = {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}}
+    no_calibration = {
+        "learner": {"algo": "omd-logbar", "eta_mode": "doubling", "first_prediction": "zero"}
+    }
     with pytest.raises(NumericError, match="doubling trick gave up"):
         run_experiment({**base, **no_calibration})
     with pytest.raises(InvalidInputError, match="simplex projection"):
         compare_arms({**base, "arms": [arms[0], huge_rate, no_calibration]})
+    # An arm that cannot be valid fails before any arm runs.
+    zero_doubling = {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}}
+    with pytest.raises(ConfigError, match=r"config\.learner\.prediction:"):
+        compare_arms({**base, "arms": [arms[0], huge_rate, zero_doubling]})
 
 
 def test_compare_arms_needs_two():
@@ -936,10 +951,12 @@ def play_path_configs(draw):
         "algo": allowed("learner.algo") if potential else allowed("learner.algo", "gd"),
         "eta": pick(["auto", 0.01, 0.1, 0.7]),
         "eta_mode": "fixed" if potential else allowed("learner.eta_mode"),
-        "prediction": allowed("learner.prediction"),
-        "first_prediction": allowed("learner.first_prediction"),
-        "alternating": pick([False, True]),
     }
+    # a doubling run with zero predictions is a config error
+    no_zero = ["zero"] * (learner["eta_mode"] == "doubling")
+    learner["prediction"] = allowed("learner.prediction", *no_zero)
+    learner["first_prediction"] = allowed("learner.first_prediction")
+    learner["alternating"] = pick([False, True])
     cfg = {
         "T": int(rng.integers(1, 7)),
         "m": m,

@@ -2,10 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metagames.errors import InvalidInputError
+from metagames.errors import InvalidInputError, NumericError
 from metagames.games import NormalFormGame, lipschitz_constant
-from metagames.geometry import Regularizer, Simplex, bregman
+from metagames.geometry import (
+    Regularizer,
+    Simplex,
+    _prox_log_barrier_simplex,
+    bregman,
+    lift_interior,
+)
 from metagames.harness import play_task
 from metagames.learners import OMDLearner, external_regret
 from metagames.metrics import cce_ce_gap
@@ -52,6 +60,97 @@ def test_stationary_examples():
 def test_stationary_rejects_bad_matrix():
     with pytest.raises(InvalidInputError):
         stationary_distribution(np.array([[0.5, 0.2], [0.5, 0.5]]))
+    for shape in ((0, 0), (0,), (2,), (2, 3), (1, 2, 2)):
+        with pytest.raises(InvalidInputError, match="square and non-empty"):
+            stationary_distribution(np.full(shape, 0.5))
+
+
+def array_stationary_distribution(Q, tol=1e-12, max_iter=20_000):
+    """Reference: the power iteration with every step an array operation,
+    and the same least-squares fallback. ``stationary_distribution`` must
+    reproduce it bit for bit, errors included."""
+    Q = np.asarray(Q, dtype=float)
+    if not (Q.min() >= -1e-12 and abs(Q.sum(axis=1) - 1.0).max() <= 1e-9):
+        raise InvalidInputError("rows must be distributions")
+    d = Q.shape[0]
+    if d == 1:
+        return np.array([1.0])
+    pi = np.full(d, 1.0 / d)
+    keep = 1.0 - 1e-12
+    damping = 1e-12 * pi
+    for _ in range(max_iter):
+        nxt = keep * (pi @ Q) + damping
+        np.maximum(nxt, 0.0, out=nxt)
+        nxt /= nxt.sum()
+        if abs(nxt - pi).sum() <= tol:
+            pi = nxt
+            break
+        pi = nxt
+    if abs(pi @ Q - pi).sum() <= 1e-8:
+        return pi
+    if d <= 64:
+        system = np.vstack([Q.T - np.eye(d), np.ones((1, d))])
+        target = np.zeros(d + 1)
+        target[-1] = 1.0
+        pi, *_ = np.linalg.lstsq(system, target, rcond=None)
+        np.maximum(pi, 0.0, out=pi)
+        pi /= pi.sum()
+        if abs(pi @ Q - pi).sum() <= 1e-8:
+            return pi
+    raise NumericError(
+        f"stationary distribution residual {abs(pi @ Q - pi).sum():.3e} > 1e-8"
+    )
+
+
+@st.composite
+def transition_matrices(draw):
+    """A (d, d) row-stochastic matrix, d = 1..10: Dirichlet rows of a drawn
+    concentration, or the played rows of a log-barrier prox step from
+    uniform (near-uniform, as a SwapWrapper plays them); sometimes with one
+    entry or row moved near or past the input check, or with a state that
+    no other state enters."""
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Q = rng.dirichlet(np.full(d, draw(st.sampled_from([0.05, 1.0, 50.0]))), size=d)
+    else:
+        eta = 10.0 ** draw(st.floats(-4.0, 0.0))
+        g = (rng.uniform(-1.0, 1.0, (d, d)) / d).tolist()
+        start = lift_interior([[1.0 / d] * d for _ in range(d)])
+        Q = np.array(_prox_log_barrier_simplex(start, g, eta))
+    i, j = rng.integers(d, size=2)
+    flaw = draw(st.sampled_from([None] * 6 + ["negative", "unreachable", "scaled", "nan", "inf"]))
+    if flaw == "negative":  # moved mass keeps the row sum; -2e-12 is refused
+        c = draw(st.sampled_from([5e-13, 2e-12]))
+        moved, Q[i, j] = Q[i, j] + c, -c
+        Q[i, (j + 1) % d] += moved
+    elif flaw == "unreachable":  # pi @ Q < 0 at j: the clamp at 0 acts
+        k = (j + 1) % d
+        Q[:, k] += Q[:, j]
+        Q[:, j] = 0.0
+        Q[i, j] -= 1e-12
+        Q[i, k] += 1e-12
+    elif flaw == "scaled":  # a row sum off by 1e-9 is refused
+        Q[i] *= 1.0 + draw(st.sampled_from([5e-10, 2e-9]))
+    elif flaw is not None:
+        Q[i, j] = float(flaw)
+    return Q
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs).tobytes()
+    except (InvalidInputError, NumericError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transition_matrices(), st.sampled_from([20_000, 1]))
+def test_stationary_matches_array_form_bitwise(Q, max_iter):
+    # max_iter=1 stops the power iteration early, which reaches the
+    # least-squares fallback.
+    want = _outcome(array_stationary_distribution, Q, max_iter=max_iter)
+    assert _outcome(stationary_distribution, Q, max_iter=max_iter) == want
 
 
 def test_stationary_random_chains():
@@ -61,6 +160,20 @@ def test_stationary_random_chains():
         Q = rng.dirichlet(np.ones(d), size=d)
         pi = stationary_distribution(Q)
         assert np.sum(np.abs(pi @ Q - pi)) <= 1e-8
+
+
+def test_swap_regret_rejects_misaligned_or_flat_histories():
+    with pytest.raises(InvalidInputError):
+        swap_regret(np.ones((3, 2)) / 2, np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError):
+        swap_regret(np.array([0.5, 0.5]), np.array([0.1, 0.2]))
+
+
+def test_wrapper_rejects_bad_rate():
+    # A NaN passes eta <= 0; it and an infinite rate are refused before any step.
+    for eta in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            SwapWrapper(2, eta)
 
 
 def test_swap_regret_examples():
