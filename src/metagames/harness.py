@@ -286,7 +286,7 @@ _DIM_FIELDS = {"perturbed-base": "base", "lower-bound-prior": "prior", "potentia
 
 def _check_run_size(v):
     """Reject a run above MAX_RUN_SIZE before anything is sampled, naming the
-    field that makes it large."""
+    field that makes it large. Returns the game shape (d_x, d_y)."""
     T, m, family = v["T"], v["m"], v["game.family"]
     if family == "perturbed-base":
         dx, dy = v["game.base"].shape
@@ -300,6 +300,7 @@ def _check_run_size(v):
         raise ConfigError(f"config.T: {T} games of {entries} entries exceed {cap}")
     if T * m * (dx + dy) > MAX_RUN_SIZE:
         raise ConfigError(f"config.m: {T} tasks of {m} rounds on {dx + dy} strategy entries exceed {cap}")
+    return dx, dy
 
 
 @dataclass
@@ -334,7 +335,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.game.{key}: missing (the {family} family needs it)")
         if prior is not None and not 0 < sum(prior.tolist()) < math.inf:
             raise ConfigError("config.game.prior: need a positive finite sum of weights")
-        _check_run_size(v)
+        shape = _check_run_size(v)
         if v["metrics_every"] > 0 and v["log_every"] == 0:
             raise ConfigError(
                 "config.metrics_every: gaps are measured on logged rounds only; "
@@ -347,8 +348,17 @@ class ExperimentConfig:
                 "config.learner.algo: 'gd' is for potential games only; zero-sum "
                 "families need ogd, opthedge or omd-logbar"
             )
+        if family == "potential-drift":  # gradient ascent reads no RVU learner field
+            plain = {"algo": "gd", "prediction": "recency", "first_prediction": "oracle", "alternating": False}
+            for key, want in plain.items():
+                if (got := v[f"learner.{key}"]) != want:
+                    msg = f"gradient ascent on potential-drift needs {json.dumps(want)}, got {json.dumps(got)}"
+                    raise ConfigError(f"config.learner.{key}: {msg}")
         eta_mode = v["learner.eta_mode"] or ("ewoo" if v["meta.ewoo.enabled"] else "fixed")
         init_mode = v["init"] or v["meta.initializer"]
+        if eta_mode == "ewoo" and v["meta.ewoo.D"] is None and shape == (1, 1):
+            why = "the default, the strategy sets' diameter, is 0 on a 1x1 game"
+            raise ConfigError(f"config.meta.ewoo.D: missing ({why})")
         if eta_mode == "doubling" and v["learner.prediction"] == "zero":
             # The RVU residual then shrinks only in proportion to the rate, so
             # no halving makes it non-positive.
@@ -417,41 +427,25 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
-# The fewest tasks a play-independent arm must have to be played in batches,
-# indexed by how many of its two players have two actions: the kernel's
-# two-action step is the faster one. Shorter arms play task by task through
-# play_task's OGD kernel. The play time of a cold arm of B tasks batched over
+# The fewest tasks a play-independent arm must have for ``_task_blocks`` to
+# play each of its blocks in one ``_play_batch`` call, indexed by how many of
+# its two players have two actions: the kernel's two-action step is the
+# faster one. Shorter arms play each task through play_task's OGD kernel in
+# the same block loop. The play time of a cold arm of B tasks batched over
 # that of the same arm task by task (medians of 7 alternated pairs on 2 CPUs):
 #   2x2, m = 1000: B = 4: 2.10, 6: 1.39, 8: 1.08, 10: 0.83, 12: 0.71
 #   2x2, m = 100:  B = 4: 1.78, 6: 1.24, 8: 0.95, 10: 0.83, 12: 0.72
 #   2x3, m = 1000: B = 4: 1.31, 6: 0.99, 8: 0.72; m = 100: 1.30, 0.91, 0.76
 #   3x3, m = 1000: B = 4: 0.96, 6: 0.62; m = 100: 1.01, 0.61
 # At m = 5 a batch of 4 takes 0.58-0.76 on all three shapes, as the per-task
-# set-up of the sequential driver outweighs its rounds; the minimum follows the
-# long tasks, where the time is.
+# set-up of play_task outweighs its rounds; the minimum follows the long
+# tasks, where the time is.
 BATCH_MIN_TASKS = (4, 6, 8)
-# The most bytes of paths and utilities that one batch of tasks holds; longer
-# arms are played in several batches. c05's cold arm (T = 200, m = 1000, 12.8
+# The most bytes of paths and utilities that one block of tasks holds; longer
+# arms are walked in several blocks. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
 # 1 MB ones; the summaries' temporaries about double the bytes at the peak.
 BATCH_BYTES = 16 * 2**20
-
-
-def _play_independent(cfg, potential):
-    """Whether no task of the arm depends on how earlier ones were played, so
-    ``_play_batch`` plays them: OGD self-play on zero-sum matrix games with
-    recency predictions, no alternation, an oracle first prediction, a fixed
-    (or per-game auto) rate and cold or ne-average starts. Other arms play
-    task by task through ``play_task``."""
-    return (
-        not potential
-        and cfg.algo == "ogd"
-        and cfg.prediction == "recency"
-        and not cfg.alternating_updates
-        and cfg.eta_mode == "fixed"
-        and cfg.init_mode in ("cold", "ne-average")
-        and cfg.first_prediction == "oracle"
-    )
 
 
 def run_experiment(config) -> ExperimentResult:
@@ -460,18 +454,16 @@ def run_experiment(config) -> ExperimentResult:
     Per task: draw the game, initialize per the configured mode, self-play
     m iterations, log regrets/gaps, and fold the task outcome into the meta
     state. Zero-sum matrix tasks are played by the configured learner;
-    potential-game tasks by plain gradient ascent at a fixed rate. The tasks
-    of a play-independent arm (``_play_independent``) of at least
-    ``BATCH_MIN_TASKS`` tasks are played in batches with the results of
-    ``play_task``; every other task is played by
-    ``play_task`` itself. Finished tasks are summarized and logged in
-    blocks. Deterministic under the config seed.
+    potential-game tasks by plain gradient ascent at a fixed rate. One
+    loop, ``_task_blocks``, walks the tasks in blocks: it plays each block
+    of a play-independent arm in one batch and every other task by
+    ``play_task``, and each finished block is summarized and logged as a
+    whole. Deterministic under the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
     potential = isinstance(games[0], PotentialGame)
     sets = games[0].sets
-    eta = None if cfg.eta == "auto" else float(cfg.eta)
     if cfg.eta_mode == "ewoo":
         D = cfg.ewoo_D if cfg.ewoo_D is not None else np.sqrt(sum(s.diameter**2 for s in sets))
         rho = cfg.ewoo_rho if cfg.ewoo_rho is not None else cfg.T ** (-0.25)
@@ -485,17 +477,8 @@ def run_experiment(config) -> ExperimentResult:
     nash = [None] * len(games)
     if cfg.init_mode == "ne-average":
         nash = [list(saddle_point(game)[:2]) for game in games]
-    batched = _play_independent(cfg, potential) and (
-        len(games) >= BATCH_MIN_TASKS[sum(s.dim == 2 for s in sets)]
-    )
-    if batched:
-        etas = [_task_eta(cfg, game, len(sets), eta, None) for game in games]
-        blocks = _batched_tasks(cfg.m, games, _planned_starts(cfg, sets, nash), etas)
-    else:
-        blocks = _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash)
-    records = []
-    summaries = []
-    for etas, tracks in blocks:
+    records, summaries = [], []
+    for etas, tracks in _task_blocks(cfg, games, potential, ewoo_state, nash):
         t = len(summaries)
         block = games[t : t + len(etas)]
         rows = (_potential_summaries if potential else _zero_sum_summaries)(block, tracks)
@@ -515,109 +498,102 @@ def run_experiment(config) -> ExperimentResult:
     return ExperimentResult(cfg, records, summaries, sim, games)
 
 
-def _sequential_tasks(cfg, games, potential, eta, ewoo_state, nash):
-    """(rates, Tracks) of consecutive blocks of tasks played one by one, each
-    from the meta state that every earlier task has been folded into.
+def _task_blocks(cfg, games, potential, ewoo_state, nash):
+    """(rates, Tracks) of consecutive blocks of tasks, each block's paths
+    and utilities allocated once, in arrays of at most BATCH_BYTES.
 
-    The paths and utilities of a finished task's learners are copied into
-    the arrays of a block of at most BATCH_BYTES, which is summarized as a
-    whole. The task is folded in by what the meta layer reads of it: its
+    Each task starts where the Initializer says, at the rate of
+    ``_task_eta``. A play-independent arm of at least BATCH_MIN_TASKS tasks
+    writes each start as round 0 of its row, folds only the task's Nash
+    anchor into the Initializer, and plays each block in one
+    ``_play_batch`` call. Every other task is played by ``play_task``, copied
+    into its row and folded in by what the meta layer reads of it: its
     optima in hindsight (as ``external_regret`` finds them) or its last
     iterates, and for EWOO its ``init_dist2``.
     """
     sets = games[0].sets
-    algo = "gd" if potential else cfg.algo
     free_first = cfg.first_prediction == "oracle"
+    # Play-independent: no task depends on how earlier ones were played. OGD
+    # self-play (so a zero-sum family: potential-drift takes only gd) with
+    # recency predictions, an oracle first prediction, a fixed (or per-game
+    # auto) rate and cold or ne-average starts.
+    batched = (
+        (cfg.algo, cfg.prediction, cfg.first_prediction, cfg.eta_mode, cfg.alternating_updates)
+        == ("ogd", "recency", "oracle", "fixed", False)
+        and cfg.init_mode in ("cold", "ne-average")
+        and len(games) >= BATCH_MIN_TASKS[sum(s.dim == 2 for s in sets)]
+    )
     initializer = Initializer(cfg.init_mode, sets)
-    size = _block_size(cfg.m, sets)
+    eta = None if cfg.eta == "auto" else float(cfg.eta)
+    size = max(1, BATCH_BYTES // (8 * (2 * cfg.m + 1) * sum(s.dim for s in sets)))
+    # A GDLearner plays the point it last reached, an OMDLearner the next.
+    lead = slice(None, -1) if potential else slice(1, None)
     etas = []
     for t, game in enumerate(games):
         if not etas:
-            n = min(size, len(games) - t)
-            paths = [np.empty((n, cfg.m + 1, s.dim)) for s in sets]
-            utilities = [np.empty((n, cfg.m, s.dim)) for s in sets]
+            block = games[t : t + size]
+            paths = [np.empty((len(block), cfg.m + 1, s.dim)) for s in sets]
+            utilities = [np.empty((len(block), cfg.m, s.dim)) for s in sets]
+        b = slice(len(etas), len(etas) + 1)  # the task's row of the block
         inits = initializer.initialization()
         task_eta = _task_eta(cfg, game, len(sets), eta, ewoo_state)
-        for restarts in range(MAX_RESTARTS + 1):
-            # Doubling trick: rerun the task at half the rate while the local
-            # RVU residual is positive; only the final attempt is logged.
-            learners = [
-                make_learner(algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                for s, x0 in zip(sets, inits)
-            ]
-            play_task(game, learners, cfg.m, free_first=free_first, alternating=cfg.alternating_updates)
-            if cfg.eta_mode != "doubling":
-                break
-            next_eta = doubling_trick_eta(learners, task_eta)
-            if next_eta == task_eta:
-                break
-            if restarts == MAX_RESTARTS:
-                raise NumericError(
-                    f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                    f"residual={doubling_residual(learners, task_eta)!r} > 0 at eta={task_eta!r}"
-                )
-            task_eta = next_eta
-        if cfg.eta_mode == "doubling":
-            eta = task_eta  # keep the calibrated rate for later tasks
-        b = slice(len(etas), len(etas) + 1)  # the task's row of the block
-        for path, u, lrn in zip(paths, utilities, learners):
-            path[b], u[b] = lrn.primary_array(), lrn.utility_array()
-        last = [path[b.start, -1] for path in paths]
-        if potential:
-            initializer.observe(TaskOutcome(optima=last, last_iterates=last))
+        if batched:
+            for path, x0 in zip(paths, inits):
+                path[b, 0] = x0
+            initializer.observe(TaskOutcome(nash=nash[t]))
         else:
-            optima = [best_point(s, u[b].sum(axis=-2)) for s, u in zip(sets, utilities)]
-            initializer.observe(
-                TaskOutcome(optima=[o[0] for o in optima], last_iterates=last, nash=nash[t])
-            )
-            if ewoo_state is not None:
-                starts = [p[b, 0] for p in paths]
-                ewoo_state.record(0.5 * float(_init_dist2(optima, starts)[0]), 1.0)
+            for restarts in range(MAX_RESTARTS + 1):
+                # Doubling trick: rerun the task at half the rate while the
+                # local RVU residual is positive; only the final attempt is logged.
+                learners = [
+                    make_learner(cfg.algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                    for s, x0 in zip(sets, inits)
+                ]
+                play_task(game, learners, cfg.m, free_first=free_first, alternating=cfg.alternating_updates)
+                if cfg.eta_mode != "doubling":
+                    break
+                next_eta = doubling_trick_eta(learners, task_eta)
+                if next_eta == task_eta:
+                    break
+                if restarts == MAX_RESTARTS:
+                    raise NumericError(
+                        f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
+                        f"residual={doubling_residual(learners, task_eta)!r} > 0 at eta={task_eta!r}"
+                    )
+                task_eta = next_eta
+            if cfg.eta_mode == "doubling":
+                eta = task_eta  # keep the calibrated rate for later tasks
+            for path, u, lrn in zip(paths, utilities, learners):
+                path[b], u[b] = lrn.primary_array(), lrn.utility_array()
+            last = [path[b.start, -1] for path in paths]
+            if potential:
+                initializer.observe(TaskOutcome(optima=last, last_iterates=last))
+            else:
+                optima = [best_point(s, u[b].sum(axis=-2)) for s, u in zip(sets, utilities)]
+                initializer.observe(
+                    TaskOutcome(optima=[o[0] for o in optima], last_iterates=last, nash=nash[t])
+                )
+                if ewoo_state is not None:
+                    dist2 = _init_dist2(optima, [p[b, 0] for p in paths])[0]
+                    ewoo_state.record(0.5 * float(dist2), 1.0)
         etas.append(task_eta)
-        if len(etas) == n:
-            # A GDLearner plays the point it last reached, an OMDLearner the next.
-            lead = slice(None, -1) if potential else slice(1, None)
+        if len(etas) == len(block):
+            if batched:
+                _play_batch(block, etas, paths, utilities)
             yield etas, [Track(p, p[:, lead], u, etas) for p, u in zip(paths, utilities)]
             etas = []
 
 
-def _planned_starts(cfg, sets, nash):
-    """Every task's starting points, as the Initializer gives them task by
-    task, for an arm whose starts depend on no play (cold or ne-average)."""
-    initializer = Initializer(cfg.init_mode, sets)
-    starts = []
-    for nash_t in nash:
-        starts.append(initializer.initialization())
-        initializer.observe(TaskOutcome(nash=nash_t))
-    return starts
+def _play_batch(games, etas, paths, utilities):
+    """OGD self-play of B independent matrix-game tasks as one batch, filling
+    each player's (B, m+1, d) ``paths`` and (B, m, d) ``utilities`` in place.
 
-
-def _batched_tasks(m, games, starts, etas):
-    """(rates, Tracks) of consecutive blocks of tasks, each played by
-    ``_play_batch`` and holding at most BATCH_BYTES of paths and utilities."""
-    size = _block_size(m, games[0].sets)
-    for lo in range(0, len(games), size):
-        part = slice(lo, lo + size)
-        yield etas[part], _play_batch(games[part], starts[part], etas[part], m)
-
-
-def _block_size(m, sets):
-    """The most tasks of m rounds on the strategy sets whose paths and
-    utilities fit in BATCH_BYTES, and at least one."""
-    return max(1, BATCH_BYTES // (8 * (2 * m + 1) * sum(s.dim for s in sets)))
-
-
-def _play_batch(games, starts, etas, m):
-    """OGD self-play of B independent matrix-game tasks as one batch.
-
-    Row b of every (B, d) array is task b, played as ``play_task`` plays two
-    Euclidean OMDLearners started at ``starts[b]`` with rate ``etas[b]``,
-    recency predictions and the free first prediction, and bit for bit equal
-    to it: ``np.matmul`` over the stacked -A and A.T gives each row the
-    matrix-vector product of ``utility_gradient``, and ``project_simplex_rows``
-    projects each row as ``project_simplex``. Paths are stored as (B, m+1, d)
-    and utilities as (B, m, d), so each task's arrays are contiguous. Returns
-    the two players' Tracks of the batch.
+    Row b is task b, played as ``play_task`` plays two Euclidean OMDLearners
+    started at ``paths[k][b, 0]`` with rate ``etas[b]``, recency predictions
+    and the free first prediction, and bit for bit equal to it: ``np.matmul``
+    over the stacked -A and A.T gives each row the matrix-vector product of
+    ``utility_gradient``, and ``project_simplex_rows`` projects each row as
+    ``project_simplex``.
     """
     A = np.array([game.A for game in games])
     # Transposed views, as game.A.T is: BLAS rounds a contiguous copy of the
@@ -625,11 +601,9 @@ def _play_batch(games, starts, etas, m):
     neg_a, a_t = -A, A.transpose(0, 2, 1)
     eta = np.asarray(etas)[:, None]
     B, dx, dy = A.shape
-    X, Y = np.empty((B, m + 1, dx)), np.empty((B, m + 1, dy))
-    ux_all, uy_all = np.empty((B, m, dx)), np.empty((B, m, dy))
-    x_hat = np.asarray([x0 for x0, _ in starts])
-    y_hat = np.asarray([y0 for _, y0 in starts])
-    X[:, 0], Y[:, 0] = x_hat, y_hat
+    (X, Y), (ux_all, uy_all) = paths, utilities
+    m = ux_all.shape[1]
+    x_hat, y_hat = X[:, 0], Y[:, 0]
 
     # Both players' rows are projected in one call, as rows are independent.
     # A -inf pads the narrower player's rows: it sorts last and never passes
@@ -653,8 +627,6 @@ def _play_batch(games, starts, etas, m):
         X[:, i + 1], Y[:, i + 1], ux_all[:, i], uy_all[:, i] = x, y, ux, uy
         x_hat, y_hat = project(x_hat + eta * ux, y_hat + eta * uy)
         px, py = ux, uy
-    rates = [float(e) for e in etas]
-    return [Track(X, X[:, 1:], ux_all, rates), Track(Y, Y[:, 1:], uy_all, rates)]
 
 
 def _play_ogd(game, learners, m):

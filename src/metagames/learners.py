@@ -203,18 +203,13 @@ class PreconditionerSchedule:
             if np.min(q) <= 0:
                 raise ConfigError("preconditioner diagonals must be positive")
 
-    def __len__(self):
-        return len(self.diagonals)
-
     def __getitem__(self, i):
         return self.diagonals[min(i, len(self.diagonals) - 1)]
 
-    def drift(self, m=None):
+    def drift(self):
         """sum_i ||Q^(i+1) - Q^(i)||_2 (spectral norm = max abs diagonal gap)."""
-        qs = self.diagonals if m is None else self.diagonals[:m]
-        return float(
-            sum(np.max(np.abs(b - a)) for a, b in zip(qs[:-1], qs[1:]))
-        )
+        qs = self.diagonals
+        return float(sum(np.max(np.abs(b - a)) for a, b in zip(qs[:-1], qs[1:])))
 
     @staticmethod
     def constant(diag, m):

@@ -1,7 +1,6 @@
 """Equilibrium-quality and convergence measurements.
 
-All functions are pure and operate on immutable trajectories, so parallel
-evaluation is safe.
+All functions are pure and operate on immutable trajectories.
 """
 
 from __future__ import annotations

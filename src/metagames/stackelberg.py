@@ -131,34 +131,43 @@ def _region_vertices(game: SecurityGame, type_id, target, tol=1e-9):
     return vertices
 
 
-def _dedupe(points, decimals=9):
+def _dedupe(points):
     seen = {}
     for p in points:
-        key = tuple(np.round(p, decimals))
+        key = tuple(np.round(p, 9))  # points equal to 9 decimals are one
         if key not in seen:
             seen[key] = p
     return list(seen.values())
 
 
-def build_extreme_points(games, gamma=1e-3, grid_threshold=5):
+MAX_REGION_TARGETS = 5  # games with more targets take the uniform grid
+MAX_GRID_POINTS = 10**6  # a finer grid is refused, not built
+
+
+def build_extreme_points(games, gamma=1e-3):
     """Extreme points covering every attacker-type/target region.
 
-    For d <= grid_threshold the vertices of each best-response region are
-    enumerated exhaustively and a gamma-interior shift of each vertex toward
-    its region's centroid is added; larger d falls back to a uniform simplex
-    grid with spacing gamma.
+    For d <= MAX_REGION_TARGETS the vertices of each best-response region
+    are enumerated exhaustively and a gamma-interior shift of each vertex
+    toward its region's centroid is added; larger d falls back to a uniform
+    simplex grid with spacing gamma, of at most MAX_GRID_POINTS points.
     """
     if isinstance(games, SecurityGame):
         games = [games]
     d = games[0].d
     if any(g.d != d for g in games):
         raise ConfigError("extreme-point construction needs a shared target count")
-    if d > grid_threshold:
+    if d > MAX_REGION_TARGETS:
         n = max(1, round(1.0 / gamma))
+        count = math.comb(n + d - 1, d - 1)
+        if count > MAX_GRID_POINTS:
+            msg = f"gamma={gamma!r} on d={d} targets gives {count} points, above {MAX_GRID_POINTS}"
+            raise ConfigError(f"extreme-point grid: {msg}; raise gamma")
+        # The compositions of n into d parts, in lexicographic order: as
+        # stars and bars, the d - 1 bars among n + d - 1 slots, in that order.
         pts = [
-            np.asarray(c, dtype=float) / n
-            for c in itertools.product(range(n + 1), repeat=d)
-            if sum(c) == n
+            (np.diff((-1, *bars, n + d - 1)) - 1) / n
+            for bars in itertools.combinations(range(n + d - 1), d - 1)
         ]
         return ExtremePointSet(np.asarray(pts), provenance="grid", gamma=gamma)
     collected = []

@@ -114,6 +114,8 @@ def test_run_bad_field_exits_2(tmp_path, capsys):
         ({"T": 10**30}, "config.T"),
         ({"m": 10**14}, "config.m"),
         ({"game": {"family": "potential-drift", "dim": 10**30}, "learner": {"algo": "gd"}}, "config.game.dim"),
+        ({"game": {"family": "potential-drift"}, "learner": {"algo": "ogd"}}, "config.learner.algo"),
+        ({"game": {"family": "perturbed-base", "base": [[0.5]]}, "learner": {"eta_mode": "ewoo"}}, "config.meta.ewoo.D"),
     ],
 )
 def test_run_mistyped_field_exits_2(tmp_path, capsys, extra, path):
@@ -452,8 +454,9 @@ def _put(cfg, path, value):
 def valid_configs(draw):
     """A run config of SCHEMA rows: every required row and the family's matrix
     or prior, the other rows at random. A positive metrics_every comes with
-    a positive log_every, since gaps are measured on logged rounds only, and
-    a doubling eta_mode with predictions that are not zero."""
+    a positive log_every, since gaps are measured on logged rounds only, a
+    doubling eta_mode with predictions that are not zero, and potential-drift
+    with gd and the RVU learner fields at their defaults."""
     family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
     needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
     cfg = {"game": {"family": family}}
@@ -462,7 +465,11 @@ def valid_configs(draw):
             _put(cfg, f.path, _valid(draw, f))
     if cfg.get("metrics_every", 0) and not cfg.get("log_every", 0):
         cfg["log_every"] = draw(st.integers(1, 3))
-    learner = cfg.get("learner", {})
+    learner = cfg.setdefault("learner", {})
+    if family == "potential-drift":  # gradient ascent reads no RVU learner field
+        learner["algo"] = "gd"
+        for key in ("prediction", "first_prediction", "alternating"):
+            learner.pop(key, None)
     if learner.get("eta_mode") == "doubling" and learner.get("prediction") == "zero":
         learner["prediction"] = draw(st.sampled_from(["recency", "secondary-anchor"]))
     return cfg

@@ -126,6 +126,30 @@ def test_config_validation_field_paths():
             "config.learner.eta_mode",
             {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "eta_mode": "doubling"}},
         ),
+        # gradient ascent plays potential games and reads no RVU learner field
+        ("config.learner.algo", {"game": {"family": "potential-drift"}}),
+        ("config.learner.algo", {"game": {"family": "potential-drift"}, "learner": {"algo": "omd-logbar"}}),
+        (
+            "config.learner.prediction",
+            {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "prediction": "zero"}},
+        ),
+        (
+            "config.learner.first_prediction",
+            {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "first_prediction": "zero"}},
+        ),
+        (
+            "config.learner.alternating",
+            {"game": {"family": "potential-drift"}, "learner": {"algo": "gd", "alternating": True}},
+        ),
+        # EWOO's default D, the sets' diameter, is 0 when each player has one action
+        (
+            "config.meta.ewoo.D",
+            {"game": {"family": "perturbed-base", "base": [[0.5]]}, "learner": {"eta_mode": "ewoo"}},
+        ),
+        (
+            "config.meta.ewoo.D",
+            {"game": {"family": "lower-bound-prior", "prior": [1.0]}, "meta": {"ewoo": {"enabled": True}}},
+        ),
         # runs too large to sample or play, caught before anything is drawn
         ("config.T", {"T": 10**30}),
         ("config.T", {"T": harness.MAX_RUN_SIZE // 4 + 1}),
@@ -139,6 +163,10 @@ def test_config_validation_field_paths():
             ExperimentConfig.from_dict(small_config(**overrides))
     ExperimentConfig.from_dict(small_config(metrics_every=10, log_every=5))
     ExperimentConfig.from_dict(small_config(T=1, m=harness.MAX_RUN_SIZE // 4))
+    one_by_one = {"family": "perturbed-base", "base": [[0.5]]}
+    ewoo = {"eta_mode": "ewoo"}
+    ExperimentConfig.from_dict(small_config(game=one_by_one, learner=ewoo, meta={"ewoo": {"D": 1.0}}))
+    ExperimentConfig.from_dict(small_config(game={**one_by_one, "base": [[0.5, 0.1]]}, learner=ewoo))
     pot = {"T": 2, "m": 5, "game": {"family": "potential-drift"}, "learner": {"algo": "gd"}}
     with pytest.raises(ConfigError, match=r"config\.meta\.initializer:"):
         ExperimentConfig.from_dict({**pot, "meta": {"initializer": "ne-average"}})
@@ -720,11 +748,17 @@ def batch_inputs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch_inputs())
 def test_play_batch_matches_play_task_bitwise(inputs):
-    # Each batched row is the per-round loop's task bit for bit: played
-    # points, utilities, rate and summary row. A BLAS build whose stacked
-    # matmul rounds differently from the per-task product would fail here.
+    # Each batched row, filled in place from the start in its row 0, is the
+    # per-round loop's task bit for bit: played points, utilities and
+    # summary row. A BLAS build whose stacked matmul rounds differently from
+    # the per-task product would fail here.
     batch, starts, etas, m = inputs
-    tracks = harness._play_batch(batch, starts, etas, m)
+    paths = [np.empty((len(batch), m + 1, s.dim)) for s in batch[0].sets]
+    utilities = [np.empty((len(batch), m, s.dim)) for s in batch[0].sets]
+    for k, path in enumerate(paths):
+        path[:, 0] = [start[k] for start in starts]
+    harness._play_batch(batch, etas, paths, utilities)
+    tracks = [harness.Track(p, p[:, 1:], u, etas) for p, u in zip(paths, utilities)]
     rows = harness._zero_sum_summaries(batch, tracks)
     for b, game in enumerate(batch):
         learners = [loop_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
@@ -733,7 +767,6 @@ def test_play_batch_matches_play_task_bitwise(inputs):
             assert tr.path[b].tobytes() == lrn.primary_array().tobytes()
             assert tr.played[b].tobytes() == np.asarray(lrn.path[1:]).tobytes()
             assert tr.utilities[b].tobytes() == lrn.utility_array().tobytes()
-            assert repr(tr.eta[b]) == repr(lrn.eta)
         assert repr(rows[b]) == repr(summary_row(game, learners))
 
 
@@ -922,9 +955,10 @@ def play_path_configs(draw):
     """A small run config of SCHEMA rows, aimed at one driver: ``_play_batch``
     (a play-independent arm), ``play_task``'s kernel (other fused arms) or any
     driver. Zero-sum and potential families, square and non-square games,
-    every initializer, rate mode, prediction and first prediction, drawn
-    evenly. Also a number of tasks per block, or None for BATCH_BYTES as it
-    is."""
+    every initializer and rate mode, and on zero-sum families every RVU
+    learner, prediction and first prediction, drawn evenly; potential games
+    take gd with the defaults. Also a number of tasks per block, or None for
+    BATCH_BYTES as it is."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def pick(options):
@@ -948,7 +982,7 @@ def play_path_configs(draw):
         game["dim"] = int(rng.integers(1, 5))
         game["alpha"] = pick([0.0, 0.05])
     learner = {
-        "algo": allowed("learner.algo") if potential else allowed("learner.algo", "gd"),
+        "algo": allowed("learner.algo", "gd"),
         "eta": pick(["auto", 0.01, 0.1, 0.7]),
         "eta_mode": "fixed" if potential else allowed("learner.eta_mode"),
     }
@@ -957,6 +991,8 @@ def play_path_configs(draw):
     learner["prediction"] = allowed("learner.prediction", *no_zero)
     learner["first_prediction"] = allowed("learner.first_prediction")
     learner["alternating"] = pick([False, True])
+    if potential:  # gradient ascent, which reads no RVU learner field
+        learner.update(algo="gd", prediction="recency", first_prediction="oracle", alternating=False)
     cfg = {
         "T": int(rng.integers(1, 7)),
         "m": m,

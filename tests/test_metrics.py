@@ -1,10 +1,13 @@
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metagames
 from metagames.errors import InvalidInputError
 from metagames.games import MatrixGame, NormalFormGame, SmoothnessMeta, lower_bound_family
 from metagames.geometry import ProductSet, Simplex
@@ -47,8 +50,11 @@ def test_lp_solver_imported_on_first_solve():
         "saddle_point(MatrixGame(np.eye(2)))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
+    # The child finds the package where this process found it.
+    src = str(Path(metagames.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env
     )
     assert proc.stdout.split() == ["False", "True"]
 

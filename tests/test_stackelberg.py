@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,16 @@ def test_extreme_points_grid_fallback():
     E = build_extreme_points([game], gamma=0.25)
     assert E.provenance == "grid"
     assert np.max(np.abs(np.sum(E.points, axis=1) - 1.0)) < 1e-9
+    # the points, and their order, of filtering the whole product grid
+    grid = [np.asarray(c, dtype=float) / 4 for c in itertools.product(range(5), repeat=6) if sum(c) == 4]
+    assert E.points.tobytes() == np.asarray(grid).tobytes()
+
+
+def test_extreme_points_grid_too_fine_is_refused():
+    # at the default gamma, 6 targets would take C(1005, 5), about 8.5e12, points
+    game = _random_game(np.random.default_rng(4), 6, 1)
+    with pytest.raises(ConfigError, match=r"gamma=0\.001 on d=6 targets"):
+        build_extreme_points([game])
 
 
 def test_run_single_point_zero_regret():
