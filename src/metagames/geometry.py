@@ -48,11 +48,8 @@ class Simplex:
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
-        return (
-            x.shape == (self.dim,)
-            and x.min() >= -tol
-            and abs(float(x.sum()) - 1.0) <= tol
-        )
+        v = x.tolist()  # Python floats: a NaN that min() passes over fails the sum
+        return x.shape == (self.dim,) and min(v) >= -tol and abs(_rowsums([v])[0] - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,11 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"unknown regularizer kind {self.kind!r}")
+
+
+def _check_rate(eta):
+    if not 0.0 < eta < math.inf:
+        raise InvalidInputError(f"eta must be positive and finite, got {eta}")
 
 
 def _check_finite(y):
@@ -344,6 +346,51 @@ def _prox_log_barrier_simplex(anchor, g, eta, tol=1e-10, max_iter=200):
     )
 
 
+def _entropic_logs(anchors):
+    """The logs of ``prox_step``'s normalized entropic lift of the anchors, one
+    flat list from one ``np.log`` call. On simplex anchors the lift is about
+    1e-15 or more, so ``mwu_step``'s floor at 1e-300 never applies. A NaN
+    anchor raises ``prox_step``'s error."""
+    floor = INTERIOR_FLOOR
+    dists = []
+    for anchor in anchors:
+        lifted = [floor if v < floor else v for v in anchor]  # NaN stays, as in np.maximum
+        (total,) = _rowsums([lifted])
+        if total != total:
+            raise InvalidInputError("non-finite input")
+        dists += [v / total for v in lifted]
+    return np.log(dists).tolist()
+
+
+def _entropic_steps(logs, gs, etas):
+    """The entropic ``prox_step`` of each (anchor, g, eta) from the anchors'
+    ``_entropic_logs``, bit for bit on Python floats, with one ``np.exp``
+    call for all (``np.log`` and ``np.exp`` round a value alike anywhere in
+    any array). The caller checks the gradients and rates."""
+    shifted = []  # the logits less their largest, player after player
+    for g, eta in zip(gs, etas):
+        logits = [v + eta * u for v, u in zip(logs[len(shifted) :], g)]
+        top = max(logits)
+        shifted += [v - top for v in logits]
+    ws = np.exp(shifted).tolist()
+    out = []
+    for g in gs:
+        w, ws = ws[: len(g)], ws[len(g) :]
+        (total,) = _rowsums([w])
+        out.append([v / total for v in w])
+    return out
+
+
+def _log_barrier_steps(lifted, gs, etas):
+    """The log-barrier ``prox_step`` of each (anchor, g, eta) from the
+    anchors' ``lift_interior`` rows, on lists of Python floats and bit for
+    bit: rows of one length and rate share one ``_prox_log_barrier_simplex``
+    call, which solves each row on its own."""
+    if len({len(a) for a in lifted}) == len(set(etas)) == 1:
+        return _prox_log_barrier_simplex(lifted, gs, etas[0])
+    return [_prox_log_barrier_simplex([a], [g], eta)[0] for a, g, eta in zip(lifted, gs, etas)]
+
+
 def mwu_step(dist, g, eta):
     """Multiplicative-weights step of a distribution along utilities ``g``.
 
@@ -365,8 +412,7 @@ def prox_step(reg, strategy_set, anchor, g, eta):
     from the lifted anchor, log-barrier by a safeguarded Newton solve of the
     one-dimensional dual.
     """
-    if not 0.0 < eta < math.inf:
-        raise InvalidInputError(f"eta must be positive and finite, got {eta}")
+    _check_rate(eta)
     anchor = _check_finite(anchor)
     g = _check_finite(g)
     if reg.kind == EUCLIDEAN:

@@ -35,6 +35,14 @@ from metagames.geometry import (
     LOG_BARRIER,
     _NO_THRESHOLD,
     Regularizer,
+    Simplex,
+    _check_finite,
+    _check_rate,
+    _entropic_logs,
+    _entropic_steps,
+    _log_barrier_steps,
+    _rowsums,
+    lift_interior,
     project_simplex_rows,
     simplex_threshold,
 )
@@ -45,6 +53,7 @@ from metagames.learners import (
     GDLearner,
     OMDLearner,
     best_point,
+    check_start,
     doubling_residual,
     doubling_trick_eta,
     external_regret,
@@ -102,8 +111,10 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     predicts with the first mover's current move.
     The learners keep their played points and utilities, from which
     ``_task_records`` logs the rounds afterwards. Returns the learners.
-    Without alternation, learners that ``_takes_kernel`` admits (OGD self-play
-    on a MatrixGame) play in ``_play_ogd``, bit for bit as in this loop.
+    Without alternation, learners that ``_takes_kernel`` admits (recency
+    self-play of two OMDLearners with one regularizer on a MatrixGame) are
+    played by ``_play_rows``, bit for bit as in this loop, and given its
+    rows as their histories (``OMDLearner.set_history``).
     """
     predicts = [hasattr(lrn, "set_prediction") for lrn in learners]
     if free_first and any(predicts):
@@ -112,7 +123,14 @@ def play_task(game, learners, m, free_first=True, alternating=False):
             if predicts[k]:
                 lrn.set_prediction(utility_gradient(game, k, start))
     if m and not alternating and _takes_kernel(game, learners):
-        _play_ogd(game, learners, m)
+        # Row 0 holds the start and the first prediction: with recency, rows
+        # 0..m-1 of the utilities are the predictions of rounds 1..m.
+        paths = [np.repeat(lrn.x_hat[None], m + 1, axis=0) for lrn in learners]
+        us = [np.repeat(lrn.prediction[None], m + 1, axis=0) for lrn in learners]
+        etas, firsts = [lrn.eta for lrn in learners], [lrn.prediction.tolist() for lrn in learners]
+        secondary = _play_rows(game, learners[0].reg.kind, etas, firsts, paths, [u[1:] for u in us])
+        for k, (path, u, lrn) in enumerate(zip(paths, us, learners)):
+            lrn.set_history(path, np.array([path[0], *(h[k] for h in secondary)]), u[1:], u[:-1])
         return learners
     n = len(learners)
     anchored = [
@@ -135,22 +153,23 @@ def play_task(game, learners, m, free_first=True, alternating=False):
 
 
 def _takes_kernel(game, learners):
-    """Whether ``_play_ogd`` may play the learners: two fresh OMDLearners
+    """Whether ``_play_rows`` may play the learners: two fresh OMDLearners
     (no round played; not a subclass, nor an instance with its own ``play``
-    or ``update``), Euclidean with recency predictions over the simplex of
-    their side of a MatrixGame."""
+    or ``update``) with one regularizer and recency predictions over the
+    simplex of their side of a MatrixGame."""
     return (
         isinstance(game, MatrixGame)
         and len(learners) == 2
         and all(
             type(lrn) is OMDLearner
             and len(lrn.path) == 1
-            and lrn.euclidean_simplex
+            and isinstance(lrn.set, Simplex)
             and lrn.mode == RECENCY
             and lrn.x_hat.shape == lrn.prediction.shape == (d,)
             and not {"play", "update"} & vars(lrn).keys()
             for lrn, d in zip(learners, game.A.shape)
         )
+        and learners[0].reg == learners[1].reg
     )
 
 
@@ -428,19 +447,21 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
 # The fewest tasks a play-independent arm must have for ``_task_blocks`` to
-# play each of its blocks in one ``_play_batch`` call, indexed by how many of
-# its two players have two actions: the kernel's two-action step is the
-# faster one. Shorter arms play each task through play_task's OGD kernel in
-# the same block loop. The play time of a cold arm of B tasks batched over
-# that of the same arm task by task (medians of 7 alternated pairs on 2 CPUs):
-#   2x2, m = 1000: B = 4: 2.10, 6: 1.39, 8: 1.08, 10: 0.83, 12: 0.71
-#   2x2, m = 100:  B = 4: 1.78, 6: 1.24, 8: 0.95, 10: 0.83, 12: 0.72
-#   2x3, m = 1000: B = 4: 1.31, 6: 0.99, 8: 0.72; m = 100: 1.30, 0.91, 0.76
-#   3x3, m = 1000: B = 4: 0.96, 6: 0.62; m = 100: 1.01, 0.61
-# At m = 5 a batch of 4 takes 0.58-0.76 on all three shapes, as the per-task
-# set-up of play_task outweighs its rounds; the minimum follows the long
-# tasks, where the time is.
-BATCH_MIN_TASKS = (4, 6, 8)
+# play each of its blocks in one ``_play_batch`` call, for short (m < 20) and
+# longer tasks, indexed by how many of its two players have two actions (the
+# kernel's two-action step is the faster one). Shorter arms play each task
+# through ``_play_rows`` in the same block loop. The play and fold time of a
+# cold arm of B tasks batched over that of the same arm task by task (medians
+# of 7 alternated pairs on 2 CPUs, perturbed 2x2, 2x3 and 3x3 games):
+#   2x2, m = 5:    B = 4: 1.21, 6: 0.86, 8: 0.77, 10: 0.61
+#        m = 100:  B = 6: 1.50, 8: 1.16, 10: 0.96, 12: 0.82; m = 1000 alike
+#   2x3, m = 5:    B = 3: 1.18, 4: 0.93, 6: 0.69
+#        m = 100:  B = 4: 1.32, 6: 0.95, 8: 0.71; m = 1000: 1.39, 1.06, 0.72
+#   3x3, m = 5:    B = 3: 0.98, 4: 0.77, 6: 0.56
+#        m = 100:  B = 4: 1.06, 6: 0.73, 8: 0.56; m = 1000 alike
+# The break-even B grows with m up to about m = 40 (2x2: 8 at m = 10 and
+# 20, 10 at 40; 2x3: 5 at m = 10, 6 at 20 and 40; 3x3: 4 up to 20, 5 at 40).
+BATCH_MIN_TASKS = ((4, 5, 8), (6, 8, 10))  # [m >= 20][players with two actions]
 # The most bytes of paths and utilities that one block of tasks holds; longer
 # arms are walked in several blocks. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
@@ -456,9 +477,10 @@ def run_experiment(config) -> ExperimentResult:
     state. Zero-sum matrix tasks are played by the configured learner;
     potential-game tasks by plain gradient ascent at a fixed rate. One
     loop, ``_task_blocks``, walks the tasks in blocks: it plays each block
-    of a play-independent arm in one batch and every other task by
-    ``play_task``, and each finished block is summarized and logged as a
-    whole. Deterministic under the config seed.
+    of a play-independent arm in one batch and every other task by the
+    learner-free kernel ``_play_rows`` or by ``play_task``, and each
+    finished block is summarized and logged as a whole. Deterministic under
+    the config seed.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     games = sample_game_sequence(cfg.game)
@@ -506,10 +528,12 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
     ``_task_eta``. A play-independent arm of at least BATCH_MIN_TASKS tasks
     writes each start as round 0 of its row, folds only the task's Nash
     anchor into the Initializer, and plays each block in one
-    ``_play_batch`` call. Every other task is played by ``play_task``, copied
-    into its row and folded in by what the meta layer reads of it: its
-    optima in hindsight (as ``external_regret`` finds them) or its last
-    iterates, and for EWOO its ``init_dist2``.
+    ``_play_batch`` call. Every other zero-sum recency task without
+    alternation is played by ``_play_rows`` into its row with no learners
+    (``check_start`` checks rate and start as a learner would); the rest by
+    ``play_task``, copied into the row. Each is folded in by what the meta
+    layer reads of its row: its optima in hindsight (as ``external_regret``
+    finds them) or its last iterates, and for EWOO its ``init_dist2``.
     """
     sets = games[0].sets
     free_first = cfg.first_prediction == "oracle"
@@ -521,8 +545,10 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
         (cfg.algo, cfg.prediction, cfg.first_prediction, cfg.eta_mode, cfg.alternating_updates)
         == ("ogd", "recency", "oracle", "fixed", False)
         and cfg.init_mode in ("cold", "ne-average")
-        and len(games) >= BATCH_MIN_TASKS[sum(s.dim == 2 for s in sets)]
+        and len(games) >= BATCH_MIN_TASKS[cfg.m >= 20][sum(s.dim == 2 for s in sets)]
     )
+    reg = _REGS.get(cfg.algo)  # None for gd, on potential games
+    learner_free = reg is not None and cfg.prediction == RECENCY and not cfg.alternating_updates
     initializer = Initializer(cfg.init_mode, sets)
     eta = None if cfg.eta == "auto" else float(cfg.eta)
     size = max(1, BATCH_BYTES // (8 * (2 * cfg.m + 1) * sum(s.dim for s in sets)))
@@ -537,35 +563,52 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
         b = slice(len(etas), len(etas) + 1)  # the task's row of the block
         inits = initializer.initialization()
         task_eta = _task_eta(cfg, game, len(sets), eta, ewoo_state)
-        if batched:
+        if batched or learner_free:
             for path, x0 in zip(paths, inits):
                 path[b, 0] = x0
+        if batched:
             initializer.observe(TaskOutcome(nash=nash[t]))
         else:
+            xs, us = [path[b.start] for path in paths], [u[b.start] for u in utilities]
+            if learner_free:
+                firsts = [
+                    utility_gradient(game, k, inits).tolist() if free_first else [0.0] * s.dim
+                    for k, s in enumerate(sets)
+                ]
             for restarts in range(MAX_RESTARTS + 1):
                 # Doubling trick: rerun the task at half the rate while the
                 # local RVU residual is positive; only the final attempt is logged.
-                learners = [
-                    make_learner(cfg.algo, s, task_eta, init=x0, prediction=cfg.prediction)
-                    for s, x0 in zip(sets, inits)
-                ]
-                play_task(game, learners, cfg.m, free_first=free_first, alternating=cfg.alternating_updates)
+                if learner_free:
+                    for s, x0 in zip(sets, inits):
+                        check_start(s, task_eta, x0)
+                    _play_rows(game, reg.kind, (task_eta, task_eta), firsts, xs, us)
+                else:
+                    learners = [
+                        make_learner(cfg.algo, s, task_eta, init=x0, prediction=cfg.prediction)
+                        for s, x0 in zip(sets, inits)
+                    ]
+                    play_task(game, learners, cfg.m, free_first=free_first, alternating=cfg.alternating_updates)
+                    for x, u, lrn in zip(xs, us, learners):
+                        x[:], u[:] = lrn.primary_array(), lrn.utility_array()
                 if cfg.eta_mode != "doubling":
                     break
-                next_eta = doubling_trick_eta(learners, task_eta)
+                if learner_free:
+                    preds = [np.vstack((f, u[:-1])) for f, u in zip(firsts, us)]
+                else:
+                    preds = [lrn.prediction_array() for lrn in learners]
+                runs = list(zip(xs, us, preds))
+                next_eta = doubling_trick_eta(runs, task_eta)
                 if next_eta == task_eta:
                     break
                 if restarts == MAX_RESTARTS:
                     raise NumericError(
                         f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                        f"residual={doubling_residual(learners, task_eta)!r} > 0 at eta={task_eta!r}"
+                        f"residual={doubling_residual(runs, task_eta)!r} > 0 at eta={task_eta!r}"
                     )
                 task_eta = next_eta
             if cfg.eta_mode == "doubling":
                 eta = task_eta  # keep the calibrated rate for later tasks
-            for path, u, lrn in zip(paths, utilities, learners):
-                path[b], u[b] = lrn.primary_array(), lrn.utility_array()
-            last = [path[b.start, -1] for path in paths]
+            last = [x[-1] for x in xs]
             if potential:
                 initializer.observe(TaskOutcome(optima=last, last_iterates=last))
             else:
@@ -629,47 +672,66 @@ def _play_batch(games, etas, paths, utilities):
         px, py = ux, uy
 
 
-def _play_ogd(game, learners, m):
-    """The m >= 1 rounds of ``play_task`` for learners that ``_takes_kernel``
-    admits, from each one's start, first prediction and rate, and bit for
-    bit as the per-round loop: the steps anchor + eta * g and projections
-    run on Python floats with the arithmetic of ``project_simplex``
-    (``_two_action_step`` for a player with two actions, ``_ogd_step`` for
-    any other), and the utilities are ``utility_gradient``'s ``-A @ y`` and
-    ``A.T @ x``, written by ``np.dot`` into their rows. The histories are
-    handed over as arrays (``OMDLearner.set_history``); a round that raises,
-    with the loop's error, leaves the learners as they were."""
+def _play_rows(game, kind, etas, firsts, paths, utilities):
+    """Recency self-play of a two-player zero-sum task into its rows, bit for
+    bit as ``play_task``'s loop plays two OMDLearners of regularizer ``kind``.
+
+    Player k starts at row 0 of its (m+1, d) ``paths[k]`` with rate
+    ``etas[k]`` and first prediction ``firsts[k]`` (a list); rounds 1..m fill
+    the rest and the (m, d) ``utilities[k]``. Steps run on Python floats
+    (``_two_action_step`` or ``_ogd_step`` per Euclidean player, else one
+    ``_entropic_steps`` or ``_log_barrier_steps`` call for both), utilities
+    by ``np.dot`` as ``utility_gradient``. Errors are the loop's, in its
+    order, unless a log-barrier solve fails in a half-step in which the
+    other player's input is also bad. Returns the secondary iterates of
+    rounds 1..m as (x, y) pairs of lists.
+    """
     neg_a, a_t = -game.A, game.A.T
-    xl, yl = learners
-    ex, ey = xl.eta, yl.eta
-    dx, dy = game.A.shape
-    step_x, step_y = (_two_action_step if d == 2 else _ogd_step for d in (dx, dy))
-    X, Y = np.empty((m + 1, dx)), np.empty((m + 1, dy))
-    X_hat, Y_hat = np.empty((m + 1, dx)), np.empty((m + 1, dy))
-    # Row 0 is the first prediction and row i the utility of round i: with
-    # recency, rows 0..m-1 are the predictions of rounds 1..m.
-    UX, UY = np.empty((m + 1, dx)), np.empty((m + 1, dy))
-    X[0], Y[0], X_hat[0], Y_hat[0] = xl.init, yl.init, xl.hat_path[0], yl.hat_path[0]
-    UX[0], UY[0] = xl.prediction, yl.prediction
-    x_hat, y_hat = xl.x_hat.tolist(), yl.x_hat.tolist()
-    px, py = xl.prediction.tolist(), yl.prediction.tolist()
-    for i in range(1, m + 1):
-        X[i] = step_x(x_hat, px, ex)
-        Y[i] = step_y(y_hat, py, ey)
-        ux = np.dot(neg_a, Y[i], out=UX[i])
-        uy = np.dot(a_t, X[i], out=UY[i])
-        # OMDLearner.update's check, player by player as play_task updates.
-        # Below 1e307 in absolute sum no order of summation overflows, so
-        # the entries are finite exactly when u.sum() is.
-        px, py = ux.tolist(), uy.tolist()
-        if not (sum(map(abs, px)) < 1e307 or math.isfinite(ux.sum())):
-            raise InvalidInputError("non-finite utility")
-        X_hat[i] = x_hat = step_x(x_hat, px, ex)
-        if not (sum(map(abs, py)) < 1e307 or math.isfinite(uy.sum())):
-            raise InvalidInputError("non-finite utility")
-        Y_hat[i] = y_hat = step_y(y_hat, py, ey)
-    xl.set_history(X, X_hat, UX[1:], UX[:-1])
-    yl.set_history(Y, Y_hat, UY[1:], UY[:-1])
+    (X, Y), (UX, UY) = paths, utilities
+    ex, ey = etas
+    joint = None
+    if kind == EUCLIDEAN:
+        step_x, step_y = (_two_action_step if d == 2 else _ogd_step for d in game.A.shape)
+    else:
+        # Both half-steps of a round start from the same anchors: lift once.
+        lift, joint = (_entropic_logs, _entropic_steps) if kind == ENTROPIC else (_lift_rows, _log_barrier_steps)
+        for eta, g in zip(etas, firsts):  # prox_step's checks of the first step
+            _check_rate(eta)
+            _check_finite(g)
+    x_hat, y_hat = X[0].tolist(), Y[0].tolist()
+    px, py = firsts
+    secondary = []
+    for i in range(1, len(X)):
+        if joint:
+            lifted = lift((x_hat, y_hat))
+            X[i], Y[i] = joint(lifted, (px, py), etas)
+        else:
+            X[i], Y[i] = step_x(x_hat, px, ex), step_y(y_hat, py, ey)
+        px = np.dot(neg_a, Y[i], out=UX[i - 1]).tolist()
+        py = np.dot(a_t, X[i], out=UY[i - 1]).tolist()
+        # OMDLearner.update's checks, player by player as play_task updates.
+        _check_utility(px)
+        if joint:
+            _check_utility(py)
+            x_hat, y_hat = joint(lifted, (px, py), etas)
+        else:
+            x_hat = step_x(x_hat, px, ex)
+            _check_utility(py)
+            y_hat = step_y(y_hat, py, ey)
+        secondary.append((x_hat, y_hat))
+    return secondary
+
+
+def _lift_rows(anchors):
+    """``lift_interior`` of each anchor alone, as rows may differ in length."""
+    return [lift_interior([a])[0] for a in anchors]
+
+
+def _check_utility(u):
+    """``OMDLearner.update``'s check of a list: below 1e307 in absolute sum no
+    order of summation overflows, so numpy's sum is finite exactly then."""
+    if not (sum(map(abs, u)) < 1e307 or math.isfinite(_rowsums([u])[0])):
+        raise InvalidInputError("non-finite utility")
 
 
 def _ogd_step(anchor, g, eta):

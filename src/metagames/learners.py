@@ -12,9 +12,11 @@ played on a VI operator by ``harness.play_task``. Projected gradient ascent
 and the preconditioned variant are thin relatives of the same prox kernel.
 
 Every learner here is played by ``harness.play_task``. It plays two
-Euclidean 'recency' OMDLearners on a matrix game in a fused kernel, which
-leaves their histories, secondary iterate and prediction exactly as the
-per-round ``play``/``update`` calls would; a subclass always gets the calls.
+'recency' OMDLearners with one regularizer on a matrix game in a fused
+kernel, which leaves their histories, secondary iterate and prediction
+exactly as the per-round ``play``/``update`` calls would; a subclass always
+gets the calls. ``harness.run_experiment`` plays such tasks in the kernel
+without learners, checking each start with ``check_start``.
 """
 
 from __future__ import annotations
@@ -63,17 +65,14 @@ class OMDLearner:
     """
 
     def __init__(self, strategy_set, eta, regularizer=None, init=None, prediction_mode=RECENCY):
-        if eta <= 0:
-            raise InvalidInputError(f"learning rate must be positive, got {eta}")
         if prediction_mode not in PREDICTION_MODES:
             raise ConfigError(f"unknown prediction mode {prediction_mode!r}")
+        x0 = cold_start(strategy_set) if init is None else np.asarray(init, dtype=float)
+        check_start(strategy_set, eta, x0)
         self.set = strategy_set
         self.eta = float(eta)
         self.reg = regularizer if regularizer is not None else Regularizer(EUCLIDEAN)
         self.mode = prediction_mode
-        x0 = cold_start(strategy_set) if init is None else np.asarray(init, dtype=float)
-        if not strategy_set.contains(x0, tol=1e-9):
-            raise InvalidInputError("initialization is infeasible")
         self.x_hat = x0.copy()
         self.prediction = np.zeros(x0.shape)
         # path (x^(0..i)), hat_path (xhat^(0..i)), utilities, predictions
@@ -159,6 +158,15 @@ class OMDLearner:
 
     def prediction_array(self):
         return self._stacked(3)
+
+
+def check_start(strategy_set, eta, x0):
+    """An OMDLearner's checks of its rate and start: InvalidInputError unless
+    eta > 0 and x0 lies in the set to 1e-9."""
+    if eta <= 0:
+        raise InvalidInputError(f"learning rate must be positive, got {eta}")
+    if not strategy_set.contains(x0, tol=1e-9):
+        raise InvalidInputError("initialization is infeasible")
 
 
 class GDLearner:
@@ -414,20 +422,22 @@ def rvu_terms(learner, comparator, constant="eighth"):
     raise ConfigError(f"unknown RVU constant form {constant!r}")
 
 
-def doubling_residual(learners, eta):
-    """The joint local RVU residual of learners that have played one task at
+def doubling_residual(runs, eta):
+    """The joint local RVU residual of players that have played one task at
     rate ``eta``: eta * sum(prediction terms) - sum(path terms) / (8 eta).
-    The Bregman term does not enter it, so it is never evaluated (it is
-    undefined for entropic learners started on the boundary)."""
-    pred = sum(_prediction_term(lrn.utility_array(), lrn.prediction_array()) for lrn in learners)
-    path = sum(path_lengths(lrn.primary_array())[0] for lrn in learners)
+    Each run is a player's (m+1, d) path, (m, d) utilities and (m, d)
+    predictions. The Bregman term does not enter it, so it is never
+    evaluated (it is undefined for entropic learners started on the
+    boundary)."""
+    pred = sum(_prediction_term(u, p) for _, u, p in runs)
+    path = sum(path_lengths(x)[0] for x, _, _ in runs)
     return eta * pred - path / (8.0 * eta)
 
 
-def doubling_trick_eta(learners, eta):
+def doubling_trick_eta(runs, eta):
     """The doubling rule: the rate for the next attempt at a task.
 
     Returns eta/2 when the ``doubling_residual`` of the runs played at rate
     ``eta`` is positive, else eta.
     """
-    return eta / 2.0 if doubling_residual(learners, eta) > 0 else eta
+    return eta / 2.0 if doubling_residual(runs, eta) > 0 else eta

@@ -158,6 +158,9 @@ def build_extreme_points(games, gamma=1e-3):
     if any(g.d != d for g in games):
         raise ConfigError("extreme-point construction needs a shared target count")
     if d > MAX_REGION_TARGETS:
+        if not (gamma > 0 and math.isfinite(1.0 / gamma)):  # round() would overflow
+            msg = f"gamma={gamma!r} on d={d} targets has no finite 1/gamma"
+            raise ConfigError(f"extreme-point grid: {msg}; raise gamma")
         n = max(1, round(1.0 / gamma))
         count = math.comb(n + d - 1, d - 1)
         if count > MAX_GRID_POINTS:

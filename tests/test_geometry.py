@@ -10,6 +10,9 @@ from metagames.geometry import (
     ProductSet,
     Regularizer,
     Simplex,
+    _entropic_logs,
+    _entropic_steps,
+    _log_barrier_steps,
     _prox_log_barrier_simplex,
     _rowsums,
     bregman,
@@ -521,3 +524,64 @@ def test_diameters():
     assert abs(Simplex(3).diameter - np.sqrt(2)) < 1e-15
     assert Simplex(1).diameter == 0.0
     assert abs(Box(np.zeros(2), np.ones(2)).diameter - np.sqrt(2)) < 1e-15
+
+
+@st.composite
+def prox_rows(draw, max_dim=7):
+    """One or two (anchor, g, eta) rows of a prox step: d in 1..max_dim, an
+    anchor that is a vertex, uniform, interior or on the boundary (zero
+    entries), a uniform or integer gradient (ties), and a rate in 1e-3..10
+    (the two rows' the same or not)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(1, max_dim))
+        anchor, kind = rng.dirichlet(np.ones(d)), rng.integers(4) if d > 1 else 0
+        if kind == 0:
+            anchor = np.eye(d)[rng.integers(d)]
+        elif kind == 1:
+            anchor = np.full(d, 1.0 / d)
+        elif kind == 3:
+            anchor[rng.integers(d)] = 0.0
+            anchor /= anchor.sum()
+        g = rng.integers(-3, 4, size=d).astype(float) if rng.integers(2) else rng.uniform(-3, 3, size=d)
+        rows.append([anchor.tolist(), g.tolist(), float(10.0 ** rng.uniform(-3.0, 1.0))])
+    if len(rows) == 2 and draw(st.booleans()):
+        rows[1][2] = rows[0][2]
+    return rows
+
+
+def lift_each(anchors):
+    """``lift_interior`` of each row alone, as rows may differ in length."""
+    return [lift_interior([a])[0] for a in anchors]
+
+
+def assert_steps_match_prox_step(kind, lift, steps, rows):
+    # Each row of one call of a play kernel's list step is the prox_step of
+    # its own row, byte for byte.
+    anchors, gs, etas = zip(*rows)
+    got = steps(lift(anchors), gs, etas)
+    assert len(got) == len(rows)
+    for out, (anchor, g, eta) in zip(got, rows):
+        want = prox_step(Regularizer(kind), Simplex(len(anchor)), np.array(anchor), np.array(g), eta)
+        assert np.array(out).tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(prox_rows())
+def test_entropic_steps_match_prox_step_bitwise(rows):
+    # One player alone or two sharing one np.log and one np.exp call.
+    assert_steps_match_prox_step("entropic", _entropic_logs, _entropic_steps, rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(prox_rows(max_dim=10))
+def test_log_barrier_steps_match_prox_step_bitwise(rows):
+    # Two rows of one length and rate go through one joint solve, which must
+    # give each row's single-row prox_step; any other pair is solved row by row.
+    assert_steps_match_prox_step("log-barrier", lift_each, _log_barrier_steps, rows)
+
+
+def test_entropic_steps_refuse_a_nan_anchor():
+    with pytest.raises(InvalidInputError, match="non-finite input"):
+        _entropic_logs(([0.5, 0.5], [np.nan, 1.0]))

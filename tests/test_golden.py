@@ -186,7 +186,8 @@ def _rvu_terms():
             reg, opt = external_regret(lrn.path[1:], lrn.utility_array(), sset)
             comp = boundary_offset_comparator(opt, 0.1)
             values.extend([reg, *rvu_terms(lrn, comp), *rvu_terms(lrn, comp, constant="half")])
-        values.extend(doubling_trick_eta(learners, e) for e in (eta, 4.0 * eta, 0.01 * eta))
+        runs = [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
+        values.extend(doubling_trick_eta(runs, e) for e in (eta, 4.0 * eta, 0.01 * eta))
         out[algo] = _floats_sha(values)
     return out
 

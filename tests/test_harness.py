@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metagames import games, harness, meta, metrics
+from metagames import learners as learners_module
 from metagames.errors import ConfigError, InvalidInputError, NumericError
+from metagames.geometry import Regularizer
 from metagames.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -27,6 +30,12 @@ from metagames.harness import (
 from metagames.learners import GDLearner, OMDLearner, doubling_residual, external_regret
 
 BASE = [[0.2, -0.6], [-0.6, 1.0]]
+# Perturbed-base games of the kernel's shapes: 2x2, 2x3 and 3x3.
+KERNEL_BASES = (
+    BASE,
+    [[0.5, -1.0, 0.3], [-0.4, 0.8, -0.9]],
+    [[0.2, -0.6, 0.1], [-0.6, 1.0, 0.3], [0.0, 0.4, -0.5]],
+)
 
 
 def small_config(**overrides):
@@ -518,8 +527,13 @@ def test_emit_plot_golden_snapshot():
         assert name in text
 
 
+def learner_runs(learners):
+    """The doubling rule's runs of OMDLearners: path, utilities, predictions."""
+    return [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
+
+
 class LoopOMDLearner(OMDLearner):
-    """An OMDLearner that ``play_task`` steps round by round: its OGD kernel
+    """An OMDLearner that ``play_task`` steps round by round: its kernel
     refuses subclasses, so the per-round loop stays the oracle."""
 
 
@@ -529,6 +543,27 @@ def loop_learner(algo, strategy_set, eta, init=None, prediction="recency"):
         return make_learner(algo, strategy_set, eta, init=init, prediction=prediction)
     reg = harness._REGS[algo]
     return LoopOMDLearner(strategy_set, eta, regularizer=reg, init=init, prediction_mode=prediction)
+
+
+def loop_rows(played, free_first):
+    """A stand-in for ``harness._play_rows`` that plays its task by the
+    per-round loop: ``play_task``, as the harness module finds it, on
+    ``LoopOMDLearner``s started at the rows' round 0, with the free first
+    prediction or zero as they make it, not as the caller passed it. The
+    rows are filled from the learners' histories, and ``played`` is left
+    holding the learners."""
+
+    def play_rows(game, kind, etas, firsts, paths, utilities):
+        learners = [
+            LoopOMDLearner(s, eta, regularizer=Regularizer(kind), init=path[0])
+            for s, eta, path in zip(game.sets, etas, paths)
+        ]
+        harness.play_task(game, learners, len(utilities[0]), free_first=free_first)
+        for path, u, lrn in zip(paths, utilities, learners):
+            path[:], u[:] = lrn.primary_array(), lrn.utility_array()
+        played[:] = learners
+
+    return play_rows
 
 
 def round_logger(cfg, game, t, learners, records):
@@ -581,10 +616,10 @@ def observed_records(monkeypatch, config):
     """run_experiment's records as ``round_logger`` logs them round by round.
 
     Every task is played by ``play_task`` round by round, also on an arm
-    that ``run_experiment`` plays in batches or ``play_task`` by its OGD
-    kernel: no arm is batched, and ``make_learner`` builds ``loop_learner``s,
-    which the kernel refuses. So those records are checked against the
-    per-round oracle too. The observer sees each round when the first
+    that ``run_experiment`` plays in batches or by ``_play_rows``: no arm is
+    batched, ``_play_rows`` is ``loop_rows`` and ``make_learner`` builds
+    ``loop_learner``s, which the kernel refuses. So those records are
+    checked against the per-round oracle too. The observer sees each round when the first
     learner is handed its utility, before any learner updates; the records
     of a task are those of its final attempt, the last one played before
     the task is logged. Blocks of one task log each task before the next is
@@ -615,7 +650,8 @@ def observed_records(monkeypatch, config):
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
         patch.setattr(harness, "make_learner", loop_learner)
-        patch.setattr(harness, "BATCH_MIN_TASKS", (float("inf"),) * 3)
+        patch.setattr(harness, "_play_rows", loop_rows([], cfg.first_prediction == "oracle"))
+        patch.setattr(harness, "BATCH_MIN_TASKS", ((float("inf"),) * 3,) * 2)
         patch.setattr(harness, "BATCH_BYTES", 1)
         return run_experiment(config).records
 
@@ -783,11 +819,13 @@ def learner_state(lrn):
 
 @st.composite
 def task_inputs(draw):
-    """One game (d_x, d_y in 2..10, each 2 about half the time, so that the
-    kernel's two-action step plays 2x2 and 2xN games alike) with a feasible
-    start, a rate per player (the same or two), and two calls of play_task:
-    each with its number of rounds and first prediction (the free one, zero,
-    or one set beforehand). Integer payoffs make exact ties."""
+    """One RVU learner, one game (d_x, d_y in 2..10, each 2 about half the
+    time, so that the kernel's two-action step plays 2x2 and 2xN games
+    alike) with a feasible start, a rate per player (the same or two), and
+    two calls of play_task: each with its number of rounds and first
+    prediction (the free one, zero, or one set beforehand). Integer payoffs
+    make exact ties."""
+    algo = draw(st.sampled_from(sorted(harness._REGS)))
     actions = st.one_of(st.just(2), st.integers(3, 10))
     dx, dy = draw(actions), draw(actions)
     tied = draw(st.booleans())
@@ -804,18 +842,18 @@ def task_inputs(draw):
         if first == "set":
             preset = [rng.integers(-2, 3, size=d).astype(float) for d in (dx, dy)]
         calls.append((draw(ms), first == "free", preset))
-    return games.MatrixGame(A), start, etas, calls
+    return algo, games.MatrixGame(A), start, etas, calls
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(task_inputs())
 def test_play_task_kernel_matches_loop_bitwise(inputs):
-    # play_task's OGD kernel leaves its learners as the per-round loop leaves
-    # a LoopOMDLearner pair, over two calls: histories, secondary iterates,
+    # play_task's kernel leaves its learners as the per-round loop leaves a
+    # LoopOMDLearner pair, over two calls: histories, secondary iterates,
     # predictions, summary row and doubling residual.
-    game, start, etas, calls = inputs
+    algo, game, start, etas, calls = inputs
     fused, loop = (
-        [build("ogd", s, eta, init=x0) for s, eta, x0 in zip(game.sets, etas, start)]
+        [build(algo, s, eta, init=x0) for s, eta, x0 in zip(game.sets, etas, start)]
         for build in (make_learner, loop_learner)
     )
     assert harness._takes_kernel(game, fused) and not harness._takes_kernel(game, loop)
@@ -826,33 +864,50 @@ def test_play_task_kernel_matches_loop_bitwise(inputs):
             play_task(game, learners, m, free_first=free_first)
         assert [learner_state(lrn) for lrn in fused] == [learner_state(lrn) for lrn in loop]
         for eta in etas:
-            assert repr(doubling_residual(fused, eta)) == repr(doubling_residual(loop, eta))
+            fused_runs, loop_runs = learner_runs(fused), learner_runs(loop)
+            assert repr(doubling_residual(fused_runs, eta)) == repr(doubling_residual(loop_runs, eta))
         if len(fused[0].path) == m + 1:
             assert repr(summary_row(game, fused)) == repr(summary_row(game, loop))
 
 
 @pytest.mark.parametrize(
-    "A, eta, free_first, message",
+    "algo, A, eta, free_first, message",
     [
-        ([[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "simplex projection"),
-        ([[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
+        ("ogd", [[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "simplex projection"),
+        ("ogd", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
+        ("opthedge", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
+        ("opthedge", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, True, "non-finite input"),
+        ("opthedge", [[2.0, -2.0, 1.0], [-2.0, 2.0, 0.5]], 1e308, True, "non-finite"),
+        ("opthedge", [[0.2, -0.6], [-0.6, 1.0]], math.inf, True, "eta must be positive and finite"),
+        ("omd-logbar", [[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "did not converge"),
+        ("omd-logbar", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
     ],
-    ids=["huge-rate", "overflowing-utility"],
+    ids=[
+        "huge-rate",
+        "overflowing-utility",
+        "entropic-overflowing-utility",
+        "entropic-overflowing-first",
+        "entropic-nan-step",
+        "entropic-infinite-rate",
+        "log-barrier-huge-rate",
+        "log-barrier-overflowing-utility",
+    ],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_play_task_kernel_raises_as_loop(A, eta, free_first, message):
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_play_task_kernel_raises_as_loop(algo, A, eta, free_first, message):
     # The kernel raises the loop's error and leaves its learners untouched.
     game = games.MatrixGame(A)
     fused, loop = (
-        [build("ogd", s, eta, init=s.center()) for s in game.sets]
+        [build(algo, s, eta, init=s.center()) for s in game.sets]
         for build in (make_learner, loop_learner)
     )
     before = [learner_state(lrn) for lrn in fused]
-    with pytest.raises(InvalidInputError, match=message) as kernel:
+    with pytest.raises((InvalidInputError, NumericError), match=message) as kernel:
         play_task(game, fused, 5, free_first=free_first)
-    with pytest.raises(InvalidInputError) as oracle:
+    with pytest.raises((InvalidInputError, NumericError)) as oracle:
         play_task(game, loop, 5, free_first=free_first)
-    assert str(kernel.value) == str(oracle.value)
+    assert repr(kernel.value) == repr(oracle.value)
     if not free_first:
         assert [learner_state(lrn) for lrn in fused] == before
 
@@ -906,25 +961,23 @@ def test_two_action_step_matches_ogd_step_bitwise(inputs):
 
 
 @pytest.mark.parametrize(
-    "base, driver",
-    [
-        (BASE, "_play_ogd"),
-        ([[0.2, -0.6, 0.1], [-0.6, 1.0, 0.3], [0.0, 0.4, -0.5]], "_play_batch"),
-    ],
-    ids=["2x2-kernel", "3x3-batch"],
+    "base, m, driver",
+    [(BASE, 40, "_play_rows"), (KERNEL_BASES[2], 5, "_play_batch"), (KERNEL_BASES[2], 40, "_play_rows")],
+    ids=["2x2-kernel", "3x3-batch", "3x3-long-kernel"],
 )
-def test_short_play_independent_arm_driver(monkeypatch, base, driver):
-    # A 4-task cold arm is played by the driver that is faster on its shape:
-    # the kernel, whose two-action step is the faster one, on 2x2 games and
-    # one batch on 3x3 games.
+def test_short_play_independent_arm_driver(monkeypatch, base, m, driver):
+    # A 4-task cold arm is played by the driver that is faster on its shape
+    # and task length (BATCH_MIN_TASKS): the kernel, whose two-action step is
+    # the faster one, on 2x2 games; on 3x3 games one batch of short tasks,
+    # and the kernel for longer ones.
     calls = []
-    for name in ("_play_ogd", "_play_batch"):
+    for name in ("_play_rows", "_play_batch"):
         real = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
     game = {"family": "perturbed-base", "base": base, "delta": 0.02}
-    run_experiment(small_config(T=4, init="cold", game=game))
+    run_experiment(small_config(T=4, m=m, init="cold", game=game))
     assert set(calls) == {driver}
-    assert len(calls) == (4 if driver == "_play_ogd" else 1)
+    assert len(calls) == (4 if driver == "_play_rows" else 1)
 
 
 def test_kernel_refuses_learners_that_may_play_otherwise():
@@ -934,8 +987,12 @@ def test_kernel_refuses_learners_that_may_play_otherwise():
         return [make_learner("ogd", s, 0.1, **kwargs) for s in game.sets]
 
     assert harness._takes_kernel(game, pair())
+    for algo in ("opthedge", "omd-logbar"):
+        assert harness._takes_kernel(game, [make_learner(algo, s, 0.1) for s in game.sets])
+    mixed = [make_learner(a, s, 0.1) for a, s in zip(("ogd", "opthedge"), game.sets)]
+    assert not harness._takes_kernel(game, mixed)
     assert not harness._takes_kernel(game, pair(prediction="secondary-anchor"))
-    assert not harness._takes_kernel(game, [make_learner("opthedge", s, 0.1) for s in game.sets])
+    assert not harness._takes_kernel(game, pair(prediction="zero"))
     assert not harness._takes_kernel(game, pair()[:1])
     assert not harness._takes_kernel(games.NormalFormGame([-np.asarray(BASE), np.asarray(BASE)]), pair())
     patched = pair()
@@ -953,8 +1010,8 @@ def _choices(path):
 @st.composite
 def play_path_configs(draw):
     """A small run config of SCHEMA rows, aimed at one driver: ``_play_batch``
-    (a play-independent arm), ``play_task``'s kernel (other fused arms) or any
-    driver. Zero-sum and potential families, square and non-square games,
+    (a play-independent arm), ``_play_rows`` (recency self-play of any RVU
+    learner without alternation) or any driver. Zero-sum and potential families, square and non-square games,
     every initializer and rate mode, and on zero-sum families every RVU
     learner, prediction and first prediction, drawn evenly; potential games
     take gd with the defaults. Also a number of tasks per block, or None for
@@ -1007,11 +1064,13 @@ def play_path_configs(draw):
     }
     if pick([False, True]):
         cfg["meta"]["ewoo"] = {"D": rng.uniform(0.5, 3.0), "rho": rng.uniform(0.1, 1.0)}
+    elif learner["eta_mode"] == "ewoo" and np.size(game.get("base", 0)) == 1:
+        cfg["meta"]["ewoo"] = {"D": 1.0}  # without D, EWOO on a 1x1 game is a config error
     driver = "any" if potential else pick(["batch", "fused", "any"])
     if driver != "any":
-        learner.update(algo="ogd", prediction="recency", alternating=False)
+        learner.update(prediction="recency", alternating=False)
     if driver == "batch":
-        learner.update(eta_mode="fixed", first_prediction="oracle")
+        learner.update(algo="ogd", eta_mode="fixed", first_prediction="oracle")
         cfg.update(T=int(rng.integers(4, 7)), init=pick(["cold", "ne-average"]))
     return cfg, pick([None, 1, 2, 3])
 
@@ -1039,11 +1098,14 @@ def run_outputs(res):
 
 def oracle_outputs(config):
     """``outputs_or_error`` of the per-round oracle: every task played by
-    ``play_task`` round by round on ``loop_learner``s (no arm is batched)
-    and summarized alone, and folded into the meta state from the learners
-    of its final attempt, as ``summary_row`` reads them."""
+    ``play_task`` round by round on ``loop_learner``s (no arm is batched,
+    and ``_play_rows`` is ``loop_rows``) and summarized alone, its doubling
+    rule applied to the learners' own histories, and folded into the meta
+    state from the learners of its final attempt, as ``summary_row`` reads
+    them."""
     latest = []
     real_play, real_record = harness.play_task, meta.EwooState.record
+    free_first = ExperimentConfig.from_dict(config).first_prediction == "oracle"
 
     def play(game, learners, m, **kwargs):
         latest[:] = learners
@@ -1067,9 +1129,15 @@ def oracle_outputs(config):
         dist2 = sum(np.sum((o - lrn.init) ** 2) for o, lrn in zip(learner_optima(), latest))
         return real_record(state, 0.5 * float(dist2), gamma)
 
+    def on_learners(rule):
+        return lambda runs, eta: rule(learner_runs(latest), eta)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "make_learner", loop_learner)
-        patch.setattr(harness, "BATCH_MIN_TASKS", (float("inf"),) * 3)
+        patch.setattr(harness, "_play_rows", loop_rows(latest, free_first))
+        patch.setattr(harness, "doubling_trick_eta", on_learners(learners_module.doubling_trick_eta))
+        patch.setattr(harness, "doubling_residual", on_learners(learners_module.doubling_residual))
+        patch.setattr(harness, "BATCH_MIN_TASKS", ((float("inf"),) * 3,) * 2)
         patch.setattr(harness, "BATCH_BYTES", 1)
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "Initializer", LearnerFold)
@@ -1077,17 +1145,39 @@ def oracle_outputs(config):
         return outputs_or_error(config)
 
 
+def kernel_config(algo, base, first, eta_mode):
+    """A warm-started recency run of ``algo`` on perturbed ``base`` games."""
+    learner = {"algo": algo, "eta": 0.7, "eta_mode": eta_mode, "first_prediction": first}
+    game = {"family": "perturbed-base", "base": base, "delta": 0.3}
+    return small_config(T=3, m=6, log_every=2, metrics_every=2, game=game, learner=learner)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(play_path_configs())
+@example((kernel_config("opthedge", KERNEL_BASES[0], "oracle", "doubling"), None))
+@example((kernel_config("opthedge", KERNEL_BASES[1], "zero", "ewoo"), 2))
+@example((kernel_config("opthedge", KERNEL_BASES[2], "zero", "doubling"), None))
+@example((kernel_config("omd-logbar", KERNEL_BASES[0], "zero", "ewoo"), None))
+@example((kernel_config("omd-logbar", KERNEL_BASES[1], "oracle", "doubling"), 1))
+@example((kernel_config("omd-logbar", KERNEL_BASES[2], "oracle", "ewoo"), None))
 def test_drivers_match_per_round_oracle(drawn):
     # run_experiment, with blocks of the drawn size, gives the bytes of the
     # per-round oracle. The two share the summaries and records, which
-    # summary_row and round_logger check.
+    # summary_row and round_logger check. Every task of recency self-play
+    # without alternation is played by _play_rows or in a batch.
     config, block_tasks = drawn
     cfg = ExperimentConfig.from_dict(config)
+    kernel_tasks = []
     with pytest.MonkeyPatch.context() as patch:
         if block_tasks is not None:
             dims = sum(s.dim for s in games.sample_game_sequence(cfg.game)[0].sets)
             patch.setattr(harness, "BATCH_BYTES", block_tasks * 8 * (2 * cfg.m + 1) * dims)
+        for name, tasks in (("_play_rows", lambda *a: 1), ("_play_batch", lambda games, *a: len(games))):
+            real = getattr(harness, name)
+            patch.setattr(harness, name, lambda *a, _real=real, _n=tasks: kernel_tasks.append(_n(*a)) or _real(*a))
         got = outputs_or_error(config)
     assert got == oracle_outputs(config)
+    if cfg.algo == "gd" or cfg.prediction != "recency" or cfg.alternating_updates:
+        assert not kernel_tasks
+    elif isinstance(got, tuple):  # the run ended; a doubling task may be played more than once
+        assert sum(kernel_tasks) >= cfg.T

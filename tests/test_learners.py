@@ -513,9 +513,10 @@ def test_doubling_trick_halts_on_positive_residual():
     path = sum(np.sum(np.diff(lrn.primary_array(), axis=0) ** 2) for lrn in learners)
     residual = 0.9 * pred - path / (8.0 * 0.9)
     assert residual > 0
-    assert abs(doubling_residual(learners, 0.9) - residual) <= 1e-12 * (0.9 * pred)
-    assert doubling_trick_eta(learners, 0.9) == 0.45
-    assert doubling_trick_eta(learners[:1], 1e-6) == 1e-6  # path credit wins
+    runs = [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
+    assert abs(doubling_residual(runs, 0.9) - residual) <= 1e-12 * (0.9 * pred)
+    assert doubling_trick_eta(runs, 0.9) == 0.45
+    assert doubling_trick_eta(runs[:1], 1e-6) == 1e-6  # path credit wins
 
 
 def test_box_learner_and_best_point():

@@ -266,6 +266,14 @@ def test_extreme_points_grid_too_fine_is_refused():
         build_extreme_points([game])
 
 
+@pytest.mark.parametrize("gamma", [1e-320, 0.0])
+def test_extreme_points_grid_gamma_without_finite_inverse_is_refused(gamma):
+    # 1/gamma overflows (or divides by zero), which round() cannot take
+    game = _random_game(np.random.default_rng(4), 6, 1)
+    with pytest.raises(ConfigError, match=rf"gamma={gamma!r} on d=6 targets has no finite 1/gamma"):
+        build_extreme_points([game], gamma=gamma)
+
+
 def test_run_single_point_zero_regret():
     single = SecurityGame([(np.zeros(1), np.ones(1))], np.ones(1), np.zeros(1))
     E = ExtremePointSet(np.array([[1.0]]))
