@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -140,7 +141,7 @@ def _cmd_plot(args):
             f"--column: {args.column!r} is not a column of {path.name}; "
             f"columns: {', '.join(header)}"
         )
-    series_map = {}
+    steps, series_map = {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
         if len(f) != len(header):
@@ -150,9 +151,14 @@ def _cmd_plot(args):
             y = float(cell)
         except ValueError:
             raise ConfigError(f"{path.name}:{lineno}: not a number: {cell!r}") from None
-        entry = series_map.setdefault(f[cols["player"]], {"xs": [], "ys": []})
-        entry["xs"].append(len(entry["xs"]))  # logged-step index per player
-        entry["ys"].append(y)
+        player = f[cols["player"]]
+        step = steps[player] = steps.get(player, -1) + 1  # logged-step index per player
+        if math.isfinite(y):  # a gap is NaN on the logged rounds it was not measured on
+            entry = series_map.setdefault(player, {"xs": [], "ys": []})
+            entry["xs"].append(step)
+            entry["ys"].append(y)
+    if not series_map:
+        raise ConfigError(f"--column: {path.name} has no finite {args.column!r} value")
     series = [
         {"label": f"player {p}", "xs": s["xs"], "ys": s["ys"]}
         for p, s in sorted(series_map.items())

@@ -35,7 +35,6 @@ from metagames.geometry import (
     LOG_BARRIER,
     _NO_THRESHOLD,
     Regularizer,
-    Simplex,
     _check_finite,
     _check_rate,
     _entropic_logs,
@@ -100,7 +99,8 @@ class RunRecord:
 
 
 def play_task(game, learners, m, free_first=True, alternating=False):
-    """Self-play on any game for m rounds; every task is played here.
+    """Self-play on any game for m rounds, round by round: the reference loop
+    for learner objects.
 
     Utilities come from ``utility_gradient``, so matrix, normal-form and
     potential games and VI operators (one player) share this loop. With
@@ -109,12 +109,9 @@ def play_task(game, learners, m, free_first=True, alternating=False):
     'secondary-anchor' mode are given u_k at the secondary iterates before
     every round. With ``alternating`` (two players) the second mover
     predicts with the first mover's current move.
-    The learners keep their played points and utilities, from which
-    ``_task_records`` logs the rounds afterwards. Returns the learners.
-    Without alternation, learners that ``_takes_kernel`` admits (recency
-    self-play of two OMDLearners with one regularizer on a MatrixGame) are
-    played by ``_play_rows``, bit for bit as in this loop, and given its
-    rows as their histories (``OMDLearner.set_history``).
+    The learners keep their played points and utilities. Returns the learners.
+    ``run_experiment`` plays recency self-play without alternation by
+    ``_play_batch`` or ``_play_rows`` instead, bit for bit as this loop.
     """
     predicts = [hasattr(lrn, "set_prediction") for lrn in learners]
     if free_first and any(predicts):
@@ -122,16 +119,6 @@ def play_task(game, learners, m, free_first=True, alternating=False):
         for k, lrn in enumerate(learners):
             if predicts[k]:
                 lrn.set_prediction(utility_gradient(game, k, start))
-    if m and not alternating and _takes_kernel(game, learners):
-        # Row 0 holds the start and the first prediction: with recency, rows
-        # 0..m-1 of the utilities are the predictions of rounds 1..m.
-        paths = [np.repeat(lrn.x_hat[None], m + 1, axis=0) for lrn in learners]
-        us = [np.repeat(lrn.prediction[None], m + 1, axis=0) for lrn in learners]
-        etas, firsts = [lrn.eta for lrn in learners], [lrn.prediction.tolist() for lrn in learners]
-        secondary = _play_rows(game, learners[0].reg.kind, etas, firsts, paths, [u[1:] for u in us])
-        for k, (path, u, lrn) in enumerate(zip(paths, us, learners)):
-            lrn.set_history(path, np.array([path[0], *(h[k] for h in secondary)]), u[1:], u[:-1])
-        return learners
     n = len(learners)
     anchored = [
         k for k, lrn in enumerate(learners) if getattr(lrn, "mode", None) == SECONDARY_ANCHOR
@@ -150,27 +137,6 @@ def play_task(game, learners, m, free_first=True, alternating=False):
         for lrn, u in zip(learners, utilities):
             lrn.update(u)
     return learners
-
-
-def _takes_kernel(game, learners):
-    """Whether ``_play_rows`` may play the learners: two fresh OMDLearners
-    (no round played; not a subclass, nor an instance with its own ``play``
-    or ``update``) with one regularizer and recency predictions over the
-    simplex of their side of a MatrixGame."""
-    return (
-        isinstance(game, MatrixGame)
-        and len(learners) == 2
-        and all(
-            type(lrn) is OMDLearner
-            and len(lrn.path) == 1
-            and isinstance(lrn.set, Simplex)
-            and lrn.mode == RECENCY
-            and lrn.x_hat.shape == lrn.prediction.shape == (d,)
-            and not {"play", "update"} & vars(lrn).keys()
-            for lrn, d in zip(learners, game.A.shape)
-        )
-        and learners[0].reg == learners[1].reg
-    )
 
 
 def _default_eta(game, n_players):
@@ -683,8 +649,7 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
     ``_entropic_steps`` or ``_log_barrier_steps`` call for both), utilities
     by ``np.dot`` as ``utility_gradient``. Errors are the loop's, in its
     order, unless a log-barrier solve fails in a half-step in which the
-    other player's input is also bad. Returns the secondary iterates of
-    rounds 1..m as (x, y) pairs of lists.
+    other player's input is also bad.
     """
     neg_a, a_t = -game.A, game.A.T
     (X, Y), (UX, UY) = paths, utilities
@@ -700,7 +665,6 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
             _check_finite(g)
     x_hat, y_hat = X[0].tolist(), Y[0].tolist()
     px, py = firsts
-    secondary = []
     for i in range(1, len(X)):
         if joint:
             lifted = lift((x_hat, y_hat))
@@ -718,8 +682,6 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
             x_hat = step_x(x_hat, px, ex)
             _check_utility(py)
             y_hat = step_y(y_hat, py, ey)
-        secondary.append((x_hat, y_hat))
-    return secondary
 
 
 def _lift_rows(anchors):

@@ -11,12 +11,10 @@ update in 'secondary-anchor' mode (m^(i) is the utility at xhat^(i-1)),
 played on a VI operator by ``harness.play_task``. Projected gradient ascent
 and the preconditioned variant are thin relatives of the same prox kernel.
 
-Every learner here is played by ``harness.play_task``. It plays two
-'recency' OMDLearners with one regularizer on a matrix game in a fused
-kernel, which leaves their histories, secondary iterate and prediction
-exactly as the per-round ``play``/``update`` calls would; a subclass always
-gets the calls. ``harness.run_experiment`` plays such tasks in the kernel
-without learners, checking each start with ``check_start``.
+Every learner here is played round by round by ``harness.play_task``.
+``harness.run_experiment`` plays recency self-play without alternation
+with no learners, in kernels that match that loop bit for bit, checking
+each start with ``check_start``, an OMDLearner's own check.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ class OMDLearner:
     each ``play``, as does alternation (``harness.play_task`` with
     ``alternating=True``) in any mode. History keeps the full primary
     path (including x^(0)), the secondary path, utilities, and predictions,
-    each a list of (d,) arrays; ``set_history`` sets all four at once.
+    each a list of (d,) arrays.
     """
 
     def __init__(self, strategy_set, eta, regularizer=None, init=None, prediction_mode=RECENCY):
@@ -75,27 +73,16 @@ class OMDLearner:
         self.mode = prediction_mode
         self.x_hat = x0.copy()
         self.prediction = np.zeros(x0.shape)
-        # path (x^(0..i)), hat_path (xhat^(0..i)), utilities, predictions
-        self._lists = ([x0.copy()], [x0.copy()], [], [])
-        self._arrays = None  # the four as set_history was given them
+        self.path = [x0.copy()]  # primary iterates x^(0..i)
+        self.hat_path = [x0.copy()]  # secondary iterates xhat^(0..i)
+        self.utilities = []
+        self.predictions = []
         self._current = None
         self.euclidean_simplex = self.reg.kind == EUCLIDEAN and isinstance(strategy_set, Simplex)
-
-    path = property(lambda self: self._histories()[0])
-    hat_path = property(lambda self: self._histories()[1])
-    utilities = property(lambda self: self._histories()[2])
-    predictions = property(lambda self: self._histories()[3])
 
     @property
     def init(self):
         return self.path[0]
-
-    def _histories(self):
-        """The history lists, made from ``set_history``'s arrays on first use."""
-        if self._arrays is not None:
-            self._lists = tuple(list(rows) for rows in self._arrays)
-            self._arrays = None
-        return self._lists
 
     def _prox(self, anchor, g):
         if self.euclidean_simplex:
@@ -121,43 +108,29 @@ class OMDLearner:
         if not math.isfinite(utility.sum()):
             raise InvalidInputError("non-finite utility")
         x = self.play()
-        path, hat_path, utilities, predictions = self._histories()
-        path.append(x)
-        predictions.append(self.prediction)
+        self.path.append(x)
+        self.predictions.append(self.prediction)
         u = utility.copy()
-        utilities.append(u)
+        self.utilities.append(u)
         self.x_hat = self._prox(self.x_hat, u)
-        hat_path.append(self.x_hat)
+        self.hat_path.append(self.x_hat)
         if self.mode == RECENCY:
             self.prediction = u
         elif self.mode == ZERO:
             self.prediction = np.zeros_like(u)
         self._current = None
 
-    def set_history(self, path, hat_path, utilities, predictions):
-        """Make the histories the rows of these (n, d) arrays, which the
-        ``*_array`` methods copy until a history is used as a list. As after
-        recency updates, the secondary iterate and the prediction are the
-        last rows of ``hat_path`` and ``utilities``."""
-        self._arrays = (path, hat_path, utilities, predictions)
-        self.x_hat, self.prediction, self._current = hat_path[-1], utilities[-1], None
-
-    def _stacked(self, k):
-        if self._arrays is not None:
-            return self._arrays[k].copy()
-        return np.asarray(self._lists[k])
-
     def primary_array(self):
-        return self._stacked(0)
+        return np.asarray(self.path)
 
     def secondary_array(self):
-        return self._stacked(1)
+        return np.asarray(self.hat_path)
 
     def utility_array(self):
-        return self._stacked(2)
+        return np.asarray(self.utilities)
 
     def prediction_array(self):
-        return self._stacked(3)
+        return np.asarray(self.predictions)
 
 
 def check_start(strategy_set, eta, x0):

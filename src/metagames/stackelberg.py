@@ -46,14 +46,10 @@ def payoff_table(game: SecurityGame, points):
     return D[np.arange(D.shape[0]), targets]
 
 
-def best_response(game: SecurityGame, type_id, coverage):
-    """Attacked target: argmax attacker utility, ties defender-favorable then
-    lowest index."""
-    return int(_responses(game, np.asarray(coverage, dtype=float)[None])[1][type_id, 0])
-
-
 def defender_payoff(game: SecurityGame, type_id, coverage):
-    """Defender utility when the given attacker type best responds."""
+    """Defender utility when the given attacker type best responds: one entry
+    of ``payoff_table``. The package reads the table; perfbench/spans.py
+    traces this function by name."""
     return float(payoff_table(game, np.asarray(coverage, dtype=float)[None])[type_id, 0])
 
 
@@ -210,15 +206,15 @@ def stackelberg_regret(game: SecurityGame, coverages, attacker_types, extreme_po
     return float(best - np.sum(played))
 
 
-def _play_mwu(U, y0, eta, sampled):
-    """One task of full-information MWU from ``y0`` on the utility rows ``U``:
-    round i plays softmax(log y0 + eta * C_i), C_i the sum of the rows before
-    i, and samples the first point whose cumulative weight reaches
-    ``sampled[i]`` times the total. Returns the expected and realized values
-    and the summed utilities. Unlike per-round ``geometry.mwu_step`` calls, no
-    weight is floored at 1e-300 mid-task."""
+def _play_mwu(U, y0, eta, sampled, Y):
+    """One task of full-information MWU from ``y0`` on the (m, n) utility
+    rows ``U``: round i plays softmax(log y0 + eta * C_i), C_i the sum of the
+    rows before i, and samples the first point whose cumulative weight
+    reaches ``sampled[i]`` times the total. ``Y`` is an (m, n) work array,
+    overwritten. Returns the expected and realized values and the summed
+    utilities. Unlike per-round ``geometry.mwu_step`` calls, no weight is
+    floored at 1e-300 mid-task."""
     m, n = U.shape
-    Y = np.empty((m, n))
     Y[0] = 0.0
     np.cumsum(U[:-1], axis=0, out=Y[1:])
     cum_utility = Y[-1] + U[-1]
@@ -295,6 +291,11 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     records = []
     opt_hindsight_dists = []
     table_game = None
+    # One pair of (m, n) arrays serves every task. A fresh pair per task is
+    # freed at the top of the heap, which glibc returns to the system on some
+    # heap layouts; the next task then faults the pages in again (perfbench's
+    # stackelberg-ewoo unit: 2840 faults, 25-35 % of its time).
+    U, Y = np.empty((m, n_points)), np.empty((m, n_points))
     for t in range(T):
         game = games[t]
         try:
@@ -312,9 +313,10 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
             table_game = game
         (y0,) = initializer.initialization()
         eta_t = ewoo_next_eta(ewoo) if config.eta == "ewoo" else float(config.eta)
-        expected_value, realized_value, cum_utility = _play_mwu(
-            payoffs[script], y0, eta_t, rng.random(m)
-        )
+        # "clip" takes rows straight into U ("raise" would buffer them); the
+        # script's indices are checked above.
+        np.take(payoffs, script, axis=0, out=U, mode="clip")
+        expected_value, realized_value, cum_utility = _play_mwu(U, y0, eta_t, rng.random(m), Y)
 
         best_idx = int(np.argmax(cum_utility))
         best_value = float(cum_utility[best_idx])

@@ -365,6 +365,39 @@ def test_plot_unknown_column_exits_2(tmp_path, capsys):
     assert not fig.exists()
 
 
+@pytest.mark.parametrize("logy", [False, True])
+def test_plot_gap_column_skips_unmeasured_rounds(tmp_path, monkeypatch, capsys, logy):
+    # Gaps are measured every metrics_every rounds and are NaN on the other
+    # logged rounds: the plot keeps each measured point at its logged-step
+    # index, and a column with no finite value is a config error.
+    cfg = write_config(tmp_path, {"log_every": 2, "metrics_every": 10})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    records, fig = out / "records.csv", tmp_path / "fig.svg"
+    plotted, real_emit = [], harness.emit_plot
+
+    def emit_plot(series, *args, **kwargs):
+        plotted.extend(series)
+        return real_emit(series, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "emit_plot", emit_plot)
+    assert main(["plot", str(records), "-o", str(fig), "--column", "dualgap"] + ["--logy"] * logy) == 0
+    assert "nan" not in fig.read_text()
+    rows = [line.split(",") for line in records.read_text().splitlines()[1:]]
+    for k, series in enumerate(plotted):
+        mine = [row for row in rows if row[3] == str(k)]
+        steps = [i for i, row in enumerate(mine) if row[5] != "nan"]
+        assert 0 < len(steps) < len(mine)
+        assert series["xs"] == steps and series["ys"] == [float(mine[i][5]) for i in steps]
+    assert len(plotted) == 2
+    records.write_text("task,player,regret_cum,dualgap\n0,0,0.5,nan\n0,1,0.2,nan\n")
+    fig.unlink()
+    capsys.readouterr()
+    assert main(["plot", str(records), "-o", str(fig), "--column", "dualgap"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --column:")
+    assert not fig.exists()
+
+
 @pytest.mark.parametrize("row", ["0,0,abc", "0", "0,0,1.5,7"])
 def test_plot_malformed_records_exits_2(tmp_path, capsys, row):
     records = tmp_path / "records.csv"

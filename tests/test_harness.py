@@ -532,30 +532,17 @@ def learner_runs(learners):
     return [(lrn.primary_array(), lrn.utility_array(), lrn.prediction_array()) for lrn in learners]
 
 
-class LoopOMDLearner(OMDLearner):
-    """An OMDLearner that ``play_task`` steps round by round: its kernel
-    refuses subclasses, so the per-round loop stays the oracle."""
-
-
-def loop_learner(algo, strategy_set, eta, init=None, prediction="recency"):
-    """``make_learner``, with a LoopOMDLearner in place of an OMDLearner."""
-    if algo not in harness._REGS:
-        return make_learner(algo, strategy_set, eta, init=init, prediction=prediction)
-    reg = harness._REGS[algo]
-    return LoopOMDLearner(strategy_set, eta, regularizer=reg, init=init, prediction_mode=prediction)
-
-
 def loop_rows(played, free_first):
     """A stand-in for ``harness._play_rows`` that plays its task by the
     per-round loop: ``play_task``, as the harness module finds it, on
-    ``LoopOMDLearner``s started at the rows' round 0, with the free first
+    OMDLearners started at the rows' round 0, with the free first
     prediction or zero as they make it, not as the caller passed it. The
     rows are filled from the learners' histories, and ``played`` is left
     holding the learners."""
 
     def play_rows(game, kind, etas, firsts, paths, utilities):
         learners = [
-            LoopOMDLearner(s, eta, regularizer=Regularizer(kind), init=path[0])
+            OMDLearner(s, eta, regularizer=Regularizer(kind), init=path[0])
             for s, eta, path in zip(game.sets, etas, paths)
         ]
         harness.play_task(game, learners, len(utilities[0]), free_first=free_first)
@@ -617,8 +604,7 @@ def observed_records(monkeypatch, config):
 
     Every task is played by ``play_task`` round by round, also on an arm
     that ``run_experiment`` plays in batches or by ``_play_rows``: no arm is
-    batched, ``_play_rows`` is ``loop_rows`` and ``make_learner`` builds
-    ``loop_learner``s, which the kernel refuses. So those records are
+    batched and ``_play_rows`` is ``loop_rows``. So those records are
     checked against the per-round oracle too. The observer sees each round when the first
     learner is handed its utility, before any learner updates; the records
     of a task are those of its final attempt, the last one played before
@@ -649,7 +635,6 @@ def observed_records(monkeypatch, config):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
-        patch.setattr(harness, "make_learner", loop_learner)
         patch.setattr(harness, "_play_rows", loop_rows([], cfg.first_prediction == "oracle"))
         patch.setattr(harness, "BATCH_MIN_TASKS", ((float("inf"),) * 3,) * 2)
         patch.setattr(harness, "BATCH_BYTES", 1)
@@ -797,7 +782,7 @@ def test_play_batch_matches_play_task_bitwise(inputs):
     tracks = [harness.Track(p, p[:, 1:], u, etas) for p, u in zip(paths, utilities)]
     rows = harness._zero_sum_summaries(batch, tracks)
     for b, game in enumerate(batch):
-        learners = [loop_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
+        learners = [make_learner("ogd", s, etas[b], init=x0) for s, x0 in zip(game.sets, starts[b])]
         play_task(game, learners, m)
         for tr, lrn in zip(tracks, learners):
             assert tr.path[b].tobytes() == lrn.primary_array().tobytes()
@@ -806,25 +791,13 @@ def test_play_batch_matches_play_task_bitwise(inputs):
         assert repr(rows[b]) == repr(summary_row(game, learners))
 
 
-def learner_state(lrn):
-    """The histories, secondary iterate and prediction of an OMDLearner, as
-    bytes and shapes."""
-    histories = [
-        [(a.shape, a.tobytes()) for a in getattr(lrn, key)]
-        for key in ("path", "hat_path", "utilities", "predictions")
-    ]
-    current = [(a.shape, a.tobytes()) for a in (lrn.x_hat, lrn.prediction)]
-    return histories, current
-
-
 @st.composite
 def task_inputs(draw):
     """One RVU learner, one game (d_x, d_y in 2..10, each 2 about half the
     time, so that the kernel's two-action step plays 2x2 and 2xN games
-    alike) with a feasible start, a rate per player (the same or two), and
-    two calls of play_task: each with its number of rounds and first
-    prediction (the free one, zero, or one set beforehand). Integer payoffs
-    make exact ties."""
+    alike) with a feasible start, a rate per player (the same or two), a
+    number of rounds and a first prediction: the free one, zero, or one
+    preset. Integer payoffs make exact ties."""
     algo = draw(st.sampled_from(sorted(harness._REGS)))
     actions = st.one_of(st.just(2), st.integers(3, 10))
     dx, dy = draw(actions), draw(actions)
@@ -835,39 +808,58 @@ def task_inputs(draw):
     etas = (10.0 ** rng.uniform(-3.0, 1.0, size=2)).tolist()
     if draw(st.booleans()):
         etas[1] = etas[0]
-    calls = []
-    for ms in (st.integers(1, 12), st.integers(0, 6)):
-        first = draw(st.sampled_from(["free", "zero", "set"]))
-        preset = None
-        if first == "set":
-            preset = [rng.integers(-2, 3, size=d).astype(float) for d in (dx, dy)]
-        calls.append((draw(ms), first == "free", preset))
-    return algo, games.MatrixGame(A), start, etas, calls
+    first = draw(st.sampled_from(["free", "zero", "preset"]))
+    preset = None
+    if first == "preset":
+        preset = [rng.integers(-2, 3, size=d).astype(float) for d in (dx, dy)]
+    return algo, games.MatrixGame(A), start, etas, draw(st.integers(1, 12)), first == "free", preset
+
+
+def loop_task(algo, game, start, etas, m, free_first, preset=None):
+    """The per-round loop's task: fresh ``make_learner`` pairs, given the
+    preset first predictions, played by ``play_task``."""
+    learners = [make_learner(algo, s, eta, init=x0) for s, eta, x0 in zip(game.sets, etas, start)]
+    for lrn, p in zip(learners, preset or ()):
+        lrn.set_prediction(p)
+    return play_task(game, learners, m, free_first=free_first)
+
+
+def kernel_rows(algo, game, start, etas, m, free_first, preset=None):
+    """The same task played by ``_play_rows`` into fresh rows, as
+    ``_task_blocks`` plays it: ``check_start`` per player, then the kernel.
+    Returns the paths, utilities and first predictions."""
+    paths = [np.empty((m + 1, s.dim)) for s in game.sets]
+    utilities = [np.empty((m, s.dim)) for s in game.sets]
+    for path, x0 in zip(paths, start):
+        path[0] = x0
+    if preset is not None:
+        firsts = [p.tolist() for p in preset]
+    elif free_first:
+        firsts = [games.utility_gradient(game, k, start).tolist() for k in range(2)]
+    else:
+        firsts = [[0.0] * s.dim for s in game.sets]
+    for s, eta, x0 in zip(game.sets, etas, start):
+        learners_module.check_start(s, eta, x0)
+    harness._play_rows(game, harness._REGS[algo].kind, etas, firsts, paths, utilities)
+    return paths, utilities, firsts
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(task_inputs())
 def test_play_task_kernel_matches_loop_bitwise(inputs):
-    # play_task's kernel leaves its learners as the per-round loop leaves a
-    # LoopOMDLearner pair, over two calls: histories, secondary iterates,
-    # predictions, summary row and doubling residual.
-    algo, game, start, etas, calls = inputs
-    fused, loop = (
-        [build(algo, s, eta, init=x0) for s, eta, x0 in zip(game.sets, etas, start)]
-        for build in (make_learner, loop_learner)
-    )
-    assert harness._takes_kernel(game, fused) and not harness._takes_kernel(game, loop)
-    for m, free_first, preset in calls:
-        for learners in (fused, loop):
-            for lrn, p in zip(learners, preset or ()):
-                lrn.set_prediction(p)
-            play_task(game, learners, m, free_first=free_first)
-        assert [learner_state(lrn) for lrn in fused] == [learner_state(lrn) for lrn in loop]
-        for eta in etas:
-            fused_runs, loop_runs = learner_runs(fused), learner_runs(loop)
-            assert repr(doubling_residual(fused_runs, eta)) == repr(doubling_residual(loop_runs, eta))
-        if len(fused[0].path) == m + 1:
-            assert repr(summary_row(game, fused)) == repr(summary_row(game, loop))
+    # _play_rows fills its rows as the per-round loop plays a make_learner
+    # pair: path rows, utility rows, the predictions that _task_blocks builds
+    # from the rows, the summary row and the doubling residual.
+    game, etas = inputs[1], inputs[3]
+    paths, utilities, firsts = kernel_rows(*inputs)
+    loop = loop_task(*inputs)
+    runs = [(p, u, np.vstack((f, u[:-1]))) for p, u, f in zip(paths, utilities, firsts)]
+    for run, loop_run in zip(runs, learner_runs(loop)):
+        assert [a.tobytes() for a in run] == [a.tobytes() for a in loop_run]
+    tracks = [harness.Track(p[None], p[None, 1:], u[None], etas[:1]) for p, u in zip(paths, utilities)]
+    assert repr(harness._zero_sum_summaries([game], tracks)[0]) == repr(summary_row(game, loop))
+    for eta in etas:
+        assert repr(doubling_residual(runs, eta)) == repr(doubling_residual(learner_runs(loop), eta))
 
 
 @pytest.mark.parametrize(
@@ -881,6 +873,7 @@ def test_play_task_kernel_matches_loop_bitwise(inputs):
         ("opthedge", [[0.2, -0.6], [-0.6, 1.0]], math.inf, True, "eta must be positive and finite"),
         ("omd-logbar", [[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "did not converge"),
         ("omd-logbar", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
+        ("opthedge", [[0.7e308] * 3] * 2, 0.1, False, "non-finite utility"),
     ],
     ids=[
         "huge-rate",
@@ -891,25 +884,20 @@ def test_play_task_kernel_matches_loop_bitwise(inputs):
         "entropic-infinite-rate",
         "log-barrier-huge-rate",
         "log-barrier-overflowing-utility",
+        "entropic-overflowing-second-utility",
     ],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_play_task_kernel_raises_as_loop(algo, A, eta, free_first, message):
-    # The kernel raises the loop's error and leaves its learners untouched.
+    # A task that _task_blocks hands to the kernel raises the loop's error.
     game = games.MatrixGame(A)
-    fused, loop = (
-        [build(algo, s, eta, init=s.center()) for s in game.sets]
-        for build in (make_learner, loop_learner)
-    )
-    before = [learner_state(lrn) for lrn in fused]
+    task = (algo, game, [s.center() for s in game.sets], (eta, eta), 5, free_first)
     with pytest.raises((InvalidInputError, NumericError), match=message) as kernel:
-        play_task(game, fused, 5, free_first=free_first)
+        kernel_rows(*task)
     with pytest.raises((InvalidInputError, NumericError)) as oracle:
-        play_task(game, loop, 5, free_first=free_first)
+        loop_task(*task)
     assert repr(kernel.value) == repr(oracle.value)
-    if not free_first:
-        assert [learner_state(lrn) for lrn in fused] == before
 
 
 INF = float("inf")
@@ -980,29 +968,6 @@ def test_short_play_independent_arm_driver(monkeypatch, base, m, driver):
     assert len(calls) == (4 if driver == "_play_rows" else 1)
 
 
-def test_kernel_refuses_learners_that_may_play_otherwise():
-    game = games.MatrixGame(BASE)
-
-    def pair(**kwargs):
-        return [make_learner("ogd", s, 0.1, **kwargs) for s in game.sets]
-
-    assert harness._takes_kernel(game, pair())
-    for algo in ("opthedge", "omd-logbar"):
-        assert harness._takes_kernel(game, [make_learner(algo, s, 0.1) for s in game.sets])
-    mixed = [make_learner(a, s, 0.1) for a, s in zip(("ogd", "opthedge"), game.sets)]
-    assert not harness._takes_kernel(game, mixed)
-    assert not harness._takes_kernel(game, pair(prediction="secondary-anchor"))
-    assert not harness._takes_kernel(game, pair(prediction="zero"))
-    assert not harness._takes_kernel(game, pair()[:1])
-    assert not harness._takes_kernel(games.NormalFormGame([-np.asarray(BASE), np.asarray(BASE)]), pair())
-    patched = pair()
-    patched[1].update = patched[1].update
-    assert not harness._takes_kernel(game, patched)
-    wrong_shape = pair()
-    wrong_shape[0].set_prediction([1.0, 2.0, 3.0])
-    assert not harness._takes_kernel(game, wrong_shape)
-
-
 def _choices(path):
     return next(f.allowed for f in harness.SCHEMA if f.path == path)
 
@@ -1066,7 +1031,7 @@ def play_path_configs(draw):
         cfg["meta"]["ewoo"] = {"D": rng.uniform(0.5, 3.0), "rho": rng.uniform(0.1, 1.0)}
     elif learner["eta_mode"] == "ewoo" and np.size(game.get("base", 0)) == 1:
         cfg["meta"]["ewoo"] = {"D": 1.0}  # without D, EWOO on a 1x1 game is a config error
-    driver = "any" if potential else pick(["batch", "fused", "any"])
+    driver = "any" if potential else pick(["batch", "rows", "any"])
     if driver != "any":
         learner.update(prediction="recency", alternating=False)
     if driver == "batch":
@@ -1098,8 +1063,8 @@ def run_outputs(res):
 
 def oracle_outputs(config):
     """``outputs_or_error`` of the per-round oracle: every task played by
-    ``play_task`` round by round on ``loop_learner``s (no arm is batched,
-    and ``_play_rows`` is ``loop_rows``) and summarized alone, its doubling
+    ``play_task`` round by round (no arm is batched, and ``_play_rows`` is
+    ``loop_rows``) and summarized alone, its doubling
     rule applied to the learners' own histories, and folded into the meta
     state from the learners of its final attempt, as ``summary_row`` reads
     them."""
@@ -1133,7 +1098,6 @@ def oracle_outputs(config):
         return lambda runs, eta: rule(learner_runs(latest), eta)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "make_learner", loop_learner)
         patch.setattr(harness, "_play_rows", loop_rows(latest, free_first))
         patch.setattr(harness, "doubling_trick_eta", on_learners(learners_module.doubling_trick_eta))
         patch.setattr(harness, "doubling_residual", on_learners(learners_module.doubling_residual))

@@ -1,7 +1,11 @@
 """Cross-module wiring: the optimistic-hedge CCE pipeline, alternating
-updates, sequencing modes, and the meta config block."""
+updates, sequencing modes, the meta config block, and the names the
+benchmark's tracer wraps."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,20 @@ def test_meta_config_block():
                 "meta": {"ewoo": {"enabled": True, "Cprime": 1.0}},
             }
         )
+
+
+def test_traced_benchmark_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps each TARGETS entry by name, a method through
+    # its class's own __dict__; a name deleted or moved in metagames would
+    # break the traced benchmark runs without failing any other test.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for mod_name, attr in spans.TARGETS:
+        mod = importlib.import_module(f"metagames.{mod_name}")
+        owner, _, name = attr.rpartition(".")
+        target = vars(getattr(mod, owner)).get(name) if owner else getattr(mod, name, None)
+        assert callable(target), f"{mod_name}.{attr}"

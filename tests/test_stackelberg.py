@@ -13,13 +13,18 @@ from metagames.geometry import mwu_step
 from metagames.stackelberg import (
     ExtremePointSet,
     StackelbergConfig,
-    best_response,
     build_extreme_points,
     defender_payoff,
     payoff_table,
     run_meta_stackelberg,
     stackelberg_regret,
 )
+
+
+def best_response(game, type_id, coverage):
+    """The target ``stackelberg._responses`` has the attacker type hit under
+    one coverage vector."""
+    return int(stackelberg._responses(game, np.asarray(coverage, dtype=float)[None])[1][type_id, 0])
 
 
 def loop_best_response(game, type_id, coverage):
@@ -39,9 +44,10 @@ def defender_utilities(game, coverage):
     return coverage * game.defender_covered + (1.0 - coverage) * game.defender_uncovered
 
 
-def loop_play_mwu(U, y0, eta, sampled):
+def loop_play_mwu(U, y0, eta, sampled, Y=None):
     """Per-round reference of ``stackelberg._play_mwu``: one ``mwu_step`` per
-    round, with its 1e-300 floor, and a ``searchsorted`` draw."""
+    round, with its 1e-300 floor, and a ``searchsorted`` draw. It needs no
+    work array ``Y``."""
     n = U.shape[1]
     y = y0
     cum_utility = np.zeros(n)
@@ -161,7 +167,7 @@ def test_play_mwu_matches_per_round_loop():
         y0 = rng.dirichlet(np.ones(n))
         sampled = rng.random(m)
         for eta in (0.01, 0.5, 3.0):
-            exp_v, real_v, cum = stackelberg._play_mwu(U, y0, eta, sampled)
+            exp_v, real_v, cum = stackelberg._play_mwu(U, y0, eta, sampled, np.full((m, n), np.nan))
             ref_exp, ref_real, ref_cum = loop_play_mwu(U, y0, eta, sampled)
             tol = 1e-12 * m * np.max(np.abs(U))
             assert abs(exp_v - ref_exp) <= tol and abs(real_v - ref_real) <= tol
@@ -194,6 +200,19 @@ def test_run_matches_per_round_loop(monkeypatch, persistent):
                     assert r[key] == q[key]
                 for key in ("regret_expected", "regret_realized"):
                     assert abs(r[key] - q[key]) <= tol
+
+
+def test_run_reuses_one_pair_of_task_arrays(monkeypatch):
+    # Every task plays on the same utility rows and work array, so no task
+    # allocates (m, n) arrays of its own.
+    rng = np.random.default_rng(16)
+    game = _random_game(rng, 3, 2)
+    seen, real = [], stackelberg._play_mwu
+    monkeypatch.setattr(stackelberg, "_play_mwu", lambda U, *a: seen.append((U, a[-1])) or real(U, *a))
+    script = rng.integers(0, game.k, size=(4, 30)).tolist()
+    run_meta_stackelberg([game] * 4, script, StackelbergConfig(m=30, seed=3))
+    U, Y = seen[0]
+    assert len(seen) == 4 and all(u is U and y is Y for u, y in seen) and U is not Y
 
 
 def test_payoff_table_built_once_per_run_of_one_game(monkeypatch):
