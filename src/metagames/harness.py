@@ -415,19 +415,23 @@ MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericEr
 # The fewest tasks a play-independent arm must have for ``_task_blocks`` to
 # play each of its blocks in one ``_play_batch`` call, for short (m < 20) and
 # longer tasks, indexed by how many of its two players have two actions (the
-# kernel's two-action step is the faster one). Shorter arms play each task
-# through ``_play_rows`` in the same block loop. The play and fold time of a
-# cold arm of B tasks batched over that of the same arm task by task (medians
-# of 7 alternated pairs on 2 CPUs, perturbed 2x2, 2x3 and 3x3 games):
-#   2x2, m = 5:    B = 4: 1.21, 6: 0.86, 8: 0.77, 10: 0.61
-#        m = 100:  B = 6: 1.50, 8: 1.16, 10: 0.96, 12: 0.82; m = 1000 alike
+# kernel's two-action step is the faster one, and a 2x2 task plays on
+# scalars). Shorter arms play each task through ``_play_rows`` in the same
+# block loop. The play and fold time of a cold arm of B tasks batched over
+# that of the same arm task by task (medians of 7 alternated pairs on 2 CPUs,
+# perturbed 2x2, 2x3 and 3x3 games):
+#   2x2, m = 5:    B = 4: 1.28, 5: 1.08, 6: 0.91, 8: 0.72, 10: 0.62
+#        m = 100:  B = 12: 1.08, 14: 1.02, 15: 0.95, 16: 0.90, 20: 0.69
+#        m = 1000: B = 12: 1.13, 14: 0.96, 15: 0.92, 16: 0.88
 #   2x3, m = 5:    B = 3: 1.18, 4: 0.93, 6: 0.69
 #        m = 100:  B = 4: 1.32, 6: 0.95, 8: 0.71; m = 1000: 1.39, 1.06, 0.72
 #   3x3, m = 5:    B = 3: 0.98, 4: 0.77, 6: 0.56
 #        m = 100:  B = 4: 1.06, 6: 0.73, 8: 0.56; m = 1000 alike
-# The break-even B grows with m up to about m = 40 (2x2: 8 at m = 10 and
-# 20, 10 at 40; 2x3: 5 at m = 10, 6 at 20 and 40; 3x3: 4 up to 20, 5 at 40).
-BATCH_MIN_TASKS = ((4, 5, 8), (6, 8, 10))  # [m >= 20][players with two actions]
+# The break-even B grows with m: on 2x2 games it is 6 at m = 5, 9 at m = 10
+# and 15, 11 at 20, 12 at 40 and 15 from m = 100 on; on 2x3 and 3x3 games it
+# grows up to about m = 40 (2x3: 5 at m = 10, 6 at 20 and 40; 3x3: 4 up to
+# 20, 5 at 40).
+BATCH_MIN_TASKS = ((4, 5, 8), (6, 8, 15))  # [m >= 20][players with two actions]
 # The most bytes of paths and utilities that one block of tasks holds; longer
 # arms are walked in several blocks. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
@@ -644,14 +648,19 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
 
     Player k starts at row 0 of its (m+1, d) ``paths[k]`` with rate
     ``etas[k]`` and first prediction ``firsts[k]`` (a list); rounds 1..m fill
-    the rest and the (m, d) ``utilities[k]``. Steps run on Python floats
-    (``_two_action_step`` or ``_ogd_step`` per Euclidean player, else one
-    ``_entropic_steps`` or ``_log_barrier_steps`` call for both), utilities
-    by ``np.dot`` as ``utility_gradient``. Errors are the loop's, in its
-    order, unless a log-barrier solve fails in a half-step in which the
-    other player's input is also bad.
+    the rest and the (m, d) ``utilities[k]``. A Euclidean task whose players
+    both have two actions plays on Python scalars (``_play_two_actions``).
+    Any other task steps on Python floats (``_two_action_step`` or
+    ``_ogd_step`` per Euclidean player, else one ``_entropic_steps`` or
+    ``_log_barrier_steps`` call for both) into row views split off once,
+    with utilities by the bound ``ndarray.dot`` of ``utility_gradient``'s
+    -A and A.T. Errors are the loop's, in its order, unless a log-barrier
+    solve fails in a half-step in which the other player's input is also
+    bad.
     """
     neg_a, a_t = -game.A, game.A.T
+    if kind == EUCLIDEAN and game.A.shape == (2, 2):
+        return _play_two_actions(neg_a, a_t, etas, firsts, paths, utilities)
     (X, Y), (UX, UY) = paths, utilities
     ex, ey = etas
     joint = None
@@ -665,14 +674,15 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
             _check_finite(g)
     x_hat, y_hat = X[0].tolist(), Y[0].tolist()
     px, py = firsts
-    for i in range(1, len(X)):
+    dot_x, dot_y = neg_a.dot, a_t.dot
+    for x_row, y_row, ux_row, uy_row in zip(list(X)[1:], list(Y)[1:], list(UX), list(UY)):
         if joint:
             lifted = lift((x_hat, y_hat))
-            X[i], Y[i] = joint(lifted, (px, py), etas)
+            x_row[:], y_row[:] = joint(lifted, (px, py), etas)
         else:
-            X[i], Y[i] = step_x(x_hat, px, ex), step_y(y_hat, py, ey)
-        px = np.dot(neg_a, Y[i], out=UX[i - 1]).tolist()
-        py = np.dot(a_t, X[i], out=UY[i - 1]).tolist()
+            x_row[:], y_row[:] = step_x(x_hat, px, ex), step_y(y_hat, py, ey)
+        px = dot_x(y_row, out=ux_row).tolist()
+        py = dot_y(x_row, out=uy_row).tolist()
         # OMDLearner.update's checks, player by player as play_task updates.
         _check_utility(px)
         if joint:
@@ -682,6 +692,31 @@ def _play_rows(game, kind, etas, firsts, paths, utilities):
             x_hat = step_x(x_hat, px, ex)
             _check_utility(py)
             y_hat = step_y(y_hat, py, ey)
+
+
+def _play_two_actions(neg_a, a_t, etas, firsts, paths, utilities):
+    """``_play_rows`` of a Euclidean 2x2 task, on Python scalars: each point
+    is ``_two_action_scalars`` stored entry by entry into a row view split
+    off once. A utility goes through ``_check_utility`` only when the sum of
+    its absolute values is not below 1e307, the test that function makes
+    first (for two entries, ``abs(u0) + abs(u1)`` is that sum)."""
+    (X, Y), (UX, UY) = paths, utilities
+    ex, ey = etas
+    step = _two_action_scalars
+    (x0, x1), (y0, y1) = X[0].tolist(), Y[0].tolist()
+    (px0, px1), (py0, py1) = firsts
+    dot_x, dot_y = neg_a.dot, a_t.dot
+    for x_row, y_row, ux_row, uy_row in zip(list(X)[1:], list(Y)[1:], list(UX), list(UY)):
+        x_row[0], x_row[1] = step(x0, x1, px0, px1, ex)
+        y_row[0], y_row[1] = step(y0, y1, py0, py1, ey)
+        px0, px1 = dot_x(y_row, out=ux_row).tolist()
+        py0, py1 = dot_y(x_row, out=uy_row).tolist()
+        if not abs(px0) + abs(px1) < 1e307:
+            _check_utility((px0, px1))
+        x0, x1 = step(x0, x1, px0, px1, ex)
+        if not abs(py0) + abs(py1) < 1e307:
+            _check_utility((py0, py1))
+        y0, y1 = step(y0, y1, py0, py1, ey)
 
 
 def _lift_rows(anchors):
@@ -705,14 +740,12 @@ def _ogd_step(anchor, g, eta):
     return [0.0 if (w := c - theta) <= 0.0 else w for c in v]
 
 
-def _two_action_step(anchor, g, eta):
-    """``_ogd_step`` of two-entry sequences, bit for bit, on scalars: the
-    stable descending sort keeps v0 first on a tie, and the running sums,
-    count rho and threshold are ``simplex_threshold``'s for d = 2 (a sum
-    from 0.0 differs from u0 + u1 only in the sign of a zero, which the
-    subtraction of 1.0 drops)."""
-    a0, a1 = anchor
-    g0, g1 = g
+def _two_action_scalars(a0, a1, g0, g1, eta):
+    """``_ogd_step`` of the anchor (a0, a1) and gradient (g0, g1), bit for
+    bit, on scalars: the stable descending sort keeps v0 first on a tie, and
+    the running sums, count rho and threshold are ``simplex_threshold``'s
+    for d = 2 (a sum from 0.0 differs from u0 + u1 only in the sign of a
+    zero, which the subtraction of 1.0 drops). Returns (w0, w1)."""
     v0 = a0 + eta * g0
     v1 = a1 + eta * g1
     u0, u1 = (v1, v0) if v1 > v0 else (v0, v1)
@@ -724,7 +757,13 @@ def _two_action_step(anchor, g, eta):
     theta = c1 / 2 if rho == 2 else c0
     w0 = v0 - theta
     w1 = v1 - theta
-    return [0.0 if w0 <= 0.0 else w0, 0.0 if w1 <= 0.0 else w1]
+    return (0.0 if w0 <= 0.0 else w0), (0.0 if w1 <= 0.0 else w1)
+
+
+def _two_action_step(anchor, g, eta):
+    """``_two_action_scalars`` of two-entry sequences, as a list."""
+    (a0, a1), (g0, g1) = anchor, g
+    return list(_two_action_scalars(a0, a1, g0, g1, eta))
 
 
 def _matvecs(mats, vecs):
@@ -764,9 +803,14 @@ def _task_records(cfg, games, t, tracks):
         sums.append(np.cumsum(tr.played, axis=1))
         regrets.append(np.max(np.cumsum(tr.utilities, axis=1), axis=2) - realized)
         path2.append(np.cumsum(np.sum(steps**2, axis=2), axis=1))
+    logged = [*range(cfg.log_every, m, cfg.log_every), m]
+    cols = np.asarray(logged) - 1
     records = []
     for b, game in enumerate(games):
-        for i in [*range(cfg.log_every, m, cfg.log_every), m]:
+        # Each player's regrets and path lengths at the logged rounds.
+        reg_at = [r[b, cols].tolist() for r in regrets]
+        path2_at = [p[b, cols].tolist() for p in path2]
+        for c, i in enumerate(logged):
             j = i - 1
             profile = [tr.played[b, j] for tr in tracks]
             gap, gaps = float("nan"), [float("nan")] * n
@@ -780,10 +824,10 @@ def _task_records(cfg, games, t, tracks):
                         task=t + b,
                         iter=i,
                         player=k,
-                        regret_cum=float(regrets[k][b, j]),
+                        regret_cum=reg_at[k][c],
                         dualgap=float(gap),
                         negap=float(gaps[k]),
-                        pathlen2=float(path2[k][b, j]),
+                        pathlen2=path2_at[k][c],
                         eta=tr.eta[b],
                         init_mode=cfg.init_mode,
                         strategy=s.copy() if cfg.dump_strategies else None,

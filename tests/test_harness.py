@@ -874,6 +874,8 @@ def test_play_task_kernel_matches_loop_bitwise(inputs):
         ("omd-logbar", [[0.2, -0.6], [-0.6, 1.0]], 1e308, True, "did not converge"),
         ("omd-logbar", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]], 0.1, False, "non-finite utility"),
         ("opthedge", [[0.7e308] * 3] * 2, 0.1, False, "non-finite utility"),
+        # The first steps reach x = e_1, y = e_0: -A e_0 sums to 0, A.T e_1 overflows.
+        ("ogd", [[1e308, 0.0], [-1e308, -1e308]], 1e-300, True, "non-finite utility"),
     ],
     ids=[
         "huge-rate",
@@ -885,6 +887,7 @@ def test_play_task_kernel_matches_loop_bitwise(inputs):
         "log-barrier-huge-rate",
         "log-barrier-overflowing-utility",
         "entropic-overflowing-second-utility",
+        "overflowing-second-utility",
     ],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -940,32 +943,44 @@ def step_inputs(draw):
 @example(([0.0, 0.0], [INF, 1.0], 0.1))
 @example(([1.0, 0.0], [-INF, INF], 0.1))
 def test_two_action_step_matches_ogd_step_bitwise(inputs):
-    # The kernel's scalar step for two actions is _ogd_step (the list form of
-    # project_simplex) byte for byte, and raises its error with its text.
+    # The kernel's scalar step for two actions, and its list wrapper, are
+    # _ogd_step (the list form of project_simplex) byte for byte, and raise
+    # its error with its text.
+    def scalar_step(anchor, g, eta):
+        return harness._two_action_scalars(*anchor, *g, eta)
+
     anchor, g, eta = inputs
     for a, b in ((anchor, g), (anchor[::-1], g[::-1])):
         want = step_outcome(harness._ogd_step, a, b, eta)
+        assert step_outcome(scalar_step, a, b, eta) == want
         assert step_outcome(harness._two_action_step, a, b, eta) == want
 
 
 @pytest.mark.parametrize(
-    "base, m, driver",
-    [(BASE, 40, "_play_rows"), (KERNEL_BASES[2], 5, "_play_batch"), (KERNEL_BASES[2], 40, "_play_rows")],
-    ids=["2x2-kernel", "3x3-batch", "3x3-long-kernel"],
+    "base, m, T, driver",
+    [
+        (BASE, 40, 4, "_play_rows"),
+        (BASE, 40, 14, "_play_rows"),
+        (BASE, 40, 15, "_play_batch"),
+        (KERNEL_BASES[2], 5, 4, "_play_batch"),
+        (KERNEL_BASES[2], 40, 4, "_play_rows"),
+    ],
+    ids=["2x2-kernel", "2x2-long-kernel", "2x2-long-batch", "3x3-batch", "3x3-long-kernel"],
 )
-def test_short_play_independent_arm_driver(monkeypatch, base, m, driver):
-    # A 4-task cold arm is played by the driver that is faster on its shape
-    # and task length (BATCH_MIN_TASKS): the kernel, whose two-action step is
-    # the faster one, on 2x2 games; on 3x3 games one batch of short tasks,
-    # and the kernel for longer ones.
+def test_short_play_independent_arm_driver(monkeypatch, base, m, T, driver):
+    # A cold arm of T tasks is played by the driver that is faster on its
+    # shape, task length and number of tasks (BATCH_MIN_TASKS): on 2x2
+    # games, whose tasks the kernel plays on scalars, the kernel up to 14
+    # longer tasks and one batch from 15 on; on 3x3 games one batch of 4
+    # short tasks, and the kernel for 4 longer ones.
     calls = []
     for name in ("_play_rows", "_play_batch"):
         real = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
     game = {"family": "perturbed-base", "base": base, "delta": 0.02}
-    run_experiment(small_config(T=4, m=m, init="cold", game=game))
+    run_experiment(small_config(T=T, m=m, init="cold", game=game))
     assert set(calls) == {driver}
-    assert len(calls) == (4 if driver == "_play_rows" else 1)
+    assert len(calls) == (T if driver == "_play_rows" else 1)
 
 
 def _choices(path):
@@ -1124,6 +1139,9 @@ def kernel_config(algo, base, first, eta_mode):
 @example((kernel_config("omd-logbar", KERNEL_BASES[0], "zero", "ewoo"), None))
 @example((kernel_config("omd-logbar", KERNEL_BASES[1], "oracle", "doubling"), 1))
 @example((kernel_config("omd-logbar", KERNEL_BASES[2], "oracle", "ewoo"), None))
+@example((kernel_config("ogd", BASE, "oracle", "doubling"), None))
+@example((kernel_config("ogd", BASE, "zero", "doubling"), 2))
+@example((kernel_config("ogd", BASE, "zero", "ewoo"), 1))
 def test_drivers_match_per_round_oracle(drawn):
     # run_experiment, with blocks of the drawn size, gives the bytes of the
     # per-round oracle. The two share the summaries and records, which
