@@ -413,25 +413,31 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
 MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
 # The fewest tasks a play-independent arm must have for ``_task_blocks`` to
-# play each of its blocks in one ``_play_batch`` call, for short (m < 20) and
-# longer tasks, indexed by how many of its two players have two actions (the
-# kernel's two-action step is the faster one, and a 2x2 task plays on
-# scalars). Shorter arms play each task through ``_play_rows`` in the same
-# block loop. The play and fold time of a cold arm of B tasks batched over
-# that of the same arm task by task (medians of 7 alternated pairs on 2 CPUs,
-# perturbed 2x2, 2x3 and 3x3 games):
+# play each of its blocks in one ``_play_batch`` call, for short (m < 20),
+# longer (m < 100) and long tasks, indexed by how many of its two players
+# have two actions (the kernel's two-action step is the faster one, and a
+# 2x2 task plays on scalars). Shorter arms play each task through
+# ``_play_rows`` in the same block loop. The play and fold time of a cold
+# arm of B tasks batched over that of the same arm task by task (medians of
+# 9 alternated pairs on 2 CPUs, 7 for the m = 5 rows, perturbed 2x2, 2x3 and
+# 3x3 games):
 #   2x2, m = 5:    B = 4: 1.28, 5: 1.08, 6: 0.91, 8: 0.72, 10: 0.62
-#        m = 100:  B = 12: 1.08, 14: 1.02, 15: 0.95, 16: 0.90, 20: 0.69
-#        m = 1000: B = 12: 1.13, 14: 0.96, 15: 0.92, 16: 0.88
+#        m = 20:   B = 10: 0.93, 11: 0.86, 12: 0.81, 14: 0.75
+#        m = 40:   B = 11: 1.03, 12: 0.90, 13: 0.93, 14: 0.78
+#        m = 60:   B = 11: 1.11, 12: 1.01, 13: 0.93, 14: 0.74
+#        m = 99:   B = 12: 1.08, 13: 1.05, 14: 1.01, 15: 0.89
+#        m = 100:  B = 13: 0.98, 14: 0.92, 15: 0.87, 16: 0.81
+#        m = 200:  B = 13: 1.02, 14: 0.95, 15: 0.89, 16: 0.89
 #   2x3, m = 5:    B = 3: 1.18, 4: 0.93, 6: 0.69
-#        m = 100:  B = 4: 1.32, 6: 0.95, 8: 0.71; m = 1000: 1.39, 1.06, 0.72
+#        m = 40:   B = 5: 1.09, 6: 0.81; m = 99: 1.13, 0.88
+#        m = 100:  B = 6: 0.96, 7: 0.81; m = 400: 1.00, 0.80
 #   3x3, m = 5:    B = 3: 0.98, 4: 0.77, 6: 0.56
-#        m = 100:  B = 4: 1.06, 6: 0.73, 8: 0.56; m = 1000 alike
-# The break-even B grows with m: on 2x2 games it is 6 at m = 5, 9 at m = 10
-# and 15, 11 at 20, 12 at 40 and 15 from m = 100 on; on 2x3 and 3x3 games it
-# grows up to about m = 40 (2x3: 5 at m = 10, 6 at 20 and 40; 3x3: 4 up to
-# 20, 5 at 40).
-BATCH_MIN_TASKS = ((4, 5, 8), (6, 8, 15))  # [m >= 20][players with two actions]
+#        m = 40:   B = 4: 1.02, 5: 0.81; m = 99: 1.05, 0.86; m = 400: 1.06, 0.86
+# The break-even B grows with m: on 2x2 games it is 6 at m = 5, 10-11 at
+# 20, 12 at 40, 13 at 60, 13-15 at 99 and 14-15 from 100 on; on 2x3 games
+# 4 at m = 5, 6 from 20 to 99 and 7 from 100 on; on 3x3 games 4 up to
+# m = 20, then 5.
+BATCH_MIN_TASKS = ((4, 5, 8), (5, 6, 12), (5, 7, 15))  # [m >= 20, m >= 100][two-action players]
 # The most bytes of paths and utilities that one block of tasks holds; longer
 # arms are walked in several blocks. c05's cold arm (T = 200, m = 1000, 12.8
 # MB of paths) took 0.19 s as one batch, 0.39 s in 4 MB batches and 0.82 s in
@@ -515,7 +521,7 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
         (cfg.algo, cfg.prediction, cfg.first_prediction, cfg.eta_mode, cfg.alternating_updates)
         == ("ogd", "recency", "oracle", "fixed", False)
         and cfg.init_mode in ("cold", "ne-average")
-        and len(games) >= BATCH_MIN_TASKS[cfg.m >= 20][sum(s.dim == 2 for s in sets)]
+        and len(games) >= BATCH_MIN_TASKS[(cfg.m >= 20) + (cfg.m >= 100)][sum(s.dim == 2 for s in sets)]
     )
     reg = _REGS.get(cfg.algo)  # None for gd, on potential games
     learner_free = reg is not None and cfg.prediction == RECENCY and not cfg.alternating_updates

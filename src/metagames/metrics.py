@@ -25,45 +25,95 @@ class GapReport:
     extras: dict = field(default_factory=dict)
 
 
+def _simplex_lp(sign, M):
+    """(z, v) solving min sign*v subject to M z - sign*v <= 0, sum z = 1,
+    z >= 0, v free, with z clipped at 0 and renormalized.
+
+    The LP is handed to scipy's bundled HiGHS as ``linprog(method="highs")``
+    hands it over: the same column-wise matrix (explicit zeros dropped), the
+    same bounds and options, and the same post-solve feasibility check, so
+    the solution has linprog's bits without its per-call input parsing and
+    option checking. A solve that is not optimal, or whose solution misses
+    the constraints by more than linprog's tolerance, raises NumericError.
+    """
+    # About 0.5 s and 45 MB, as scipy.optimize loads with it; only the LPs need it.
+    from scipy.optimize._highspy import _core as highs
+
+    problem = "max-min" if sign < 0 else "min-max"
+    rows, d = M.shape
+    A = np.zeros((rows + 1, d + 1))
+    A[:rows, :d] = M
+    A[:rows, d] = -sign
+    A[rows, :d] = 1.0
+    nonzero = np.nonzero(A.T)  # column-major, rows sorted within a column
+    cost = np.zeros(d + 1)
+    cost[d] = sign
+    rhs = np.zeros(rows + 1)
+    rhs[rows] = 1.0
+    lhs = np.full(rows + 1, -highs.kHighsInf)
+    lhs[rows] = 1.0
+    lower = np.zeros(d + 1)
+    lower[d] = -highs.kHighsInf
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = d + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows + 1
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(d + 1, highs.kHighsInf)
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = np.searchsorted(nonzero[0], np.arange(d + 2))
+    lp.a_matrix_.index_ = nonzero[1]
+    lp.a_matrix_.value_ = A.T[nonzero]
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = highs._Highs()
+    if solver.passOptions(options) == highs.HighsStatus.kError:
+        raise NumericError(f"zero-sum {problem} LP failed: HiGHS refused its options")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        ran, status = False, highs.HighsModelStatus.kModelError
+    else:
+        ran = solver.run() != highs.HighsStatus.kError
+        status = solver.getModelStatus()
+    if not ran or status != highs.HighsModelStatus.kOptimal:
+        raise NumericError(
+            f"zero-sum {problem} LP failed: HiGHS model status {solver.modelStatusToString(status)!r}"
+        )
+    solution = solver.getSolution()
+    col = np.array(solution.col_value)
+    slack = rhs - solution.row_value
+    # linprog's _check_result: no NaN, and bounds, slack and the equality
+    # residual met to within 10 * sqrt(1e-9).
+    tol = np.sqrt(1e-9) * 10
+    worst = float(np.max(np.concatenate((-col[:d], -slack[:rows], np.abs(slack[rows:])))))
+    fun = solver.getInfo().objective_function_value
+    if np.isnan(col).any() or np.isnan(fun) or not worst <= tol:
+        raise NumericError(
+            f"zero-sum {problem} LP solution misses its constraints by {worst:.3g} "
+            f"(tolerance {tol:.3g})"
+        )
+    z = np.maximum(col[:d], 0.0)
+    z /= np.sum(z)
+    return z, float(col[d])
+
+
 def _solve_row_max(B):
-    """max_x min_y x^T B y over simplices, via the standard LP formulation.
+    """max_x min_y x^T B y over simplices, as two LPs solved by HiGHS.
 
     Returns (x, y, value) where x attains the max-min and y the min-max;
-    they coincide at the game value by LP duality.
+    they coincide at the game value by LP duality. The value is the
+    max-min LP's.
     """
-    from scipy.optimize import linprog  # about 0.5 s and 45 MB; only the LPs need it
-
     B = np.asarray(B, dtype=float)
-    d_x, d_y = B.shape
-    # Row problem: maximize v subject to B^T x >= v, sum x = 1, x >= 0.
-    c = np.zeros(d_x + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-B.T, np.ones((d_y, 1))])
-    b_ub = np.zeros(d_y)
-    A_eq = np.zeros((1, d_x + 1))
-    A_eq[0, :d_x] = 1.0
-    bounds = [(0, None)] * d_x + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success:
-        raise NumericError(f"zero-sum LP failed: {res.message}")
-    x = np.maximum(res.x[:d_x], 0.0)
-    x /= np.sum(x)
-    value = float(res.x[-1])
-    # Column problem: minimize w subject to B y <= w, sum y = 1, y >= 0.
-    c2 = np.zeros(d_y + 1)
-    c2[-1] = 1.0
-    A_ub2 = np.hstack([B, -np.ones((d_x, 1))])
-    b_ub2 = np.zeros(d_x)
-    A_eq2 = np.zeros((1, d_y + 1))
-    A_eq2[0, :d_y] = 1.0
-    bounds2 = [(0, None)] * d_y + [(None, None)]
-    res2 = linprog(
-        c2, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq2, b_eq=[1.0], bounds=bounds2, method="highs"
-    )
-    if not res2.success:
-        raise NumericError(f"zero-sum dual LP failed: {res2.message}")
-    y = np.maximum(res2.x[:d_y], 0.0)
-    y /= np.sum(y)
+    # Row problem: maximize v subject to B^T x >= v; column problem:
+    # minimize w subject to B y <= w.
+    x, value = _simplex_lp(-1.0, -B.T)
+    y, _ = _simplex_lp(1.0, B)
     return x, y, value
 
 
@@ -72,8 +122,11 @@ def saddle_point(game: MatrixGame):
 
     This matches the utility-oracle convention (A is the x-player's loss),
     so the returned pair is the comparator used by the path-length and
-    last-iterate bounds. Returns (x*, y*, value). The LPs run once per game
-    object; later calls return fresh copies of the memoized strategies.
+    last-iterate bounds. Returns (x*, y*, value). The two LPs of
+    ``_solve_row_max`` run once per game object, in HiGHS, with linprog's
+    solution bits; later calls return fresh copies of the memoized
+    strategies. A game HiGHS cannot solve to optimality, or whose solution
+    misses its constraints, raises NumericError.
     """
     if game._saddle is None:
         x, y, neg_value = _solve_row_max(-game.A)

@@ -960,19 +960,30 @@ def test_two_action_step_matches_ogd_step_bitwise(inputs):
     "base, m, T, driver",
     [
         (BASE, 40, 4, "_play_rows"),
-        (BASE, 40, 14, "_play_rows"),
-        (BASE, 40, 15, "_play_batch"),
+        (BASE, 99, 11, "_play_rows"),
+        (BASE, 20, 12, "_play_batch"),
+        (BASE, 100, 14, "_play_rows"),
+        (BASE, 100, 15, "_play_batch"),
         (KERNEL_BASES[2], 5, 4, "_play_batch"),
         (KERNEL_BASES[2], 40, 4, "_play_rows"),
     ],
-    ids=["2x2-kernel", "2x2-long-kernel", "2x2-long-batch", "3x3-batch", "3x3-long-kernel"],
+    ids=[
+        "2x2-kernel",
+        "2x2-long-kernel",
+        "2x2-long-batch",
+        "2x2-longer-kernel",
+        "2x2-longer-batch",
+        "3x3-batch",
+        "3x3-long-kernel",
+    ],
 )
 def test_short_play_independent_arm_driver(monkeypatch, base, m, T, driver):
     # A cold arm of T tasks is played by the driver that is faster on its
     # shape, task length and number of tasks (BATCH_MIN_TASKS): on 2x2
-    # games, whose tasks the kernel plays on scalars, the kernel up to 14
-    # longer tasks and one batch from 15 on; on 3x3 games one batch of 4
-    # short tasks, and the kernel for 4 longer ones.
+    # games, whose tasks the kernel plays on scalars, the kernel up to 11
+    # tasks of m = 20..99 and one batch from 12 on, and for m >= 100 the
+    # kernel up to 14 tasks and one batch from 15 on; on 3x3 games one
+    # batch of 4 short tasks, and the kernel for 4 longer ones.
     calls = []
     for name in ("_play_rows", "_play_batch"):
         real = getattr(harness, name)

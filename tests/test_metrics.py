@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metagames
-from metagames.errors import InvalidInputError
+from metagames.errors import InvalidInputError, NumericError
 from metagames.games import MatrixGame, NormalFormGame, SmoothnessMeta, lower_bound_family
 from metagames.geometry import ProductSet, Simplex
 from metagames.harness import make_learner, play_task
 from metagames.metrics import (
+    _solve_row_max,
     cce_ce_gap,
     check_smoothness,
     duality_gap,
@@ -57,6 +60,98 @@ def test_lp_solver_imported_on_first_solve():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env
     )
     assert proc.stdout.split() == ["False", "True"]
+
+
+def linprog_row_max(B):
+    """Reference for ``_solve_row_max``: its two LPs written out for
+    ``scipy.optimize.linprog(method="highs")``."""
+    from scipy.optimize import linprog
+
+    B = np.asarray(B, dtype=float)
+    d_x, d_y = B.shape
+    # Row problem: maximize v subject to B^T x >= v, sum x = 1, x >= 0.
+    c = np.zeros(d_x + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-B.T, np.ones((d_y, 1))])
+    A_eq = np.zeros((1, d_x + 1))
+    A_eq[0, :d_x] = 1.0
+    bounds = [(0, None)] * d_x + [(None, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(d_y), A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    assert res.success, res.message
+    x = np.maximum(res.x[:d_x], 0.0)
+    x /= np.sum(x)
+    value = float(res.x[-1])
+    # Column problem: minimize w subject to B y <= w, sum y = 1, y >= 0.
+    c2 = np.zeros(d_y + 1)
+    c2[-1] = 1.0
+    A_ub2 = np.hstack([B, -np.ones((d_x, 1))])
+    A_eq2 = np.zeros((1, d_y + 1))
+    A_eq2[0, :d_y] = 1.0
+    bounds2 = [(0, None)] * d_y + [(None, None)]
+    res2 = linprog(c2, A_ub=A_ub2, b_ub=np.zeros(d_x), A_eq=A_eq2, b_eq=[1.0], bounds=bounds2, method="highs")
+    assert res2.success, res2.message
+    y = np.maximum(res2.x[:d_y], 0.0)
+    y /= np.sum(y)
+    return x, y, value
+
+
+@st.composite
+def lp_matrices(draw):
+    """1..6 x 1..6 matrices: uniform entries, entries in {-2..2} (ties and
+    optima that are not unique) or uniform entries of which about 40 % are
+    zero; zeros are signed either way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    kind = draw(st.sampled_from(["uniform", "ties", "sparse"]))
+    if kind == "ties":
+        B = rng.integers(-2, 3, shape).astype(float)
+    else:
+        B = rng.uniform(-1, 1, shape)
+        if kind == "sparse":
+            B[rng.random(shape) < 0.4] = 0.0
+    return np.where((B == 0) & (rng.random(shape) < 0.5), -0.0, B)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lp_matrices())
+@example(-lower_bound_family(3, 2).A)
+@example(-lower_bound_family(4, 3).A)
+@example(np.array([[1.0, 0.0], [0.0, 0.0]]))
+def test_solve_row_max_matches_linprog_bitwise(B):
+    # The LPs handed to HiGHS directly give linprog's solution bit for bit,
+    # non-unique optima included.
+    x, y, value = _solve_row_max(B)
+    want_x, want_y, want_value = linprog_row_max(B)
+    assert (x.tobytes(), y.tobytes(), repr(value)) == (
+        want_x.tobytes(),
+        want_y.tobytes(),
+        repr(want_value),
+    )
+
+
+def test_saddle_point_model_error_raises():
+    # Entries this large are refused by HiGHS as it loads the model.
+    game = MatrixGame(np.array([[1e300, -1e300], [-1e300, 1e300]]))
+    with pytest.raises(NumericError, match="max-min LP failed: HiGHS model status 'Model error'"):
+        saddle_point(game)
+
+
+@pytest.mark.parametrize("x0, worst", [(-1e-3, "0.001"), (float("nan"), "nan")])
+def test_lp_solution_off_its_constraints_raises(monkeypatch, x0, worst):
+    # A solution that HiGHS calls optimal but that misses the constraints by
+    # more than linprog's tolerance, 10 * sqrt(1e-9), is refused.
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs.getSolution
+
+    def off(self):
+        solution = real(self)
+        solution.col_value = [x0, *solution.col_value[1:]]
+        return solution
+
+    monkeypatch.setattr(_core._Highs, "getSolution", off)
+    with pytest.raises(NumericError, match=rf"misses its constraints by {worst} \(tolerance 0.000316\)"):
+        _solve_row_max(MP.A)
 
 
 def test_solve_nash_lp_degenerate():
