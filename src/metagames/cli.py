@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (one experiment or arm comparison), ``sweep`` (grid of
 config overrides), ``plot`` (records CSV to SVG), ``report`` (similarity
-stats and bound-slack audit). Exit codes: 0 ok, 2 config error or invalid
-input (``ConfigError``, ``InvalidInputError``, ``DomainError``), 3 numeric
-error (``NumericError``).
+stats and bound-slack audit). Exit codes: 0 ok, 2 config error, invalid
+input (``ConfigError``, ``InvalidInputError``, ``DomainError``) or an output
+path that cannot be written (``OSError``), 3 numeric error (``NumericError``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)
     if "arms" in obj:
         results, table = harness.compare_arms(obj)
-        (out / "comparison.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        harness.write_output(out / "comparison.json", json.dumps(table, indent=2, sort_keys=True) + "\n")
         for name, res in results.items():
             harness.write_task_summaries(out / f"tasks_{name}.csv", res.task_summaries)
             if res.records:
@@ -80,7 +80,7 @@ def _cmd_run(args):
         harness.write_records_csv(out / "records.csv", res.records, res.config.dump_strategies)
     summary_keys = [k for k in harness.GAP_KEYS if k in res.task_summaries[0]]
     means = {k: float(np.mean(res.task_column(k))) for k in summary_keys}
-    (out / "summary.json").write_text(json.dumps(means, indent=2, sort_keys=True) + "\n")
+    harness.write_output(out / "summary.json", json.dumps(means, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}/tasks.csv ({len(res.task_summaries)} tasks); task means: {means}")
     return 0
 
@@ -117,7 +117,7 @@ def _cmd_sweep(args):
                 "task_mean": float(np.mean(res.task_column(key))),
             }
         )
-    (out / "sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    harness.write_output(out / "sweep.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
     for row in rows:
         print(f"{row['params']} -> {row['metric']}={row['task_mean']:.6g}")
     return 0
@@ -200,7 +200,7 @@ def _cmd_report(args):
             rhs = breg / eta + eta * pred - path / (8.0 * eta)
             audit[name] = {"regret": reg, "rvu_rhs": rhs, "rvu_slack": rhs - reg}
         report["rvu_audit"] = audit
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    harness.write_output(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}/report.json")
     return 0
 
@@ -252,6 +252,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that cannot be made or written
+        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from metagames.errors import ConfigError, InvalidInputError, NumericError
+from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import (
     FAMILIES,
     SEQUENCINGS,
@@ -53,7 +53,6 @@ from metagames.learners import (
     OMDLearner,
     best_point,
     check_start,
-    doubling_residual,
     doubling_trick_eta,
     external_regret,
 )
@@ -344,13 +343,6 @@ class ExperimentConfig:
         if eta_mode == "ewoo" and v["meta.ewoo.D"] is None and shape == (1, 1):
             why = "the default, the strategy sets' diameter, is 0 on a 1x1 game"
             raise ConfigError(f"config.meta.ewoo.D: missing ({why})")
-        if eta_mode == "doubling" and v["learner.prediction"] == "zero":
-            # The RVU residual then shrinks only in proportion to the rate, so
-            # no halving makes it non-positive.
-            raise ConfigError(
-                "config.learner.prediction: 'zero' never calibrates the doubling "
-                "trick; use 'recency' or 'secondary-anchor', or another learner.eta_mode"
-            )
         if family == "potential-drift" and eta_mode != "fixed":
             raise ConfigError(
                 f"config.learner.eta_mode: {eta_mode!r} needs an RVU learner; "
@@ -409,8 +401,6 @@ def _task_eta(cfg, game, n_players, current_eta, ewoo_state):
     # Only an "auto" learner.eta leaves no current rate.
     return current_eta if current_eta is not None else _default_eta(game, n_players)
 
-
-MAX_RESTARTS = 60  # doubling restarts per task; one more halving is a NumericError
 
 # The fewest tasks a play-independent arm must have for ``_task_blocks`` to
 # play each of its blocks in one ``_play_batch`` call, for short (m < 20),
@@ -551,9 +541,10 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
                     utility_gradient(game, k, inits).tolist() if free_first else [0.0] * s.dim
                     for k, s in enumerate(sets)
                 ]
-            for restarts in range(MAX_RESTARTS + 1):
-                # Doubling trick: rerun the task at half the rate while the
-                # local RVU residual is positive; only the final attempt is logged.
+            # Doubling trick: rerun at half the rate while the local RVU residual is
+            # positive and the rate is above the task's auto rate 1/(4L), where the
+            # RVU bound holds; only the final attempt is logged.
+            while True:
                 if learner_free:
                     for s, x0 in zip(sets, inits):
                         check_start(s, task_eta, x0)
@@ -572,15 +563,9 @@ def _task_blocks(cfg, games, potential, ewoo_state, nash):
                     preds = [np.vstack((f, u[:-1])) for f, u in zip(firsts, us)]
                 else:
                     preds = [lrn.prediction_array() for lrn in learners]
-                runs = list(zip(xs, us, preds))
-                next_eta = doubling_trick_eta(runs, task_eta)
-                if next_eta == task_eta:
+                next_eta = doubling_trick_eta(list(zip(xs, us, preds)), task_eta)
+                if next_eta == task_eta or task_eta <= _default_eta(game, 2):
                     break
-                if restarts == MAX_RESTARTS:
-                    raise NumericError(
-                        f"task {t}: doubling trick gave up after {MAX_RESTARTS} restarts, "
-                        f"residual={doubling_residual(runs, task_eta)!r} > 0 at eta={task_eta!r}"
-                    )
                 task_eta = next_eta
             if cfg.eta_mode == "doubling":
                 eta = task_eta  # keep the calibrated rate for later tasks
@@ -909,18 +894,23 @@ def _potential_summaries(games, tracks):
     return rows
 
 
+def write_output(path, text):
+    """Write ``text`` as a new file at ``path``: an existing one is removed, not truncated."""
+    Path(path).unlink(missing_ok=True)
+    Path(path).write_text(text)
+
+
 def write_records_csv(path, records, dump_strategies=False):
     """Write per-iteration records with the stable versioned header."""
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [CSV_HEADER, *(r.csv_row() for r in records)]
+    write_output(path, "\n".join(lines) + "\n")
     if dump_strategies:
         sidecar = {
             f"{r.task}:{r.iter}:{r.player}": list(map(float, r.strategy))
             for r in records
             if r.strategy is not None
         }
-        Path(str(path) + ".strategies.json").write_text(json.dumps(sidecar, sort_keys=True))
+        write_output(str(path) + ".strategies.json", json.dumps(sidecar, sort_keys=True))
 
 
 def write_task_summaries(path, summaries):
@@ -928,7 +918,7 @@ def write_task_summaries(path, summaries):
     lines = [",".join(keys)]
     for row in summaries:
         lines.append(",".join(_fmt(row.get(k)) for k in keys))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v):
@@ -1112,5 +1102,5 @@ def emit_plot(series, spec=None, out=None):
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     if out is not None:
-        Path(out).write_text(text)
+        write_output(out, text)
     return text

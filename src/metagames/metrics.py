@@ -6,6 +6,7 @@ All functions are pure and operate on immutable trajectories.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,12 +126,16 @@ def saddle_point(game: MatrixGame):
     last-iterate bounds. Returns (x*, y*, value). The two LPs of
     ``_solve_row_max`` run once per game object, in HiGHS, with linprog's
     solution bits; later calls return fresh copies of the memoized
-    strategies. A game HiGHS cannot solve to optimality, or whose solution
-    misses its constraints, raises NumericError.
+    strategies. As HiGHS's tolerances are absolute, the LPs run on A scaled
+    exactly by the power of two that puts max |A| in (0.5, 1], so accuracy is
+    relative to max |A|. A game HiGHS cannot solve to optimality, or whose
+    solution misses its constraints, raises NumericError.
     """
     if game._saddle is None:
-        x, y, neg_value = _solve_row_max(-game.A)
-        game._saddle = (x, y, -neg_value)
+        mantissa, exp = math.frexp(float(np.max(np.abs(game.A))))
+        k = 1 - exp if mantissa == 0.5 else -exp
+        x, y, neg_value = _solve_row_max(np.ldexp(-game.A, k))
+        game._saddle = (x, y, -math.ldexp(neg_value, -k))
     x, y, value = game._saddle
     return x.copy(), y.copy(), value
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metagames import harness
+from metagames import games, harness
 from metagames.cli import main
 from metagames.harness import SCHEMA
 
@@ -144,6 +145,23 @@ def test_run_doubling_from_boundary_init(tmp_path, algo):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def floor_rates(cfg, eta0):
+    """Each task's rate in a doubling run whose residual stays positive: the
+    previous task's rate (eta0 for the first) halved until it is at or below
+    the task's auto rate 1/(4L)."""
+    rates, eta = [], eta0
+    for game in games.sample_game_sequence(harness.ExperimentConfig.from_dict(cfg).game):
+        while eta > harness._default_eta(game, 2):
+            eta /= 2.0
+        rates.append(eta)
+    return rates
+
+
+def task_rates(path):
+    with open(path, newline="") as fh:
+        return [float(row["eta"]) for row in csv.DictReader(fh)]
+
+
 @pytest.mark.parametrize(
     "game",
     [
@@ -151,44 +169,39 @@ def test_run_doubling_from_boundary_init(tmp_path, algo):
         {"family": "lower-bound-prior", "prior": [0.5, 0.3, 0.2]},
     ],
 )
-def test_run_doubling_at_restart_cap_exits_3(tmp_path, capsys, game):
+def test_run_doubling_ends_at_the_auto_rate(tmp_path, game):
     # On these games, log-barrier OMD with a zero first prediction keeps the
-    # local RVU residual positive however small the rate, so every halving
-    # is followed by another.
+    # local RVU residual positive however small the rate, so the rate is
+    # halved down to the task's auto rate and no further.
     learner = {"algo": "omd-logbar", "eta": 0.5, "eta_mode": "doubling", "first_prediction": "zero"}
-    cfg = write_config(tmp_path, {"T": 2, "m": 10, "game": game, "learner": learner})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: task 0: doubling trick gave up after 60 restarts")
-    assert "residual=" in err and "eta=" in err
-    assert len(err.strip().splitlines()) == 1
+    extra = {"T": 2, "m": 10, "game": game, "learner": learner}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, extra)), "--out", str(out)]) == 0
+    rates = task_rates(out / "tasks.csv")
+    assert rates == floor_rates({**BASE_CONFIG, **extra}, 0.5)
+    assert rates[0] < 0.5
 
 
-def test_doubling_with_zero_predictions_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
-    # Zero predictions leave a doubling run's residual positive at every rate,
-    # so such a run, arm or sweep combination is refused when it is read.
-    runs = []  # the game sequences drawn: a run's first step after its config
-    real_sample = harness.sample_game_sequence
-    monkeypatch.setattr(
-        harness, "sample_game_sequence", lambda cfg: runs.append(cfg) or real_sample(cfg)
-    )
+def test_doubling_with_zero_predictions_ends_at_the_auto_rate(tmp_path):
+    # Zero predictions leave a doubling run's residual positive at every
+    # rate, so a run, an arm or a sweep point halves down to the auto rate.
     zero = {"algo": "ogd", "eta": 0.5, "eta_mode": "doubling", "prediction": "zero"}
+    want = floor_rates({**BASE_CONFIG, "learner": zero}, 0.5)
     arms = [{"name": "cold", "init": "cold"}, {"name": "zero", "learner": zero}]
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"learner.eta_mode": ["fixed", "doubling"]}))
     commands = [
-        ("run", {"learner": zero}),
-        ("run", {"arms": arms}),
-        ("sweep", {"learner": {**zero, "eta_mode": "fixed"}}),
+        ("run", {"learner": zero}, "tasks.csv"),
+        ("run", {"arms": arms}, "tasks_zero.csv"),
+        ("sweep", {"learner": {**zero, "eta_mode": "fixed"}}, None),
     ]
-    for i, (command, extra) in enumerate(commands):
+    for i, (command, extra, tasks) in enumerate(commands):
         out = tmp_path / f"out{i}"
         argv = [command, "--config", str(write_config(tmp_path, extra)), "--out", str(out)]
-        assert main(argv + ["--grid", str(grid)] * (command == "sweep")) == 2
-        err = capsys.readouterr().err
-        assert "config.learner.prediction:" in err and len(err.strip().splitlines()) == 1
-        assert not out.exists() or not any(out.iterdir())
-    assert runs == []
+        assert main(argv + ["--grid", str(grid)] * (command == "sweep")) == 0
+        if tasks:
+            assert task_rates(out / tasks) == want
+    assert len(json.loads((out / "sweep.json").read_text())) == 2
 
 
 def test_run_arms_comparison(tmp_path):
@@ -437,6 +450,76 @@ def test_report_default_config(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_ne_average_on_a_tiny_base_starts_at_its_equilibrium(tmp_path):
+    # Play is scale-free under the auto rate, and so are the saddle points
+    # the NE anchors come from: a base of entries near 1e-10 plays as the
+    # unscaled base, from its equilibrium on from task 1.
+    base = np.array([[0.3, -0.2], [-0.5, 0.4]])
+    strategies = []
+    for scale in (1.0, 1e-10):
+        game = {"family": "perturbed-base", "base": (base * scale).tolist(), "delta": 0.0}
+        extra = {"T": 3, "m": 5, "init": "ne-average", "learner": {"algo": "ogd", "eta": "auto"}, "game": game}
+        out = tmp_path / f"out{scale}"
+        argv = ["run", "--config", str(write_config(tmp_path, extra)), "--out", str(out), "--dump-strategies"]
+        assert main(argv) == 0
+        strategies.append(json.loads((out / "records.csv.strategies.json").read_text()))
+    unscaled, tiny = strategies
+    assert sorted(tiny) == sorted(unscaled)
+    for key in unscaled:
+        np.testing.assert_allclose(tiny[key], unscaled[key], atol=1e-9)
+    np.testing.assert_allclose(tiny["1:5:0"], [9 / 14, 5 / 14], atol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "report"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker if where == "file" else blocker / "sub"
+    argv = [command, "--out", str(out)]
+    if command != "report":
+        argv += ["--config", str(write_config(tmp_path))]
+    if command == "sweep":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"seed": [1, 2]}))
+        argv += ["--grid", str(grid)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("where", ["directory", "under-file"])
+def test_plot_to_a_path_that_cannot_be_a_file_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    fig = out if where == "directory" else out / "tasks.csv" / "fig.svg"
+    assert main(["plot", str(out / "records.csv"), "-o", str(fig)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {fig}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_rerun_into_one_directory_writes_fresh_files(tmp_path):
+    # A second run into the same --out leaves the same bytes, and an output
+    # that is a symlink is replaced by a file, not written through.
+    cfg = write_config(tmp_path, {"dump_strategies": True})
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(first) == ["records.csv", "records.csv.strategies.json", "summary.json", "tasks.csv"]
+    target = tmp_path / "target.csv"
+    target.write_text("kept")
+    (out / "tasks.csv").unlink()
+    (out / "tasks.csv").symlink_to(target)
+    assert main(argv) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+    assert not (out / "tasks.csv").is_symlink()
+    assert target.read_text() == "kept"
+
+
 # Generated configs: valid SCHEMA rows on small runs (T <= 4, m <= 10, games
 # of at most 3x3), then at most one field broken.
 _SMALL = {"T": 4, "m": 10, "game.dim": 3}
@@ -487,9 +570,8 @@ def _put(cfg, path, value):
 def valid_configs(draw):
     """A run config of SCHEMA rows: every required row and the family's matrix
     or prior, the other rows at random. A positive metrics_every comes with
-    a positive log_every, since gaps are measured on logged rounds only, a
-    doubling eta_mode with predictions that are not zero, and potential-drift
-    with gd and the RVU learner fields at their defaults."""
+    a positive log_every, since gaps are measured on logged rounds only, and
+    potential-drift with gd and the RVU learner fields at their defaults."""
     family = draw(st.sampled_from(next(f.allowed for f in SCHEMA if f.path == "game.family")))
     needed = {"perturbed-base": "game.base", "lower-bound-prior": "game.prior"}.get(family)
     cfg = {"game": {"family": family}}
@@ -503,8 +585,6 @@ def valid_configs(draw):
         learner["algo"] = "gd"
         for key in ("prediction", "first_prediction", "alternating"):
             learner.pop(key, None)
-    if learner.get("eta_mode") == "doubling" and learner.get("prediction") == "zero":
-        learner["prediction"] = draw(st.sampled_from(["recency", "secondary-anchor"]))
     return cfg
 
 

@@ -113,6 +113,23 @@ CONFIGS = {
         learner={"algo": "ogd", "eta": 0.05, "alternating": True}, log_every=5, metrics_every=5
     ),
     "ogd-zero-first": _matrix(learner={"algo": "ogd", "eta": 0.05, "first_prediction": "zero"}),
+    # tests/test_cli.py's BASE_CONFIG under log-barrier doubling from 0.5 with
+    # a zero first prediction: the residual stays positive, so the first task
+    # ends at the first halving at or below its auto rate 1/(4L).
+    "omd-logbar-doubling-zero-first": {
+        "T": 4,
+        "m": 25,
+        "seed": 3,
+        "game": {"family": "perturbed-base", "base": BASE, "delta": 0.02},
+        "learner": {
+            "algo": "omd-logbar",
+            "eta": 0.5,
+            "eta_mode": "doubling",
+            "first_prediction": "zero",
+        },
+        "init": "ftl-average",
+        "log_every": 5,
+    },
     "opthedge-cold": _matrix(learner={"algo": "opthedge", "eta": 0.1}, init="cold", log_every=10),
     "omd-logbar-cold": _matrix(learner={"algo": "omd-logbar", "eta": 0.1}, init="cold"),
     "potential-drift-gd": {

@@ -107,15 +107,6 @@ def test_config_validation_field_paths():
         # gradient ascent plays path[:-1]; the zero-sum accounting reads path[1:]
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05}}),
         ("config.learner.algo", {"learner": {"algo": "gd", "eta": 0.05, "eta_mode": "doubling"}}),
-        # zero predictions leave a doubling run's residual positive at every rate
-        (
-            "config.learner.prediction",
-            {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}},
-        ),
-        (
-            "config.learner.prediction",
-            {"learner": {"algo": "omd-logbar", "eta_mode": "doubling", "prediction": "zero"}},
-        ),
         ("config.game.base", {"game": {"family": "perturbed-base", "base": [1, 2]}}),
         ("config.game.base", {"game": {"family": "perturbed-base", "base": [[]]}}),
         ("config.game.base", {"game": {"family": "perturbed-base"}}),
@@ -396,17 +387,15 @@ def test_compare_arms_runs_arms_in_turn_on_this_thread(monkeypatch):
         assert run_outputs(results[arm["name"]]) == run_outputs(run_experiment(alone))
     # The first failing arm raises, before a later one fails otherwise.
     huge_rate = {"learner": {"algo": "ogd", "eta": 1e308}}
-    no_calibration = {
-        "learner": {"algo": "omd-logbar", "eta_mode": "doubling", "first_prediction": "zero"}
-    }
-    with pytest.raises(NumericError, match="doubling trick gave up"):
-        run_experiment({**base, **no_calibration})
+    huge_radius = {"meta": {"ewoo": {"enabled": True, "D": 1e308}}}
+    with pytest.raises(ConfigError, match=r"config\.meta\.ewoo\.D=1e\+308"):
+        run_experiment({**base, **huge_radius})
     with pytest.raises(InvalidInputError, match="simplex projection"):
-        compare_arms({**base, "arms": [arms[0], huge_rate, no_calibration]})
+        compare_arms({**base, "arms": [arms[0], huge_rate, huge_radius]})
     # An arm that cannot be valid fails before any arm runs.
-    zero_doubling = {"learner": {"algo": "ogd", "eta_mode": "doubling", "prediction": "zero"}}
-    with pytest.raises(ConfigError, match=r"config\.learner\.prediction:"):
-        compare_arms({**base, "arms": [arms[0], huge_rate, zero_doubling]})
+    zero_sum_gd = {"learner": {"algo": "gd", "eta": 0.05}}
+    with pytest.raises(ConfigError, match=r"config\.learner\.algo:"):
+        compare_arms({**base, "arms": [arms[0], huge_rate, zero_sum_gd]})
 
 
 def test_compare_arms_needs_two():
@@ -446,6 +435,44 @@ def test_doubling_restart_keeps_unique_rows():
     keys = [(r.task, r.iter, r.player) for r in res.records]
     assert len(keys) == len(set(keys))
     assert res.task_summaries[-1]["eta"] < 0.9  # the rate was actually halved
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    algo=st.sampled_from(["ogd", "opthedge", "omd-logbar"]),
+    prediction=st.sampled_from(learners_module.PREDICTION_MODES),
+    first=st.sampled_from(["oracle", "zero"]),
+    alternating=st.booleans(),
+    base=st.sampled_from(KERNEL_BASES),
+    eta0=st.sampled_from([0.05, 0.5, 2.0, 40.0]),
+)
+def test_doubling_attempts_are_bounded_by_the_auto_rate(algo, prediction, first, alternating, base, eta0):
+    # A doubling task is halved only while its rate is above its auto rate
+    # 1/(4L), so it takes at most ceil(log2(eta0 / eta_auto)) + 1 attempts,
+    # each one rule call at half the rate of the one before.
+    learner = {
+        "algo": algo,
+        "eta": eta0,
+        "eta_mode": "doubling",
+        "prediction": prediction,
+        "first_prediction": first,
+        "alternating": alternating,
+    }
+    game = {"family": "perturbed-base", "base": base, "delta": 0.3}
+    calls = []
+    real = harness.doubling_trick_eta
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "doubling_trick_eta", lambda runs, eta: calls.append(eta) or real(runs, eta))
+        res = run_experiment(small_config(T=3, m=10, game=game, learner=learner))
+    want, start = [], eta0
+    for game, row in zip(res.games, res.task_summaries):
+        auto = harness._default_eta(game, 2)
+        attempts = round(math.log2(start / row["eta"])) + 1
+        assert attempts <= max(0, math.ceil(math.log2(eta0 / auto))) + 1
+        assert row["eta"] == start or row["eta"] > auto / 2
+        want += [start / 2**i for i in range(attempts)]
+        start = row["eta"]
+    assert calls == want
 
 
 def test_eta_modes_scope():
@@ -1034,9 +1061,7 @@ def play_path_configs(draw):
         "eta": pick(["auto", 0.01, 0.1, 0.7]),
         "eta_mode": "fixed" if potential else allowed("learner.eta_mode"),
     }
-    # a doubling run with zero predictions is a config error
-    no_zero = ["zero"] * (learner["eta_mode"] == "doubling")
-    learner["prediction"] = allowed("learner.prediction", *no_zero)
+    learner["prediction"] = allowed("learner.prediction")
     learner["first_prediction"] = allowed("learner.first_prediction")
     learner["alternating"] = pick([False, True])
     if potential:  # gradient ascent, which reads no RVU learner field
@@ -1126,7 +1151,6 @@ def oracle_outputs(config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_play_rows", loop_rows(latest, free_first))
         patch.setattr(harness, "doubling_trick_eta", on_learners(learners_module.doubling_trick_eta))
-        patch.setattr(harness, "doubling_residual", on_learners(learners_module.doubling_residual))
         patch.setattr(harness, "BATCH_MIN_TASKS", ((float("inf"),) * 3,) * 2)
         patch.setattr(harness, "BATCH_BYTES", 1)
         patch.setattr(harness, "play_task", play)

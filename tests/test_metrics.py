@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -129,11 +130,46 @@ def test_solve_row_max_matches_linprog_bitwise(B):
     )
 
 
+HUGE = np.array([[1e300, -1e300], [-1e300, 1e300]])
+
+
 def test_saddle_point_model_error_raises():
     # Entries this large are refused by HiGHS as it loads the model.
-    game = MatrixGame(np.array([[1e300, -1e300], [-1e300, 1e300]]))
     with pytest.raises(NumericError, match="max-min LP failed: HiGHS model status 'Model error'"):
-        saddle_point(game)
+        _solve_row_max(HUGE)
+
+
+def test_saddle_point_solves_the_model_error_game():
+    # saddle_point hands HiGHS the game scaled to max |entry| = 1.
+    x, y, value = saddle_point(MatrixGame(HUGE))
+    assert (x.tolist(), y.tolist(), value) == ([0.5, 0.5], [0.5, 0.5], 0.0)
+
+
+@st.composite
+def power_of_two_scalings(draw):
+    """An ``lp_matrices`` game B and a k for which every nonzero entry of
+    B * 2^k is a normal float."""
+    B = draw(lp_matrices())
+    nonzero = np.abs(B[B != 0])
+    if nonzero.size == 0:
+        return B, draw(st.integers(-1000, 1000))
+    lo = -1021 - math.frexp(float(np.min(nonzero)))[1]
+    hi = 1023 - math.frexp(float(np.max(nonzero)))[1]
+    return B, draw(st.integers(lo, hi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(power_of_two_scalings())
+@example((np.array([[1.0, 0.0], [0.0, 0.0]]), -1000))
+@example((-lower_bound_family(3, 2).A, 1000))
+def test_saddle_point_is_invariant_to_powers_of_two(drawn):
+    # Scaling a game by 2^k scales its value by 2^k and leaves the strategies'
+    # bytes as they are.
+    B, k = drawn
+    x, y, value = saddle_point(MatrixGame(B))
+    xk, yk, value_k = saddle_point(MatrixGame(np.ldexp(B, k)))
+    assert (xk.tobytes(), yk.tobytes()) == (x.tobytes(), y.tobytes())
+    assert value_k == math.ldexp(value, k)
 
 
 @pytest.mark.parametrize("x0, worst", [(-1e-3, "0.001"), (float("nan"), "nan")])
