@@ -66,7 +66,7 @@ def _cmd_run(args):
         harness.write_output(out / "comparison.json", json.dumps(table, indent=2, sort_keys=True) + "\n")
         for name, res in results.items():
             harness.write_task_summaries(out / f"tasks_{name}.csv", res.task_summaries)
-            if res.records:
+            if res.config.log_every:
                 harness.write_records_csv(
                     out / f"records_{name}.csv", res.records, res.config.dump_strategies
                 )
@@ -76,7 +76,7 @@ def _cmd_run(args):
         return 0
     res = harness.run_experiment(obj)
     harness.write_task_summaries(out / "tasks.csv", res.task_summaries)
-    if res.records:
+    if res.config.log_every:
         harness.write_records_csv(out / "records.csv", res.records, res.config.dump_strategies)
     summary_keys = [k for k in harness.GAP_KEYS if k in res.task_summaries[0]]
     means = {k: float(np.mean(res.task_column(k))) for k in summary_keys}
@@ -192,7 +192,7 @@ def _cmd_report(args):
         eta = harness._default_eta(game, 2)
         xl = harness.make_learner("ogd", game.sets[0], eta)
         yl = harness.make_learner("ogd", game.sets[1], eta)
-        harness.play_task(game, [xl, yl], obj.get("m", 100))
+        harness.play_task(game, [xl, yl], res.config.m)
         audit = {}
         for name, lrn, sset in (("x", xl, game.sets[0]), ("y", yl, game.sets[1])):
             reg, opt = external_regret(np.asarray(lrn.path[1:]), lrn.utility_array(), sset)

@@ -67,34 +67,13 @@ from metagames.meta import (
     kl_anchor_variance,
     ne_similarity_worst,
 )
-from metagames.metrics import duality_gap, ne_gap, path_lengths, saddle_point
+from metagames.metrics import ne_gap, path_lengths, saddle_point
 
 SCHEMA_VERSION = 1
-
-CSV_HEADER = "schema_version,task,iter,player,regret_cum,dualgap,negap,pathlen2,eta,init_mode"
-
-
-@dataclass
-class RunRecord:
-    """One logged (task, iteration, player) row."""
-
-    task: int
-    iter: int
-    player: int
-    regret_cum: float
-    dualgap: float
-    negap: float
-    pathlen2: float
-    eta: float
-    init_mode: str
-    strategy: Optional[np.ndarray] = None
-
-    def csv_row(self):
-        return (
-            f"{SCHEMA_VERSION},{self.task},{self.iter},{self.player},"
-            f"{self.regret_cum!r},{self.dualgap!r},{self.negap!r},{self.pathlen2!r},"
-            f"{self.eta!r},{self.init_mode}"
-        )
+# The columns of ``ExperimentResult.records``, as of the records CSV after its
+# schema_version; a run that dumps strategies adds player k's as "strategy{k}".
+RECORD_COLUMNS = ("task", "iter", "player", "regret_cum", "dualgap", "negap", "pathlen2", "eta", "init_mode")
+CSV_HEADER = ",".join(("schema_version", *RECORD_COLUMNS))
 
 
 def play_task(game, learners, m, free_first=True, alternating=False):
@@ -376,7 +355,7 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    records: list
+    records: dict  # RECORD_COLUMNS (and strategies) as arrays; {} if log_every is 0
     task_summaries: list
     similarity: SimilarityStats
     games: list
@@ -465,13 +444,13 @@ def run_experiment(config) -> ExperimentResult:
     nash = [None] * len(games)
     if cfg.init_mode == "ne-average":
         nash = [list(saddle_point(game)[:2]) for game in games]
-    records, summaries = [], []
+    blocks, summaries = [], []
     for etas, tracks in _task_blocks(cfg, games, potential, ewoo_state, nash):
         t = len(summaries)
         block = games[t : t + len(etas)]
         rows = (_potential_summaries if potential else _zero_sum_summaries)(block, tracks)
         if cfg.log_every:
-            records.extend(_task_records(cfg, block, t, tracks))
+            blocks.append(_task_records(cfg, block, t, tracks))
         for b, row in enumerate(rows):
             summaries.append({"task": t + b, "eta": etas[b], **row})
 
@@ -483,6 +462,7 @@ def run_experiment(config) -> ExperimentResult:
             sim.v_kl = np.asarray([kl_anchor_variance(a) for a in per_player])
             if cfg.init_mode == "ne-average":
                 sim.v_ne2_worst = ne_similarity_worst([np.concatenate(n) for n in nash])
+    records = {key: np.concatenate([cols[key] for cols in blocks]) for key in (blocks[0] if blocks else ())}
     return ExperimentResult(cfg, records, summaries, sim, games)
 
 
@@ -758,8 +738,8 @@ def _two_action_step(anchor, g, eta):
 
 
 def _matvecs(mats, vecs):
-    """Row b is mats[b] @ vecs[b]."""
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+    """Row b is mats[b] @ vecs[b], for any leading axes (``mats`` broadcasts)."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 def _dots(us, vecs):
@@ -776,55 +756,67 @@ Track = namedtuple("Track", "path played utilities eta")
 
 
 def _task_records(cfg, games, t, tracks):
-    """RunRecords of the finished tasks t, t+1, ... of the Tracks, one per
-    game of ``games``: one per player every ``log_every`` rounds and at the
-    last round.
+    """RECORD_COLUMNS of the finished tasks t, t+1, ... of the Tracks, one per
+    game of ``games``: a row per player every ``log_every`` rounds and at the
+    last round, in (task, round, player) order, and with ``dump_strategies``
+    player k's strategies of its rows as "strategy{k}".
 
-    Gaps are measured only every ``metrics_every`` rounds (NaN otherwise);
-    the duality gap of the running average is defined for zero-sum games
-    only. The running sums are ``cumsum``s over the round axis, which add
-    in round order as a per-round ``+=`` would.
+    Gaps are measured only every ``metrics_every`` rounds (NaN otherwise),
+    on zero-sum games by ``_zero_sum_gaps`` for all tasks at once; the
+    duality gap of the running average is defined for zero-sum games only.
+    The running sums are ``cumsum``s over the round axis, which add in round
+    order as a per-round ``+=`` would.
     """
     m, n = cfg.m, len(tracks)
-    sums, regrets, path2 = [], [], []
-    for tr in tracks:
+    logged = np.array([*range(cfg.log_every, m, cfg.log_every), m])
+    cols = logged - 1
+    shape = (len(games), len(logged), n)
+    regret, path2 = np.empty(shape), np.empty(shape)
+    for k, tr in enumerate(tracks):
         # The 1-D dots of the rounds; a row-wise einsum adds in another order.
-        realized = np.cumsum(_dots(tr.played, tr.utilities), axis=1)
+        realized = np.cumsum(_dots(tr.played, tr.utilities), axis=1)[:, cols]
+        regret[..., k] = _over_actions(np.maximum, np.cumsum(tr.utilities, axis=1)[:, cols]) - realized
         steps = np.diff(tr.played, axis=1, prepend=tr.path[:, :1])
-        sums.append(np.cumsum(tr.played, axis=1))
-        regrets.append(np.max(np.cumsum(tr.utilities, axis=1), axis=2) - realized)
-        path2.append(np.cumsum(np.sum(steps**2, axis=2), axis=1))
-    logged = [*range(cfg.log_every, m, cfg.log_every), m]
-    cols = np.asarray(logged) - 1
-    records = []
-    for b, game in enumerate(games):
-        # Each player's regrets and path lengths at the logged rounds.
-        reg_at = [r[b, cols].tolist() for r in regrets]
-        path2_at = [p[b, cols].tolist() for p in path2]
-        for c, i in enumerate(logged):
-            j = i - 1
-            profile = [tr.played[b, j] for tr in tracks]
-            gap, gaps = float("nan"), [float("nan")] * n
-            if cfg.metrics_every and (i % cfg.metrics_every == 0 or i == m):
-                if isinstance(game, MatrixGame):
-                    gap = duality_gap(game, sums[0][b, j] / i, sums[1][b, j] / i)
-                gaps = ne_gap(game, profile)
-            for k, (s, tr) in enumerate(zip(profile, tracks)):
-                records.append(
-                    RunRecord(
-                        task=t + b,
-                        iter=i,
-                        player=k,
-                        regret_cum=reg_at[k][c],
-                        dualgap=float(gap),
-                        negap=float(gaps[k]),
-                        pathlen2=path2_at[k][c],
-                        eta=tr.eta[b],
-                        init_mode=cfg.init_mode,
-                        strategy=s.copy() if cfg.dump_strategies else None,
-                    )
-                )
+        path2[..., k] = np.cumsum(_over_actions(np.add, steps**2), axis=1)[:, cols]
+    dualgap, negap = np.full(shape, np.nan), np.full(shape, np.nan)
+    if cfg.metrics_every:
+        at = np.flatnonzero((logged % cfg.metrics_every == 0) | (logged == m))
+        rounds = cols[at]
+        if isinstance(games[0], MatrixGame):
+            A = np.array([game.A for game in games])[:, None]  # broadcast over the rounds
+            averages = [np.cumsum(tr.played, axis=1)[:, rounds] / logged[at, None] for tr in tracks]
+            dualgap[:, at] = _zero_sum_gaps(A, *averages)[0][..., None]
+            negap[:, at] = _zero_sum_gaps(A, *(tr.played[:, rounds] for tr in tracks))[1]
+        else:
+            for b, game in enumerate(games):
+                for c, j in zip(at.tolist(), rounds.tolist()):
+                    negap[b, c] = ne_gap(game, [tr.played[b, j] for tr in tracks])
+    b, c, k = np.indices(shape).reshape(3, -1)  # each row's task, logged round and player
+    eta, init_mode = np.asarray(tracks[0].eta)[b], np.full(b.size, cfg.init_mode)
+    columns = (t + b, logged[c], k, regret, dualgap, negap, path2, eta, init_mode)
+    records = {key: col.ravel() for key, col in zip(RECORD_COLUMNS, columns)}
+    if cfg.dump_strategies:
+        for k, tr in enumerate(tracks):
+            records[f"strategy{k}"] = tr.played[:, cols].reshape(-1, tr.played.shape[2])
     return records
+
+
+def _over_actions(ufunc, a):
+    """``ufunc.reduce`` over the last (action) axis; two actions elementwise, same bits, faster."""
+    return ufunc(a[..., 0], a[..., 1]) if a.shape[-1] == 2 else ufunc.reduce(a, axis=-1)
+
+
+def _zero_sum_gaps(A, x, y):
+    """Duality gap and NE gains (last axis) of the stacked zero-sum games A at
+    the profiles (x, y), each bit for bit as ``duality_gap`` and ``ne_gap``:
+    the products are ``np.matmul``s, over which A may broadcast."""
+    # x @ A is also the y-player's utility A.T @ x.
+    u_x, u_y = _matvecs(-A, y), _matvecs(np.swapaxes(A, -1, -2), x)
+    best_y = u_y.max(axis=-1)
+    gains = np.empty((*u_x.shape[:-1], 2))
+    gains[..., 0] = u_x.max(axis=-1) - _dots(u_x, x)
+    gains[..., 1] = best_y - _dots(u_y, y)
+    return best_y - _matvecs(A, y).min(axis=-1), gains
 
 
 def _zero_sum_summaries(games, tracks):
@@ -841,14 +833,7 @@ def _zero_sum_summaries(games, tracks):
     A = np.array([game.A for game in games])
     reg_x, opt_x = external_regret(x.played, x.utilities, sets[0])
     reg_y, opt_y = external_regret(y.played, y.utilities, sets[1])
-    x_bar, y_bar = x.played.mean(axis=1), y.played.mean(axis=1)
-    # At the averages: x_bar @ A is also the y-player's utility A.T @ x_bar.
-    u_x, u_y = _matvecs(-A, y_bar), _matvecs(A.transpose(0, 2, 1), x_bar)
-    best_y = u_y.max(axis=1)
-    dualgap = best_y - _matvecs(A, y_bar).min(axis=1)
-    gains = np.empty((len(games), 2))
-    gains[:, 0] = u_x.max(axis=1) - _dots(u_x, x_bar)
-    gains[:, 1] = best_y - _dots(u_y, y_bar)
+    dualgap, gains = _zero_sum_gaps(A, x.played.mean(axis=1), y.played.mean(axis=1))
     x0, y0 = x.path[:, 0], y.path[:, 0]
     columns = (
         reg_x,
@@ -901,15 +886,31 @@ def write_output(path, text):
 
 
 def write_records_csv(path, records, dump_strategies=False):
-    """Write per-iteration records with the stable versioned header."""
-    lines = [CSV_HEADER, *(r.csv_row() for r in records)]
+    """Write a run's record columns as the versioned CSV, and with
+    ``dump_strategies`` the strategies as a JSON sidecar keyed task:iter:player.
+    One pass over the columns as lists formats each row (floats by repr),
+    with the fields a task holds constant (task, eta, init_mode) formatted
+    once per task."""
+    lines, sidecar = [CSV_HEADER], {}
+    if records:  # a run that logs no rounds has no columns
+        task = records["task"]
+        starts = np.flatnonzero(np.diff(task, prepend=-1))
+        firsts = zip(*(records[key][starts].tolist() for key in ("task", "eta", "init_mode")))
+        ends = [(f"{SCHEMA_VERSION},{t}", f"{eta!r},{mode}") for t, eta, mode in firsts]
+        rows_per_task = np.diff(starts, append=len(task))
+        heads, tails = np.repeat(np.array(ends, dtype=object), rows_per_task, axis=0).T.tolist()
+        cols = [records[key].tolist() for key in RECORD_COLUMNS[1:-2]]  # iter .. pathlen2
+        lines += [
+            f"{head},{i},{k},{regret!r},{gap!r},{negap!r},{path2!r},{tail}"
+            for head, i, k, regret, gap, negap, path2, tail in zip(heads, *cols, tails)
+        ]
+        if dump_strategies:
+            keys = [f"{t}:{i}:{k}" for t, i, k in zip(task.tolist(), *cols[:2])]
+            strategies = [col for key, col in records.items() if key.startswith("strategy")]
+            for k, col in enumerate(strategies):  # player k's rows are k, k + n, ...
+                sidecar.update(zip(keys[k :: len(strategies)], col.tolist()))
     write_output(path, "\n".join(lines) + "\n")
     if dump_strategies:
-        sidecar = {
-            f"{r.task}:{r.iter}:{r.player}": list(map(float, r.strategy))
-            for r in records
-            if r.strategy is not None
-        }
         write_output(str(path) + ".strategies.json", json.dumps(sidecar, sort_keys=True))
 
 
@@ -1085,10 +1086,8 @@ def emit_plot(series, spec=None, out=None):
         )
     for idx, s in enumerate(series):
         color = colors[idx % len(colors)]
-        pts = " ".join(
-            f"{to_px(float(x), float(y))[0]:.2f},{to_px(float(x), float(y))[1]:.2f}"
-            for x, y in zip(s["xs"], s["ys"])
-        )
+        pixels = (to_px(float(x), float(y)) for x, y in zip(s["xs"], s["ys"]))
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in pixels)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 16 * idx + 10
         parts.append(

@@ -331,7 +331,7 @@ def test_sweep_subcommand(tmp_path, monkeypatch):
             _put(alone, key, val)
         want = real_run(alone)
         assert repr(res.task_summaries) == repr(want.task_summaries)
-        assert [r.csv_row() for r in res.records] == [r.csv_row() for r in want.records]
+        assert {k: c.tobytes() for k, c in res.records.items()} == {k: c.tobytes() for k, c in want.records.items()}
         assert row["task_mean"] == float(np.mean(want.task_column("dualgap_avg")))
 
 

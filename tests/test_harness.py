@@ -3,8 +3,10 @@ import dataclasses
 import itertools
 import json
 import math
+import tempfile
 import threading
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from metagames.geometry import Regularizer
 from metagames.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    RunRecord,
     compare_arms,
     emit_plot,
     make_learner,
@@ -213,12 +214,9 @@ def test_replay_consistency(tmp_path):
     write_records_csv(p, res.records, dump_strategies=True)
     sidecar = json.loads((Path(str(p) + ".strategies.json")).read_text())
     by_task = {}
-    for rec in res.records:
-        by_task.setdefault(rec.task, {0: {}, 1: {}})
-        by_task[rec.task][rec.player][rec.iter] = (
-            np.asarray(sidecar[f"{rec.task}:{rec.iter}:{rec.player}"]),
-            rec.regret_cum,
-        )
+    for t, i, k, regret in zip(*(res.records[key].tolist() for key in ("task", "iter", "player", "regret_cum"))):
+        by_task.setdefault(t, {0: {}, 1: {}})
+        by_task[t][k][i] = (np.asarray(sidecar[f"{t}:{i}:{k}"]), regret)
     for t, players in by_task.items():
         A = res.games[t].A
         iters = sorted(players[0])
@@ -432,7 +430,7 @@ def test_doubling_restart_keeps_unique_rows():
         learner={"algo": "ogd", "eta": 0.9, "eta_mode": "doubling"}, log_every=10
     )
     res = run_experiment(cfg)
-    keys = [(r.task, r.iter, r.player) for r in res.records]
+    keys = list(zip(*(res.records[key].tolist() for key in ("task", "iter", "player"))))
     assert len(keys) == len(set(keys))
     assert res.task_summaries[-1]["eta"] < 0.9  # the rate was actually halved
 
@@ -508,8 +506,8 @@ def test_potential_drift_experiment_runs():
         assert row["pathlen2"] >= 0.0
     # rounds are logged as on matrix games; the duality gap is defined for
     # zero-sum games only
-    assert len(res.records) == 3 * 3 * 2
-    assert all(np.isnan(r.dualgap) and r.negap >= -1e-12 for r in res.records)
+    assert len(res.records["task"]) == 3 * 3 * 2
+    assert np.all(np.isnan(res.records["dualgap"])) and np.all(res.records["negap"] >= -1e-12)
 
 
 def test_emit_plot_errors_and_padding(tmp_path):
@@ -580,6 +578,50 @@ def loop_rows(played, free_first):
     return play_rows
 
 
+@dataclasses.dataclass
+class RunRecord:
+    """One logged (task, iteration, player) row of the per-round oracle."""
+
+    task: int
+    iter: int
+    player: int
+    regret_cum: float
+    dualgap: float
+    negap: float
+    pathlen2: float
+    eta: float
+    init_mode: str
+    strategy: Optional[np.ndarray] = None
+
+    def csv_row(self):
+        return (
+            f"{harness.SCHEMA_VERSION},{self.task},{self.iter},{self.player},"
+            f"{self.regret_cum!r},{self.dualgap!r},{self.negap!r},{self.pathlen2!r},"
+            f"{self.eta!r},{self.init_mode}"
+        )
+
+
+def write_row_records(path, records, dump_strategies=False):
+    """``write_records_csv`` of RunRecords, row by row: the oracle's writer."""
+    Path(path).write_text("\n".join([CSV_HEADER, *(r.csv_row() for r in records)]) + "\n")
+    if dump_strategies:
+        sidecar = {
+            f"{r.task}:{r.iter}:{r.player}": list(map(float, r.strategy))
+            for r in records
+            if r.strategy is not None
+        }
+        Path(f"{path}.strategies.json").write_text(json.dumps(sidecar, sort_keys=True))
+
+
+def written(writer, records, dump_strategies):
+    """The records CSV and strategies sidecar (or None) that ``writer`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        writer(path, records, dump_strategies)
+        sidecar = Path(f"{path}.strategies.json")
+        return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
+
+
 def round_logger(cfg, game, t, learners, records):
     """Per-round observer that appends a RunRecord per player every
     ``log_every`` rounds and at the last round; the reference for
@@ -626,8 +668,9 @@ def round_logger(cfg, game, t, learners, records):
     return observe
 
 
-def observed_records(monkeypatch, config):
-    """run_experiment's records as ``round_logger`` logs them round by round.
+def observed_records(config):
+    """run_experiment's records as RunRecords that ``round_logger`` logs round
+    by round.
 
     Every task is played by ``play_task`` round by round, also on an arm
     that ``run_experiment`` plays in batches or by ``_play_rows``: no arm is
@@ -656,16 +699,20 @@ def observed_records(monkeypatch, config):
         first.update = observed_update
         return real_play(game, learners, m, **kwargs)
 
-    def task_records(cfg, games, t, tracks):
-        return [dataclasses.replace(r, task=t) for r in latest]
+    records = []
 
-    with monkeypatch.context() as patch:
+    def task_records(cfg, games, t, tracks):
+        records.extend(dataclasses.replace(r, task=t) for r in latest)
+        return {}
+
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "play_task", play)
         patch.setattr(harness, "_task_records", task_records)
         patch.setattr(harness, "_play_rows", loop_rows([], cfg.first_prediction == "oracle"))
         patch.setattr(harness, "BATCH_MIN_TASKS", ((float("inf"),) * 3,) * 2)
         patch.setattr(harness, "BATCH_BYTES", 1)
-        return run_experiment(config).records
+        run_experiment(config)
+    return records
 
 
 @pytest.mark.parametrize(
@@ -730,15 +777,58 @@ def observed_records(monkeypatch, config):
         "2x3-boundary",
     ],
 )
-def test_task_records_match_round_observer(monkeypatch, config):
-    records = run_experiment(config).records
-    expected = observed_records(monkeypatch, config)
-    assert records and [r.csv_row() for r in records] == [r.csv_row() for r in expected]
-    for got, want in zip(records, expected):
-        if want.strategy is None:
-            assert got.strategy is None
-        else:
-            np.testing.assert_array_equal(got.strategy, want.strategy)
+def test_task_records_match_round_observer(config):
+    dump = config.get("dump_strategies", False)
+    got = written(write_records_csv, run_experiment(config).records, dump)
+    assert got[0].count(b"\n") > 1
+    assert got == written(write_row_records, observed_records(config), dump)
+
+
+RECORD_FAMILIES = {
+    "2x2": {"family": "perturbed-base", "base": BASE, "delta": 0.02},
+    "2x3": {"family": "perturbed-base", "base": KERNEL_BASES[1], "delta": 0.02},
+    "3x3-prior": {"family": "lower-bound-prior", "prior": [0.5, 0.25, 0.25]},
+    "drift": {"family": "potential-drift", "dim": 3, "alpha": 0.01},
+}
+
+
+@st.composite
+def record_configs(draw):
+    """A small logged run and a block size in tasks: any family of
+    RECORD_FAMILIES, log_every in 1..m+2 and metrics_every in 0..m+2 (also
+    where neither divides the other), with or without strategies."""
+    family = draw(st.sampled_from(sorted(RECORD_FAMILIES)))
+    m = draw(st.integers(1, 40))
+    cfg = small_config(
+        T=5,
+        m=m,
+        game=RECORD_FAMILIES[family],
+        learner={"algo": "ogd", "eta": draw(st.sampled_from([0.05, "auto"]))},
+        log_every=draw(st.integers(1, m + 2)),
+        metrics_every=draw(st.integers(0, m + 2)),
+        dump_strategies=draw(st.booleans()),
+    )
+    if family == "drift":
+        cfg["learner"]["algo"] = "gd"
+        cfg["init"] = "last-iterate"
+    else:
+        # A cold arm of 5 tasks is played in batches where it reaches BATCH_MIN_TASKS.
+        cfg.update(init=draw(st.sampled_from(["cold", "ftl-average", "ne-average"])))
+    return cfg, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(record_configs())
+def test_record_columns_match_round_observer(drawn):
+    # The records CSV and sidecar bytes, with tasks split into blocks of the
+    # drawn size, are those of the per-round oracle, one task per block.
+    config, block_tasks = drawn
+    cfg = ExperimentConfig.from_dict(config)
+    dims = sum(s.dim for s in games.sample_game_sequence(cfg.game)[0].sets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "BATCH_BYTES", block_tasks * 8 * (2 * cfg.m + 1) * dims)
+        got = written(write_records_csv, run_experiment(config).records, cfg.dump_strategies)
+    assert got == written(write_row_records, observed_records(config), cfg.dump_strategies)
 
 
 def summary_row(game, learners):
@@ -1100,12 +1190,11 @@ def outputs_or_error(config):
 
 
 def run_outputs(res):
-    """Records, strategies, summaries and similarity stats of a run result
-    as reprs."""
+    """Record columns (strategies included) as bytes, and summaries and
+    similarity stats as reprs, of a run result."""
     sim = res.similarity
     return (
-        [r.csv_row() for r in res.records],
-        [None if r.strategy is None else r.strategy.tobytes() for r in res.records],
+        {key: col.tobytes() for key, col in res.records.items()},
         repr(res.task_summaries),
         repr([None if v is None else np.asarray(v).tolist() for v in (sim.v_opt2, sim.v_kl)]),
         repr(sim.v_ne2_worst),
