@@ -6,6 +6,7 @@ byte-identical CSV/JSON/SVG outputs.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -880,9 +881,18 @@ def _potential_summaries(games, tracks):
 
 
 def write_output(path, text):
-    """Write ``text`` as a new file at ``path``: an existing one is removed, not truncated."""
-    Path(path).unlink(missing_ok=True)
-    Path(path).write_text(text)
+    """Write ``text`` as a new file at ``path``: an existing one is removed, not
+    truncated. A write that fails (a full disk, a quota, an I/O error) removes
+    the part it wrote and raises its OSError with ``path`` as the filename."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            path.unlink()
+        exc.filename = str(path)
+        raise
 
 
 def write_records_csv(path, records, dump_strategies=False):

@@ -5,9 +5,14 @@ All functions are pure and operate on immutable trajectories.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -26,6 +31,61 @@ class GapReport:
     extras: dict = field(default_factory=dict)
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
+_thread_highs = threading.local()
+
+
+def _highs():
+    """scipy's bundled HiGHS bindings, ``scipy.optimize._highspy._core``.
+
+    The module already imported is used as it is. Otherwise the extension is
+    loaded from scipy's package folder by itself and registered under its
+    own name, so that a later ``import scipy.optimize`` finds the same
+    module: importing ``scipy.optimize`` to reach it would cost about 0.2 s
+    and 45 MB that the LPs do not use. A scipy without the extension raises
+    ImportError.
+    """
+    with _highs_lock:  # two threads' first LPs load it once
+        if _HIGHS_MODULE not in sys.modules:
+            import scipy
+
+            folder = Path(scipy.__path__[0], "optimize", "_highspy")
+            paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((path for path in paths if path.is_file()), None)
+            if path is None:
+                raise ImportError(
+                    f"scipy's HiGHS extension is missing: no _core module in {folder}",
+                    name=_HIGHS_MODULE,
+                    path=str(folder),
+                )
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, str(path))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS_MODULE, loader))
+            sys.modules[_HIGHS_MODULE] = module
+            try:
+                loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_HIGHS_MODULE]
+                raise
+        return sys.modules[_HIGHS_MODULE]
+
+
+def _solver():
+    """This thread's (bindings, HighsOptions, _Highs), built on its first LP.
+    The options are linprog's for ``method="highs"``."""
+    try:
+        return _thread_highs.solver
+    except AttributeError:
+        highs = _highs()
+        options = highs.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = options.output_flag = False
+        options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        _thread_highs.solver = highs, options, highs._Highs()
+        return _thread_highs.solver
+
+
 def _simplex_lp(sign, M):
     """(z, v) solving min sign*v subject to M z - sign*v <= 0, sum z = 1,
     z >= 0, v free, with z clipped at 0 and renormalized.
@@ -34,12 +94,12 @@ def _simplex_lp(sign, M):
     hands it over: the same column-wise matrix (explicit zeros dropped), the
     same bounds and options, and the same post-solve feasibility check, so
     the solution has linprog's bits without its per-call input parsing and
-    option checking. A solve that is not optimal, or whose solution misses
-    the constraints by more than linprog's tolerance, raises NumericError.
+    option checking. Each thread reuses one solver, passing it the options
+    and then the model, which replaces the previous LP's. A solve that is not
+    optimal, or whose solution misses the constraints by more than linprog's
+    tolerance, raises NumericError.
     """
-    # About 0.5 s and 45 MB, as scipy.optimize loads with it; only the LPs need it.
-    from scipy.optimize._highspy import _core as highs
-
+    highs, options, solver = _solver()
     problem = "max-min" if sign < 0 else "min-max"
     rows, d = M.shape
     A = np.zeros((rows + 1, d + 1))
@@ -68,12 +128,6 @@ def _simplex_lp(sign, M):
     lp.a_matrix_.start_ = np.searchsorted(nonzero[0], np.arange(d + 2))
     lp.a_matrix_.index_ = nonzero[1]
     lp.a_matrix_.value_ = A.T[nonzero]
-    options = highs.HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = options.output_flag = False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    solver = highs._Highs()
     if solver.passOptions(options) == highs.HighsStatus.kError:
         raise NumericError(f"zero-sum {problem} LP failed: HiGHS refused its options")
     if solver.passModel(lp) == highs.HighsStatus.kError:
@@ -126,10 +180,13 @@ def saddle_point(game: MatrixGame):
     last-iterate bounds. Returns (x*, y*, value). The two LPs of
     ``_solve_row_max`` run once per game object, in HiGHS, with linprog's
     solution bits; later calls return fresh copies of the memoized
-    strategies. As HiGHS's tolerances are absolute, the LPs run on A scaled
-    exactly by the power of two that puts max |A| in (0.5, 1], so accuracy is
-    relative to max |A|. A game HiGHS cannot solve to optimality, or whose
-    solution misses its constraints, raises NumericError.
+    strategies. The first LP loads scipy's HiGHS extension alone, not
+    ``scipy.optimize``, and each thread reuses one solver, so calls from
+    several threads are safe. As HiGHS's tolerances are absolute, the LPs
+    run on A scaled exactly by the power of two that puts max |A| in
+    (0.5, 1], so accuracy is relative to max |A|. A game HiGHS cannot solve
+    to optimality, or whose solution misses its constraints, raises
+    NumericError.
     """
     if game._saddle is None:
         mantissa, exp = math.frexp(float(np.max(np.abs(game.A))))

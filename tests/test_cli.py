@@ -1,11 +1,14 @@
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
+import os
 import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +502,37 @@ def test_plot_to_a_path_that_cannot_be_a_file_exits_2(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"output error: {fig}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def fail_after_ten_bytes(monkeypatch, name):
+    """Make writing a file called ``name`` stop with ENOSPC after 10 bytes."""
+    real = Path.write_text
+
+    def write_text(self, text, *args, **kwargs):
+        if self.name != name:
+            return real(self, text, *args, **kwargs)
+        real(self, text[:10], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_write_that_fails_part_way_exits_2_and_leaves_no_file(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    if command == "run":
+        path = out / "records.csv"
+        argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(out)]
+    else:
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        path = tmp_path / "fig.svg"
+        argv = ["plot", str(out / "records.csv"), "-o", str(path)]
+    capsys.readouterr()
+    fail_after_ten_bytes(monkeypatch, path.name)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"output error: {path}: {os.strerror(errno.ENOSPC)}\n"
+    assert not path.exists()
 
 
 def test_rerun_into_one_directory_writes_fresh_files(tmp_path):

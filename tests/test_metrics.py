@@ -1,8 +1,11 @@
+import importlib.machinery
+import inspect
 import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from metagames.games import MatrixGame, NormalFormGame, SmoothnessMeta, lower_bo
 from metagames.geometry import ProductSet, Simplex
 from metagames.harness import make_learner, play_task
 from metagames.metrics import (
+    _highs,
     _solve_row_max,
     cce_ce_gap,
     check_smoothness,
@@ -44,8 +48,20 @@ def test_solve_nash_lp_matching_pennies():
     assert abs(v) < 1e-9
 
 
+def run_child(code):
+    """Run ``code`` in a fresh interpreter that finds the package where this
+    process found it; returns its stdout."""
+    src = str(Path(metagames.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env
+    )
+    return proc.stdout
+
+
 def test_lp_solver_imported_on_first_solve():
-    # scipy.optimize costs about 0.5 s and 45 MB to import; only the LPs need it.
+    # scipy.optimize costs about 0.2 s and 45 MB to import; the LPs load only
+    # the HiGHS extension, and only on the first solve.
     code = (
         "import sys, numpy as np, metagames.cli\n"
         "from metagames.games import MatrixGame\n"
@@ -53,14 +69,9 @@ def test_lp_solver_imported_on_first_solve():
         "print('scipy.optimize' in sys.modules)\n"
         "saddle_point(MatrixGame(np.eye(2)))\n"
         "print('scipy.optimize' in sys.modules)\n"
+        "print('scipy.optimize._highspy._core' in sys.modules)\n"
     )
-    # The child finds the package where this process found it.
-    src = str(Path(metagames.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env
-    )
-    assert proc.stdout.split() == ["False", "True"]
+    assert run_child(code).split() == ["False", "False", "True"]
 
 
 def linprog_row_max(B):
@@ -121,13 +132,89 @@ def lp_matrices(draw):
 def test_solve_row_max_matches_linprog_bitwise(B):
     # The LPs handed to HiGHS directly give linprog's solution bit for bit,
     # non-unique optima included.
-    x, y, value = _solve_row_max(B)
-    want_x, want_y, want_value = linprog_row_max(B)
-    assert (x.tobytes(), y.tobytes(), repr(value)) == (
-        want_x.tobytes(),
-        want_y.tobytes(),
-        repr(want_value),
-    )
+    assert_linprog_bits(B)
+
+
+def lp_bits(solution):
+    x, y, value = solution
+    return x.tobytes(), y.tobytes(), repr(value)
+
+
+def assert_linprog_bits(B):
+    assert lp_bits(_solve_row_max(B)) == lp_bits(linprog_row_max(B))
+
+
+LOADED_PATH_CHILD = """
+import sys
+import numpy as np
+from metagames.games import lower_bound_family
+from metagames.metrics import _solve_row_max
+
+rng = np.random.default_rng(2024)
+games = [-lower_bound_family(3, 2).A, np.array([[1.0, 0.0], [0.0, 0.0]])]
+for i in range(60):
+    shape = tuple(rng.integers(1, 7, 2))
+    games.append(rng.uniform(-1, 1, shape) if i % 2 else rng.integers(-2, 3, shape).astype(float))
+solved = [_solve_row_max(B) for B in games]
+assert "scipy.optimize" not in sys.modules
+mismatches = [i for i, B in enumerate(games) if lp_bits(solved[i]) != lp_bits(linprog_row_max(B))]
+from scipy.optimize._highspy import _core
+from metagames.metrics import _highs
+print(len(games), mismatches, _core is _highs())
+"""
+
+
+def test_loaded_highs_extension_matches_linprog_bitwise():
+    # Inside this suite scipy.optimize is already imported, so only a fresh
+    # process solves on the extension loaded by itself: its solutions are
+    # linprog's bits, and linprog then runs on that same module.
+    helpers = inspect.getsource(linprog_row_max) + inspect.getsource(lp_bits)
+    code = "import numpy as np\n" + helpers + LOADED_PATH_CHILD
+    assert run_child(code).split() == ["62", "[]", "True"]
+
+
+def test_missing_highs_extension_raises_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"no _core module in \S*optimize.?_highspy$"):
+        _highs()
+
+
+def test_reused_solver_repeats_its_bits():
+    # A solve after another game's gives the bits of a first solve.
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    B = np.random.default_rng(5).uniform(-1, 1, (5, 4))
+    first = _solve_row_max(A)
+    _solve_row_max(B)
+    again = _solve_row_max(A)
+    assert lp_bits(first) == lp_bits(again)
+    assert_linprog_bits(A)
+
+
+def test_threads_each_get_linprog_bits():
+    # saddle_point is public: two threads solving at once each use their own
+    # solver, so neither sees the other's model.
+    games = [np.random.default_rng(seed).uniform(-1, 1, (4, 3)) for seed in (11, 12)]
+    want = [linprog_row_max(B) for B in games]
+    barrier = threading.Barrier(2)
+    got = [None, None]
+
+    def solve(i):
+        barrier.wait()
+        got[i] = [_solve_row_max(games[i]) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for solution, runs in zip(want, got):
+        assert {lp_bits(run) for run in runs} == {lp_bits(solution)}
 
 
 HUGE = np.array([[1e300, -1e300], [-1e300, 1e300]])
@@ -137,6 +224,8 @@ def test_saddle_point_model_error_raises():
     # Entries this large are refused by HiGHS as it loads the model.
     with pytest.raises(NumericError, match="max-min LP failed: HiGHS model status 'Model error'"):
         _solve_row_max(HUGE)
+    # The solver that refused the model solves the next LP as linprog does.
+    assert_linprog_bits(-lower_bound_family(3, 2).A)
 
 
 def test_saddle_point_solves_the_model_error_game():
@@ -188,6 +277,8 @@ def test_lp_solution_off_its_constraints_raises(monkeypatch, x0, worst):
     monkeypatch.setattr(_core._Highs, "getSolution", off)
     with pytest.raises(NumericError, match=rf"misses its constraints by {worst} \(tolerance 0.000316\)"):
         _solve_row_max(MP.A)
+    monkeypatch.undo()
+    assert_linprog_bits(-lower_bound_family(3, 2).A)
 
 
 def test_solve_nash_lp_degenerate():
