@@ -8,13 +8,26 @@ descent update
 
 with a configurable prediction rule for m^(i). Extra-gradient is this
 update in 'secondary-anchor' mode (m^(i) is the utility at xhat^(i-1)),
-played on a VI operator by ``harness.play_task``. Projected gradient ascent
-and the preconditioned variant are thin relatives of the same prox kernel.
+played on a VI operator by ``harness.play_task``. OptAdaGrad is this update
+with a preconditioned step: an OMDLearner whose prox is the Q^(i)-weighted
+projection. Projected gradient ascent is a thin relative of the same kernel.
 
-Every learner here is played round by round by ``harness.play_task``.
+Every learner here is played round by round by ``harness.play_task``. At
+construction each refuses bad input:
+
+- OMDLearner and GDLearner: a rate that is not positive and finite, or a
+  start off the set (InvalidInputError from ``check_start``); OMDLearner
+  also an unknown prediction mode (ConfigError);
+- OptAdaGradLearner: a set that is neither a Simplex nor a Box, or a start
+  off the set (InvalidInputError); its PreconditionerSchedule refuses
+  diagonals that are not positive and finite (ConfigError).
+
+OMDLearner and OptAdaGradLearner also refuse a non-finite utility in
+``update`` (InvalidInputError).
+
 ``harness.run_experiment`` plays recency self-play without alternation
 with no learners, in kernels that match that loop bit for bit, checking
-each start with ``check_start``, an OMDLearner's own check.
+each start with ``check_start``, every learner's own check.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from metagames.geometry import (
     Box,
     Regularizer,
     Simplex,
+    _check_rate,
     bregman,
     project_l2,
     project_simplex,
@@ -134,10 +148,9 @@ class OMDLearner:
 
 
 def check_start(strategy_set, eta, x0):
-    """An OMDLearner's checks of its rate and start: InvalidInputError unless
-    eta > 0 and x0 lies in the set to 1e-9."""
-    if eta <= 0:
-        raise InvalidInputError(f"learning rate must be positive, got {eta}")
+    """Every learner's checks of its rate and start: InvalidInputError unless
+    eta is positive and finite and x0 lies in the set to 1e-9."""
+    _check_rate(eta)
     if not strategy_set.contains(x0, tol=1e-9):
         raise InvalidInputError("initialization is infeasible")
 
@@ -146,11 +159,10 @@ class GDLearner:
     """Vanilla projected gradient ascent x^(i) = proj(x^(i-1) + eta*u)."""
 
     def __init__(self, strategy_set, eta, init=None):
-        if eta <= 0:
-            raise InvalidInputError(f"learning rate must be positive, got {eta}")
+        x0 = cold_start(strategy_set) if init is None else np.asarray(init, dtype=float)
+        check_start(strategy_set, eta, x0)
         self.set = strategy_set
         self.eta = float(eta)
-        x0 = cold_start(strategy_set) if init is None else np.asarray(init, dtype=float)
         self.x = x0.copy()
         self.path = [x0.copy()]
         self.utilities = []
@@ -181,8 +193,8 @@ class PreconditionerSchedule:
     def __init__(self, diagonals):
         self.diagonals = [np.asarray(q, dtype=float) for q in diagonals]
         for q in self.diagonals:
-            if np.min(q) <= 0:
-                raise ConfigError("preconditioner diagonals must be positive")
+            if not np.all((q > 0) & (q < np.inf)):
+                raise ConfigError("preconditioner diagonals must be positive and finite")
 
     def __getitem__(self, i):
         return self.diagonals[min(i, len(self.diagonals) - 1)]
@@ -227,59 +239,33 @@ def project_simplex_weighted(y, q):
     return np.maximum(x, 0.0)
 
 
-class OptAdaGradLearner:
-    """Optimistic gradient steps under a drifting diagonal preconditioner.
+class OptAdaGradLearner(OMDLearner):
+    """Optimistic mirror descent with a step preconditioned by a drifting
+    diagonal Q^(i): both prox steps of round i are the Q^(i)-weighted
+    projection of ``anchor + g / Q^(i)`` onto a Simplex or a Box.
 
     With Q = (1/eta) I this reproduces the Euclidean OMDLearner trajectory.
+    Its ``eta`` is 1/max Q^(0), the largest isotropic rate whose step
+    exceeds the first preconditioned step in no coordinate; no step reads it.
     """
 
     def __init__(self, strategy_set, preconditioners: PreconditionerSchedule, init=None):
-        self.set = strategy_set
+        if not isinstance(strategy_set, (Simplex, Box)):
+            raise InvalidInputError(f"unsupported set {type(strategy_set).__name__}")
+        super().__init__(strategy_set, 1.0 / float(np.max(preconditioners[0])), init=init)
         self.pre = preconditioners
-        x0 = cold_start(strategy_set) if init is None else np.asarray(init, dtype=float)
-        self.x_hat = x0.copy()
-        self.prediction = np.zeros_like(x0)
-        self.path = [x0.copy()]
-        self.hat_path = [x0.copy()]
-        self.utilities = []
-        self.predictions = []
         self.step_index = 0
-        self._current = None
 
-    def _project(self, y, q):
+    def _prox(self, anchor, g):
+        q = self.pre[self.step_index]
+        y = anchor + g / q
         if isinstance(self.set, Simplex):
             return project_simplex_weighted(y, q)
-        if isinstance(self.set, Box):
-            return np.clip(y, self.set.lower, self.set.upper)
-        raise InvalidInputError(f"unsupported set {type(self.set).__name__}")
-
-    def set_prediction(self, m):
-        self.prediction = np.asarray(m, dtype=float)
-
-    def play(self):
-        if self._current is None:
-            q = self.pre[self.step_index]
-            self._current = self._project(self.x_hat + self.prediction / q, q)
-        return self._current
+        return np.clip(y, self.set.lower, self.set.upper)
 
     def update(self, utility):
-        utility = np.asarray(utility, dtype=float)
-        q = self.pre[self.step_index]
-        x = self.play()
-        self.path.append(x)
-        self.predictions.append(self.prediction.copy())
-        self.utilities.append(utility.copy())
-        self.x_hat = self._project(self.x_hat + utility / q, q)
-        self.hat_path.append(self.x_hat.copy())
-        self.prediction = utility.copy()
+        super().update(utility)
         self.step_index += 1
-        self._current = None
-
-    def primary_array(self):
-        return np.asarray(self.path)
-
-    def secondary_array(self):
-        return np.asarray(self.hat_path)
 
 
 def best_point(strategy_set, cum_utility):
@@ -332,8 +318,8 @@ class AlphaWeights:
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(values) < -1e-12):
             raise InvalidInputError("alpha weights must be nondecreasing")
-        if np.any(values <= 0):
-            raise InvalidInputError("alpha weights must be positive")
+        if not np.all((values > 0) & (values < np.inf)):
+            raise InvalidInputError("alpha weights must be positive and finite")
         m = values.shape[0]
         if abs(float(np.sum(values)) - m) > 1e-9:
             raise InvalidInputError("alpha weights must sum to the horizon")

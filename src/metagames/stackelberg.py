@@ -65,7 +65,8 @@ class ExtremePointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvalidInputError("extreme-point set must be a nonempty 2-d array")
-        if np.min(pts) < -1e-9 or np.max(np.abs(np.sum(pts, axis=1) - 1.0)) > 1e-9:
+        # Negated tests, so that a NaN coordinate fails them too.
+        if not (np.min(pts) >= -1e-9 and np.max(np.abs(np.sum(pts, axis=1) - 1.0)) <= 1e-9):
             raise InvalidInputError("extreme points must lie on the simplex")
         self.points = pts
 

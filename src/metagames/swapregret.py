@@ -13,12 +13,10 @@ runs on lists of Python floats; only the dot products that BLAS rounds
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from metagames.errors import InvalidInputError, NumericError
-from metagames.geometry import Simplex, _prox_log_barrier_simplex, _rowsums, lift_interior
+from metagames.geometry import Simplex, _check_rate, _prox_log_barrier_simplex, _rowsums, lift_interior
 from metagames.learners import external_regret
 
 _DAMPING = 1e-12
@@ -113,8 +111,7 @@ class SwapWrapper:
     """
 
     def __init__(self, dim, eta):
-        if not 0.0 < eta < math.inf:
-            raise InvalidInputError(f"learning rate must be positive and finite, got {eta}")
+        _check_rate(eta)
         self.dim = dim
         self.eta = float(eta)
         self._set = Simplex(dim)

@@ -7,11 +7,12 @@ with ``data/golden_digests.json``. So are the records and summary of
 ``run_meta_stackelberg`` runs, the paths and rate of ``holder_run`` runs, the
 path, norms and bound of ``weak_mvi_run`` runs, and the values of the
 accounting routines (regret, weighted and proxy regret, RVU terms, per-action
-swap regrets, NE gaps and the ``report`` audit) on seeded runs. A refactor
-must keep every digest. To re-record after an intended change of numbers, run
-``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``, which
-re-records only the named entries and prints which digests changed; with no
-names it re-records all of them.
+swap regrets, NE gaps and the ``report`` audit) on seeded runs, and the
+histories of OptAdaGrad under drifting diagonals on a simplex and a box. A
+refactor must keep every digest. To re-record after an intended change of
+numbers, run ``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``,
+which re-records only the named entries and prints which digests changed;
+with no names it re-records all of them.
 """
 
 import hashlib
@@ -43,6 +44,8 @@ from metagames.learners import (
     SECONDARY_ANCHOR,
     AlphaWeights,
     OMDLearner,
+    OptAdaGradLearner,
+    PreconditionerSchedule,
     alpha_regret,
     doubling_trick_eta,
     external_regret,
@@ -235,6 +238,22 @@ def _weak_mvi():
     return out
 
 
+def _optadagrad_drifting():
+    # Seeded utilities under drifting diagonals, on a simplex and on a box
+    # whose bounds clip some coordinates.
+    rng = np.random.default_rng(43)
+    out = {}
+    for name, sset in (("simplex", Simplex(3)), ("box", Box(np.full(3, -0.5), np.full(3, 0.8)))):
+        diags = [np.array([2.0, 3.0, 4.0]) + np.cos(np.arange(3) + i / 10.0) for i in range(60)]
+        ada = OptAdaGradLearner(sset, PreconditionerSchedule(diags))
+        for _ in range(60):
+            ada.play()
+            ada.update(rng.uniform(-2, 2, 3))
+        arrays = (ada.primary_array(), ada.secondary_array(), ada.utilities, ada.predictions)
+        out[name] = _floats_sha(np.concatenate([np.ravel(a) for a in arrays]))
+    return out
+
+
 def _ne_gap_matrix():
     rng = np.random.default_rng(41)
     game = MatrixGame(rng.uniform(-1, 1, size=(4, 3)))
@@ -261,6 +280,7 @@ ACCOUNTING = {
     "accounting-eg-proxy-regret": _eg_proxy_regret,
     "accounting-ne-gap-matrix": _ne_gap_matrix,
     "accounting-report-audit": _report_audit,
+    "optadagrad-drifting": _optadagrad_drifting,
     "weak-mvi": _weak_mvi,
 }
 

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metagames.errors import InvalidInputError
+from metagames.errors import ConfigError, InvalidInputError
 from metagames.games import MatrixGame, VIOperator, lipschitz_constant
 from metagames.geometry import Box, Regularizer, Simplex, bregman, project_l2
 from metagames.harness import make_learner, play_task
@@ -56,6 +58,68 @@ def test_omd_rejects_bad_input():
     lrn = OMDLearner(Simplex(2), 0.1)
     with pytest.raises(InvalidInputError):
         lrn.update(np.array([np.nan, 0.0]))
+
+
+def _optadagrad(strategy_set, init=None):
+    """OptAdaGrad under the constant Q = 4 I, the OGD step at rate 1/4."""
+    q = PreconditionerSchedule.constant(np.full(strategy_set.dim, 4.0), 40)
+    return OptAdaGradLearner(strategy_set, q, init=init)
+
+
+@pytest.mark.parametrize("cls", [OMDLearner, GDLearner])
+@pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
+def test_learners_refuse_bad_rate(cls, eta):
+    with pytest.raises(InvalidInputError, match="eta must be positive and finite"):
+        cls(Simplex(2), eta)
+
+
+@pytest.mark.parametrize("make", [partial(GDLearner, eta=0.1), _optadagrad], ids=["gd", "optadagrad"])
+def test_learners_refuse_infeasible_start(make):
+    with pytest.raises(InvalidInputError, match="initialization is infeasible"):
+        make(Simplex(2), init=np.array([0.7, 0.7]))
+
+
+def test_optadagrad_refuses_nan_utility():
+    ada = _optadagrad(Simplex(3))
+    ada.play()
+    with pytest.raises(InvalidInputError, match="non-finite utility"):
+        ada.update(np.array([np.nan, 0.0, 0.0]))
+    assert len(ada.path) == 1 and ada.step_index == 0
+
+
+def test_optadagrad_refuses_unsupported_set():
+    with pytest.raises(InvalidInputError, match="unsupported set ProductSet"):
+        OptAdaGradLearner(MP.operator().set, PreconditionerSchedule.constant(np.ones(4), 3))
+
+
+def test_optadagrad_set_prediction_after_play_moves_the_point():
+    ada = _optadagrad(Simplex(2))
+    np.testing.assert_allclose(ada.play(), [0.5, 0.5], atol=1e-15)
+    ada.set_prediction(np.array([1.0, 0.0]))
+    # The Q-weighted projection of [0.5, 0.5] + [1, 0] / 4.
+    np.testing.assert_allclose(ada.play(), [0.625, 0.375], atol=1e-12)
+
+
+def test_play_task_plays_optadagrad():
+    game = MatrixGame(np.random.default_rng(8).uniform(-1, 1, size=(2, 3)))
+    ada = play_task(game, [_optadagrad(s) for s in game.sets], 30)
+    ogd = play_task(game, [OMDLearner(s, 0.25) for s in game.sets], 30)
+    for a, o in zip(ada, ogd):
+        assert a.eta == 0.25 and a.step_index == 30
+        assert np.max(np.abs(a.primary_array() - o.primary_array())) < 1e-12
+        assert np.max(np.abs(a.prediction_array() - o.prediction_array())) < 1e-12
+
+
+@pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0]])
+def test_preconditioner_schedule_refuses_bad_diagonals(diag):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        PreconditionerSchedule([[1.0, 1.0], diag])
+
+
+@pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.inf]])
+def test_alpha_weights_refuse_non_finite(values):
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        AlphaWeights(np.array(values))
 
 
 def test_external_regret_examples():

@@ -109,6 +109,12 @@ def test_stackelberg_regret_examples():
         ExtremePointSet(np.empty((0, 2)))
 
 
+def test_extreme_point_set_refuses_nan_points():
+    # NaN fails both comparisons of the simplex test, so it must be negated.
+    with pytest.raises(InvalidInputError, match="on the simplex"):
+        ExtremePointSet(np.array([[np.nan, np.nan], [0.5, 0.5]]))
+
+
 def test_stackelberg_regret_bruteforce_instance():
     # d=2, k=1, m=2, |E|=3: brute-force over E x rounds as the oracle
     g = two_target_game()

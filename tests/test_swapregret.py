@@ -172,7 +172,7 @@ def test_swap_regret_rejects_misaligned_or_flat_histories():
 def test_wrapper_rejects_bad_rate():
     # A NaN passes eta <= 0; it and an infinite rate are refused before any step.
     for eta in (0.0, -1.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidInputError, match="positive and finite"):
+        with pytest.raises(InvalidInputError, match="eta must be positive and finite"):
             SwapWrapper(2, eta)
 
 
