@@ -7,8 +7,9 @@ with ``data/golden_digests.json``. So are the records and summary of
 ``run_meta_stackelberg`` runs, the paths and rate of ``holder_run`` runs, the
 path, norms and bound of ``weak_mvi_run`` runs, and the values of the
 accounting routines (regret, weighted and proxy regret, RVU terms, per-action
-swap regrets, NE gaps and the ``report`` audit) on seeded runs, and the
-histories of OptAdaGrad under drifting diagonals on a simplex and a box. A
+swap regrets, NE gaps and the ``report`` audit) on seeded runs, the
+histories of OptAdaGrad under drifting diagonals on a simplex and a box, and
+Stackelberg runs that repeat a task's game and attacker script. A
 refactor must keep every digest. To re-record after an intended change of
 numbers, run ``PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]``,
 which re-records only the named entries and prints which digests changed;
@@ -254,6 +255,37 @@ def _optadagrad_drifting():
     return out
 
 
+def _stackelberg_repeated_scripts():
+    # Runs that repeat a task's (game, script) pair: one attacker script in
+    # every task of one game, and scripts [s1, s1, s2, s2, s1] over games
+    # [g, g, g, h, h], so that equal pairs, a new script on the same game and
+    # a new game with an old script all follow one another. Tasks of 50 and
+    # of 320 rounds, on both sides of the draw's switch to a column scan.
+    rng = np.random.default_rng(47)
+    d, k = 3, 2
+
+    def game():
+        types = [(rng.uniform(-1, 0, d), rng.uniform(0, 1, d)) for _ in range(k)]
+        return SecurityGame(types, rng.uniform(0, 1, d), rng.uniform(-1, 0, d))
+
+    g, h = game(), game()
+    E = build_extreme_points([g, h], gamma=1e-3)
+    out = {}
+    for m in (50, 320):
+        s1, s2 = rng.integers(0, k, size=(2, m)).tolist()
+        runs = {
+            "persistent": ([g] * 6, [[1] * m for _ in range(6)]),
+            "mixed": ([g, g, g, h, h], [s1, s1, s2, s2, s1]),
+        }
+        for name, (games, script) in runs.items():
+            for init, eta in (("ftl-average", "ewoo"), ("uniform", 0.05)):
+                cfg = StackelbergConfig(m=m, initializer=init, eta=eta, seed=19)
+                records, summary = run_meta_stackelberg(games, script, cfg, extreme_points=E)
+                summary = {key: v for key, v in summary.items() if key != "extreme_points"}
+                out[f"{name}-m{m}-{init}-{eta}"] = _sha_text(json.dumps([records, summary], sort_keys=True))
+    return out
+
+
 def _ne_gap_matrix():
     rng = np.random.default_rng(41)
     game = MatrixGame(rng.uniform(-1, 1, size=(4, 3)))
@@ -281,6 +313,7 @@ ACCOUNTING = {
     "accounting-ne-gap-matrix": _ne_gap_matrix,
     "accounting-report-audit": _report_audit,
     "optadagrad-drifting": _optadagrad_drifting,
+    "stackelberg-repeated-scripts": _stackelberg_repeated_scripts,
     "weak-mvi": _weak_mvi,
 }
 
