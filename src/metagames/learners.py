@@ -18,9 +18,11 @@ construction each refuses bad input:
 - OMDLearner and GDLearner: a rate that is not positive and finite, or a
   start off the set (InvalidInputError from ``check_start``); OMDLearner
   also an unknown prediction mode (ConfigError);
-- OptAdaGradLearner: a set that is neither a Simplex nor a Box, or a start
-  off the set (InvalidInputError); its PreconditionerSchedule refuses
-  diagonals that are not positive and finite (ConfigError).
+- OptAdaGradLearner: a set that is neither a Simplex nor a Box, diagonals
+  whose length is not the set's dimension, or a start off the set
+  (InvalidInputError); its PreconditionerSchedule refuses an empty list and
+  diagonals that are not positive and finite or not 1-d of one length
+  (ConfigError).
 
 OMDLearner and OptAdaGradLearner also refuse a non-finite utility in
 ``update`` (InvalidInputError).
@@ -42,6 +44,7 @@ from metagames.geometry import (
     Box,
     Regularizer,
     Simplex,
+    _check_finite,
     _check_rate,
     bregman,
     project_l2,
@@ -192,6 +195,11 @@ class PreconditionerSchedule:
 
     def __init__(self, diagonals):
         self.diagonals = [np.asarray(q, dtype=float) for q in diagonals]
+        if not self.diagonals:
+            raise ConfigError("preconditioner schedule needs at least one diagonal")
+        shapes = sorted({q.shape for q in self.diagonals})
+        if len(shapes) != 1 or len(shapes[0]) != 1:
+            raise ConfigError(f"preconditioner diagonals must be 1-d of one length, got shapes {shapes}")
         for q in self.diagonals:
             if not np.all((q > 0) & (q < np.inf)):
                 raise ConfigError("preconditioner diagonals must be positive and finite")
@@ -213,9 +221,11 @@ def project_simplex_weighted(y, q):
     """argmin_x sum_a q_a (x_a - y_a)^2 over the simplex; q > 0 diagonal.
 
     Bisection on the simplex multiplier, then an exact recompute on the
-    detected support.
+    detected support. A non-finite input, or one whose recompute cancels
+    off the simplex (an entry too large against 1), raises
+    InvalidInputError, as ``geometry.project_simplex`` does.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_finite(y)
     q = np.asarray(q, dtype=float)
 
     def x_of(nu):
@@ -236,7 +246,11 @@ def project_simplex_weighted(y, q):
     nu = (np.sum(y[support]) - 1.0) / np.sum(inv)
     x = np.zeros_like(y)
     x[support] = y[support] - nu * inv
-    return np.maximum(x, 0.0)
+    x = np.maximum(x, 0.0)
+    if abs(np.sum(x) - 1.0) > 1e-9:
+        msg = f"too large input (largest entry {float(np.max(y))!r})"
+        raise InvalidInputError(f"weighted simplex projection of a {msg}")
+    return x
 
 
 class OptAdaGradLearner(OMDLearner):
@@ -252,6 +266,9 @@ class OptAdaGradLearner(OMDLearner):
     def __init__(self, strategy_set, preconditioners: PreconditionerSchedule, init=None):
         if not isinstance(strategy_set, (Simplex, Box)):
             raise InvalidInputError(f"unsupported set {type(strategy_set).__name__}")
+        if len(preconditioners[0]) != strategy_set.dim:
+            msg = f"preconditioner diagonals of length {len(preconditioners[0])}"
+            raise InvalidInputError(f"{msg} on a set of dimension {strategy_set.dim}")
         super().__init__(strategy_set, 1.0 / float(np.max(preconditioners[0])), init=init)
         self.pre = preconditioners
         self.step_index = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,41 +196,96 @@ def stackelberg_regret(game: SecurityGame, coverages, attacker_types, extreme_po
     """Regret against the best fixed commitment from the comparator set.
 
     The comparator's best responses are recomputed against the comparator
-    itself, not against the played strategies.
+    itself, not against the played strategies. ``attacker_types`` holds one
+    type index in 0..k-1 per coverage row; any other length or index raises
+    InvalidInputError.
     """
     pts = extreme_points.points if isinstance(extreme_points, ExtremePointSet) else np.asarray(extreme_points)
     if pts.shape[0] == 0:
         raise InvalidInputError("empty comparator set")
     coverages = np.asarray(coverages, dtype=float).reshape(-1, pts.shape[1])
     attacker_types = np.asarray(attacker_types, dtype=int)
+    if attacker_types.shape != (len(coverages),):
+        msg = f"attacker_types of shape {attacker_types.shape} for {len(coverages)} coverages"
+        raise InvalidInputError(f"{msg}: one type per round is needed")
+    if attacker_types.size and not (attacker_types.min() >= 0 and attacker_types.max() < game.k):
+        raise InvalidInputError(f"attacker_types holds an index outside 0..{game.k - 1}")
     played = payoff_table(game, coverages)[attacker_types, np.arange(len(coverages))]
     best = np.max(np.sum(payoff_table(game, pts)[attacker_types], axis=0))
     return float(best - np.sum(played))
 
 
-def _play_mwu(U, y0, eta, sampled, Y):
+def _prefix_sums(U, C):
+    """Fill the (m, n) array ``C`` with the exclusive prefix sums of the
+    utility rows ``U`` (C_0 = 0, C_i the sum of the rows before i) and return
+    the sum of all rows."""
+    C[0] = 0.0
+    np.cumsum(U[:-1], axis=0, out=C[1:])
+    return C[-1] + U[-1]
+
+
+# From this many rounds on, the draw scans columns. One numpy call per point
+# costs about a microsecond, so below it ``cumsum(Y, axis=1)`` is faster (the
+# crossover was 180-400 rounds for 20-300 points on a 2-CPU x86 host).
+SCAN_MIN_ROUNDS = 300
+
+
+def _draw(Y, thresholds, Z):
+    """Index of the first point whose cumulative weight in row i of the (m, n)
+    weights ``Y`` reaches ``thresholds[i]`` (the last point if none does), for
+    every round at once. ``Y`` and the (n, m) work array ``Z`` may be
+    overwritten.
+
+    From ``SCAN_MIN_ROUNDS`` rounds on, the cumulative weights are made by a
+    column scan: Z holds the weights transposed, and adding row j - 1 into
+    row j for j = 1..n-1 adds every round's weights in the order
+    ``cumsum(Y, axis=1)`` does, so with the same bits, in n - 1 vectorized
+    adds."""
+    m, n = Y.shape
+    if m < SCAN_MIN_ROUNDS:
+        np.cumsum(Y, axis=1, out=Y)
+        return np.minimum(np.count_nonzero(Y < thresholds[:, None], axis=1), n - 1)
+    Z[...] = Y.T
+    rows = iter(Z)  # row views: indexing Z[j] would cost more than the adds
+    prev = next(rows)
+    for row in rows:
+        np.add(prev, row, out=row)
+        prev = row
+    return np.minimum(np.count_nonzero(Z < thresholds, axis=0), n - 1)
+
+
+def _play_mwu(U, C, y0, eta, sampled, Y, Z):
     """One task of full-information MWU from ``y0`` on the (m, n) utility
-    rows ``U``: round i plays softmax(log y0 + eta * C_i), C_i the sum of the
-    rows before i, and samples the first point whose cumulative weight
-    reaches ``sampled[i]`` times the total. ``Y`` is an (m, n) work array,
-    overwritten. Returns the expected and realized values and the summed
-    utilities. Unlike per-round ``geometry.mwu_step`` calls, no weight is
+    rows ``U`` with prefix sums ``C`` (``_prefix_sums``): round i plays
+    softmax(log y0 + eta * C_i) and samples the point ``_draw`` picks at
+    ``sampled[i]`` times the total weight. ``Y`` (m, n) and ``Z`` (n, m) are
+    work arrays, overwritten; Y keeps the row layout that the max, the row
+    sums and the expected value round in, whichever layout the draw takes. Returns the expected and realized
+    values. Unlike per-round ``geometry.mwu_step`` calls, no weight is
     floored at 1e-300 mid-task."""
-    m, n = U.shape
-    Y[0] = 0.0
-    np.cumsum(U[:-1], axis=0, out=Y[1:])
-    cum_utility = Y[-1] + U[-1]
-    Y *= eta
+    np.multiply(C, eta, out=Y)
     Y += np.log(np.maximum(y0, 1e-300))
     Y -= np.max(Y, axis=1, keepdims=True)
     np.exp(Y, out=Y)
     Y /= np.sum(Y, axis=1, keepdims=True)
     expected_value = float(np.einsum("ij,ij->", Y, U))
-    thresholds = sampled * np.sum(Y, axis=1)
-    np.cumsum(Y, axis=1, out=Y)
-    choices = np.minimum(np.count_nonzero(Y < thresholds[:, None], axis=1), n - 1)
-    realized_value = float(np.sum(U[np.arange(m), choices]))
-    return expected_value, realized_value, cum_utility
+    choices = _draw(Y, sampled * np.sum(Y, axis=1), Z)
+    realized_value = float(np.sum(U[np.arange(len(U)), choices]))
+    return expected_value, realized_value
+
+
+_thread_work = threading.local()
+
+
+def _work_arrays(m, n):
+    """This thread's (U, C, Y, Z) work arrays for m rounds over n points:
+    three (m, n) and one (n, m), kept from run to run and reallocated only
+    when (m, n) changes, so that no run faults fresh pages in. A run fills
+    U and C on its first task, so nothing carries over between runs."""
+    arrays = getattr(_thread_work, "arrays", None)
+    if arrays is None or arrays[0].shape != (m, n):
+        arrays = _thread_work.arrays = (*(np.empty((m, n)) for _ in range(3)), np.empty((n, m)))
+    return arrays
 
 
 # Config initializer names and the meta.Initializer modes they run.
@@ -271,6 +327,8 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     optimum in hindsight of every finished task.
     """
     T = len(games)
+    if T == 0:
+        raise ConfigError("games: run_meta_stackelberg needs at least one task")
     d = games[0].d
     if any(g.d != d for g in games):
         raise ConfigError("tasks must share the target count d")
@@ -279,6 +337,8 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     m = config.m
     alpha = config.alpha if config.alpha is not None else 1.0 / math.sqrt(m * T)
     E = extreme_points if extreme_points is not None else build_extreme_points(games, config.gamma)
+    if E.dim != d:
+        raise ConfigError(f"extreme_points: points of dimension {E.dim}, but the games have d={d} targets")
     n_points = len(E)
     rng = np.random.default_rng(config.seed)
 
@@ -291,12 +351,10 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
     entropic = Regularizer(ENTROPIC)
     records = []
     opt_hindsight_dists = []
-    table_game = None
-    # One pair of (m, n) arrays serves every task. A fresh pair per task is
-    # freed at the top of the heap, which glibc returns to the system on some
-    # heap layouts; the next task then faults the pages in again (perfbench's
-    # stackelberg-ewoo unit: 2840 faults, 25-35 % of its time).
-    U, Y = np.empty((m, n_points)), np.empty((m, n_points))
+    table_game = rows_script = None
+    # U, C and cum_utility belong to the (game, script) of rows_script; a task
+    # that repeats both reuses them.
+    U, C, Y, Z = _work_arrays(m, n_points)
     for t in range(T):
         game = games[t]
         try:
@@ -311,13 +369,16 @@ def run_meta_stackelberg(games, attacker_script, config: StackelbergConfig, extr
             raise ConfigError(f"task {t} script has an attacker type index outside 0..{game.k - 1}")
         if game is not table_game:  # consecutive tasks on one game share the table
             payoffs = payoff_table(game, E.points)
-            table_game = game
+            table_game, rows_script = game, None
+        if rows_script is None or not np.array_equal(script, rows_script):
+            # "clip" takes rows straight into U ("raise" would buffer them);
+            # the script's indices are checked above.
+            np.take(payoffs, script, axis=0, out=U, mode="clip")
+            cum_utility = _prefix_sums(U, C)
+            rows_script = script
         (y0,) = initializer.initialization()
         eta_t = ewoo_next_eta(ewoo) if config.eta == "ewoo" else float(config.eta)
-        # "clip" takes rows straight into U ("raise" would buffer them); the
-        # script's indices are checked above.
-        np.take(payoffs, script, axis=0, out=U, mode="clip")
-        expected_value, realized_value, cum_utility = _play_mwu(U, y0, eta_t, rng.random(m), Y)
+        expected_value, realized_value = _play_mwu(U, C, y0, eta_t, rng.random(m), Y, Z)
 
         best_idx = int(np.argmax(cum_utility))
         best_value = float(cum_utility[best_idx])

@@ -116,6 +116,37 @@ def test_preconditioner_schedule_refuses_bad_diagonals(diag):
         PreconditionerSchedule([[1.0, 1.0], diag])
 
 
+@pytest.mark.parametrize(
+    "diagonals, match",
+    [
+        ([], "at least one diagonal"),
+        ([[1.0, 1.0], [1.0]], "1-d of one length"),
+        ([[[1.0, 1.0]]], "1-d of one length"),
+    ],
+)
+def test_preconditioner_schedule_refuses_empty_and_ragged(diagonals, match):
+    with pytest.raises(ConfigError, match=match):
+        PreconditionerSchedule(diagonals)
+
+
+@pytest.mark.parametrize("strategy_set", [Simplex(3), Box(np.zeros(3), np.ones(3))])
+def test_optadagrad_refuses_diagonals_of_another_length(strategy_set):
+    with pytest.raises(InvalidInputError, match="diagonals of length 2 on a set of dimension 3"):
+        OptAdaGradLearner(strategy_set, PreconditionerSchedule([[1.0, 2.0]]))
+
+
+def test_weighted_projection_refuses_input_that_cancels_off_the_simplex():
+    # anchor + g / q = [0.5 + 1e300, 0.5]: the recompute cancels 1e300
+    # against 1e300 and gave [0, 0].
+    ada = OptAdaGradLearner(Simplex(2), PreconditionerSchedule([[1e-300, 1e-300]]))
+    ada.play()
+    with pytest.raises(InvalidInputError, match="weighted simplex projection of a too large input"):
+        ada.update([1.0, 0.0])
+    for y in ([np.nan, 0.5], [np.inf, 0.5]):
+        with pytest.raises(InvalidInputError, match="non-finite input"):
+            project_simplex_weighted(y, [1.0, 1.0])
+
+
 @pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.inf]])
 def test_alpha_weights_refuse_non_finite(values):
     with pytest.raises(InvalidInputError, match="positive and finite"):

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,22 +46,29 @@ def defender_utilities(game, coverage):
     return coverage * game.defender_covered + (1.0 - coverage) * game.defender_uncovered
 
 
-def loop_play_mwu(U, y0, eta, sampled, Y=None):
+def loop_prefix_sums(U, C):
+    """Row-by-row reference of ``stackelberg._prefix_sums``."""
+    total = np.zeros(U.shape[1])
+    for i, u_vec in enumerate(U):
+        C[i] = total
+        total = total + u_vec
+    return total
+
+
+def loop_play_mwu(U, C, y0, eta, sampled, Y=None, Z=None):
     """Per-round reference of ``stackelberg._play_mwu``: one ``mwu_step`` per
-    round, with its 1e-300 floor, and a ``searchsorted`` draw. It needs no
-    work array ``Y``."""
+    round, with its 1e-300 floor, and a ``searchsorted`` draw. It reads
+    neither the prefix sums ``C`` nor the work arrays ``Y`` and ``Z``."""
     n = U.shape[1]
     y = y0
-    cum_utility = np.zeros(n)
     expected_value = 0.0
     realized_value = 0.0
     for i, u_vec in enumerate(U):
         expected_value += float(y @ u_vec)
         choice = int(np.searchsorted(np.cumsum(y), sampled[i] * np.sum(y)))
         realized_value += float(u_vec[min(choice, n - 1)])
-        cum_utility += u_vec
         y = mwu_step(y, u_vec, eta)
-    return expected_value, realized_value, cum_utility
+    return expected_value, realized_value
 
 
 def two_target_game():
@@ -115,6 +124,18 @@ def test_extreme_point_set_refuses_nan_points():
         ExtremePointSet(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
+def test_stackelberg_regret_refuses_types_that_do_not_fit():
+    g = two_target_game()
+    E = ExtremePointSet(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    coverages = [[0.5, 0.5], [1.0, 0.0]]
+    for types in ([0], [0, 0, 0], [[0, 0]]):  # one type for two rounds was broadcast
+        with pytest.raises(InvalidInputError, match="one type per round"):
+            stackelberg_regret(g, coverages, types, E)
+    for types in ([0, 1], [-1, 0]):  # g has one attacker type
+        with pytest.raises(InvalidInputError, match=r"index outside 0\.\.0"):
+            stackelberg_regret(g, coverages, types, E)
+
+
 def test_stackelberg_regret_bruteforce_instance():
     # d=2, k=1, m=2, |E|=3: brute-force over E x rounds as the oracle
     g = two_target_game()
@@ -168,16 +189,41 @@ def test_payoff_table_matches_scalar_tie_rule(case):
 
 def test_play_mwu_matches_per_round_loop():
     rng = np.random.default_rng(12)
-    for m, n in ((1, 1), (1, 5), (40, 1), (200, 37)):
+    for m, n in ((1, 1), (1, 5), (40, 1), (200, 37), (stackelberg.SCAN_MIN_ROUNDS + 50, 37)):
         U = rng.uniform(-1, 1, (m, n))
         y0 = rng.dirichlet(np.ones(n))
         sampled = rng.random(m)
+        C, ref_C = np.full((m, n), np.nan), np.full((m, n), np.nan)
+        cum, ref_cum = stackelberg._prefix_sums(U, C), loop_prefix_sums(U, ref_C)
+        assert C.tobytes() == ref_C.tobytes() and cum.tobytes() == ref_cum.tobytes()
         for eta in (0.01, 0.5, 3.0):
-            exp_v, real_v, cum = stackelberg._play_mwu(U, y0, eta, sampled, np.full((m, n), np.nan))
-            ref_exp, ref_real, ref_cum = loop_play_mwu(U, y0, eta, sampled)
+            work = np.full((m, n), np.nan), np.full((n, m), np.nan)
+            exp_v, real_v = stackelberg._play_mwu(U, C, y0, eta, sampled, *work)
+            ref_exp, ref_real = loop_play_mwu(U, C, y0, eta, sampled)
             tol = 1e-12 * m * np.max(np.abs(U))
             assert abs(exp_v - ref_exp) <= tol and abs(real_v - ref_real) <= tol
-            assert cum.tobytes() == ref_cum.tobytes()
+
+
+def test_draw_matches_row_cumsum_bitwise():
+    # Both draws, the row cumsum below SCAN_MIN_ROUNDS rounds and the column
+    # scan from it on, must add in cumsum's order: the same cumulative bits
+    # and so the same draws, also for thresholds that hit a cumulative weight
+    # exactly and for rows with zero weights.
+    rng = np.random.default_rng(21)
+    scan = stackelberg.SCAN_MIN_ROUNDS
+    for m, n in ((1, 1), (7, 1), (1, 9), (40, 89), (scan - 1, 6), (scan, 1), (scan, 6), (scan + 200, 89)):
+        Y = rng.dirichlet(np.ones(n), size=m) * rng.uniform(0.5, 2.0, (m, 1))
+        Y[rng.random((m, n)) < 0.2] = 0.0
+        cumulative = np.cumsum(Y, axis=1)
+        thresholds = rng.random(m) * cumulative[:, -1]
+        exact = rng.random(m) < 0.5
+        thresholds[exact] = cumulative[exact, rng.integers(0, n, m)[exact]]
+        Z = np.full((n, m), np.nan)
+        choices = stackelberg._draw(Y.copy(), thresholds, Z)
+        if m >= scan:
+            assert Z.tobytes() == np.ascontiguousarray(cumulative.T).tobytes()
+        expected = np.minimum(np.count_nonzero(cumulative < thresholds[:, None], axis=1), n - 1)
+        assert np.array_equal(choices, expected)
 
 
 @pytest.mark.parametrize("persistent", [True, False])
@@ -200,6 +246,7 @@ def test_run_matches_per_round_loop(monkeypatch, persistent):
             recs, _ = run_meta_stackelberg([game] * T, script, cfg, extreme_points=E)
             with monkeypatch.context() as patch:
                 patch.setattr(stackelberg, "_play_mwu", loop_play_mwu)
+                patch.setattr(stackelberg, "_prefix_sums", loop_prefix_sums)
                 ref, _ = run_meta_stackelberg([game] * T, script, cfg, extreme_points=E)
             for r, q in zip(recs, ref):
                 for key in ("task", "eta", "init_kl", "mwu_bound", "best_point_index"):
@@ -208,17 +255,113 @@ def test_run_matches_per_round_loop(monkeypatch, persistent):
                     assert abs(r[key] - q[key]) <= tol
 
 
-def test_run_reuses_one_pair_of_task_arrays(monkeypatch):
-    # Every task plays on the same utility rows and work array, so no task
-    # allocates (m, n) arrays of its own.
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``stackelberg.<name>``."""
+    calls, real = [], getattr(stackelberg, name)
+    monkeypatch.setattr(stackelberg, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_run_reuses_the_thread_work_arrays(monkeypatch):
+    # Every task of a run, and every later run of the same (m, |E|) on this
+    # thread, plays on the same four work arrays; another shape gets its own.
     rng = np.random.default_rng(16)
     game = _random_game(rng, 3, 2)
-    seen, real = [], stackelberg._play_mwu
-    monkeypatch.setattr(stackelberg, "_play_mwu", lambda U, *a: seen.append((U, a[-1])) or real(U, *a))
+    seen = _spy(monkeypatch, "_play_mwu")
     script = rng.integers(0, game.k, size=(4, 30)).tolist()
     run_meta_stackelberg([game] * 4, script, StackelbergConfig(m=30, seed=3))
-    U, Y = seen[0]
-    assert len(seen) == 4 and all(u is U and y is Y for u, y in seen) and U is not Y
+    run_meta_stackelberg([game] * 2, script[:2], StackelbergConfig(m=30, seed=4))
+    U, C, _, _, _, Y, Z = seen[0]
+    n = U.shape[1]
+    assert len(seen) == 6 and all(call[:2] + call[5:] == (U, C, Y, Z) for call in seen)
+    assert len({id(U), id(C), id(Y), id(Z)}) == 4
+    assert [a.shape for a in (U, C, Y, Z)] == [(30, n)] * 3 + [(n, 30)]
+    run_meta_stackelberg([game], [script[0][:20]], StackelbergConfig(m=20, seed=3))
+    new = seen[-1][:2] + seen[-1][5:]
+    assert [a.shape for a in new] == [(20, n)] * 3 + [(n, 20)]
+    assert not any(a is b for a in new for b in (U, C, Y, Z))
+
+
+def test_rows_built_once_per_stretch_of_equal_tasks(monkeypatch):
+    # U and C are rebuilt when the game object or the script's values change,
+    # and on the first task of every run; equal scripts in fresh lists reuse
+    # them.
+    rng = np.random.default_rng(17)
+    g, h = _random_game(rng, 3, 2), _random_game(rng, 3, 2)
+    E = build_extreme_points([g, h], gamma=1e-3)
+    m = 25
+    s1, s2 = rng.integers(0, 2, size=(2, m)).tolist()
+    built = _spy(monkeypatch, "_prefix_sums")
+    cfg = StackelbergConfig(m=m, seed=5)
+    run_meta_stackelberg([g] * 5, [list(s1) for _ in range(5)], cfg, extreme_points=E)
+    assert len(built) == 1
+    built.clear()
+    tasks = [(g, s1), (g, s1), (g, s2), (h, s2), (h, s1), (h, np.asarray(s1, dtype=np.int32))]
+    games, script = zip(*tasks)
+    run_meta_stackelberg(list(games), list(script), cfg, extreme_points=E)
+    assert len(built) == 4  # tasks 0, 2, 3 and 4
+    run_meta_stackelberg([h], [s1], cfg, extreme_points=E)
+    assert len(built) == 5  # a new run starts from fresh rows
+
+
+def _fresh_thread(fn):
+    """``fn()`` run on a new thread, whose work arrays are new too."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _runs(seed):
+    """Three runs of different (m, |E|) and script kinds, as zero-argument calls."""
+    rng = np.random.default_rng(seed)
+    g, h = _random_game(rng, 3, 2), _random_game(rng, 2, 3)
+    Eg, Eh = build_extreme_points([g], gamma=1e-3), build_extreme_points([h], gamma=1e-3)
+    # Eg's points reversed: the same (m, |E|), game and script as the first run
+    Eg_reversed = ExtremePointSet(Eg.points[::-1])
+    persistent, mixed = [[1] * 40] * 6, rng.integers(0, 3, size=(5, 30))
+    cases = [
+        ([g] * 6, persistent, StackelbergConfig(m=40, seed=1), Eg),
+        ([h] * 5, mixed, StackelbergConfig(m=30, seed=2), Eh),
+        ([g] * 6, persistent, StackelbergConfig(m=40, seed=1), Eg_reversed),
+    ]
+    return [lambda case=case: run_meta_stackelberg(*case[:3], extreme_points=case[3])[0] for case in cases]
+
+
+def test_run_after_a_run_of_another_shape_is_correct():
+    # Each run on this thread follows a run of another (m, |E|), or of the
+    # same shape with other rows, and must give what it gives on a fresh thread.
+    runs = _runs(18)
+    fresh = [_fresh_thread(run) for run in runs]
+    for run, expected in zip(runs + runs, fresh + fresh):
+        assert run() == expected
+
+
+def test_threads_get_the_records_of_serial_runs():
+    # More threads than cores. Runs 0 and 2 share (m, |E|) but not their
+    # rows, so on shared work arrays one thread would overwrite another's.
+    runs = _runs(19)
+    serial = [run() for run in runs]
+    orders = ([0, 1, 2] * 3, [2, 1, 0] * 3, [2, 0, 1] * 3)
+    results = ([], [], [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside runs, not between them
+    try:
+        threads = [
+            threading.Thread(target=lambda out=out, order=order: out.extend(runs[i]() for i in order))
+            for out, order in zip(results, orders)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out, order in zip(results, orders):
+        assert out == [serial[i] for i in order]
 
 
 def test_payoff_table_built_once_per_run_of_one_game(monkeypatch):
@@ -339,6 +482,15 @@ def test_low_entropy_benefit_over_longer_sequences():
         assert summary["worst_case_constant"] >= 0.0
         assert summary["entropy_mean_optimum"] < 0.5  # one dominant point
     assert averages[0] > averages[1] > averages[2]
+
+
+def test_run_refuses_no_games_and_points_of_another_dimension():
+    cfg = StackelbergConfig(m=5, initializer="uniform", eta=0.1)
+    E1 = ExtremePointSet(np.array([[1.0]]))
+    with pytest.raises(ConfigError, match="games: run_meta_stackelberg needs at least one task"):
+        run_meta_stackelberg([], [], cfg, extreme_points=E1)
+    with pytest.raises(ConfigError, match="extreme_points: points of dimension 1, but the games have d=2"):
+        run_meta_stackelberg([two_target_game()], [[0] * 5], cfg, extreme_points=E1)
 
 
 def test_run_config_errors():
