@@ -236,11 +236,10 @@ def _draw(Y, thresholds, Z):
     every round at once. ``Y`` and the (n, m) work array ``Z`` may be
     overwritten.
 
-    From ``SCAN_MIN_ROUNDS`` rounds on, the cumulative weights are made by a
-    column scan: Z holds the weights transposed, and adding row j - 1 into
-    row j for j = 1..n-1 adds every round's weights in the order
-    ``cumsum(Y, axis=1)`` does, so with the same bits, in n - 1 vectorized
-    adds."""
+    From ``SCAN_MIN_ROUNDS`` rounds on, a column scan makes the cumulative
+    weights: Z holds the weights transposed, and adding row j - 1 into row j
+    for j = 1..n-1 adds in the order of ``cumsum(Y, axis=1)``, so with the
+    same bits, in n - 1 vectorized adds."""
     m, n = Y.shape
     if m < SCAN_MIN_ROUNDS:
         np.cumsum(Y, axis=1, out=Y)
@@ -259,10 +258,10 @@ def _play_mwu(U, C, y0, eta, sampled, Y, Z):
     rows ``U`` with prefix sums ``C`` (``_prefix_sums``): round i plays
     softmax(log y0 + eta * C_i) and samples the point ``_draw`` picks at
     ``sampled[i]`` times the total weight. ``Y`` (m, n) and ``Z`` (n, m) are
-    work arrays, overwritten; Y keeps the row layout that the max, the row
-    sums and the expected value round in, whichever layout the draw takes. Returns the expected and realized
-    values. Unlike per-round ``geometry.mwu_step`` calls, no weight is
-    floored at 1e-300 mid-task."""
+    work arrays, overwritten; Y stays in row layout, in which the max, the
+    row sums and the expected value are rounded. Returns the expected and
+    realized values. Unlike per-round ``geometry.mwu_step`` calls, no weight
+    is floored at 1e-300 mid-task."""
     np.multiply(C, eta, out=Y)
     Y += np.log(np.maximum(y0, 1e-300))
     Y -= np.max(Y, axis=1, keepdims=True)
