@@ -221,9 +221,11 @@ def project_simplex_weighted(y, q):
     """argmin_x sum_a q_a (x_a - y_a)^2 over the simplex; q > 0 diagonal.
 
     Bisection on the simplex multiplier, then an exact recompute on the
-    detected support. A non-finite input, or one whose recompute cancels
-    off the simplex (an entry too large against 1), raises
-    InvalidInputError, as ``geometry.project_simplex`` does.
+    detected support. The recompute rounds at the scale of the largest
+    entry, so the result may miss the simplex by about d * eps * max|y|. A
+    non-finite input, or one so large that this error reaches 1 (the
+    recompute can cancel to [0, ..., 0]), raises InvalidInputError, as
+    ``geometry.project_simplex`` does.
     """
     y = _check_finite(y)
     q = np.asarray(q, dtype=float)
@@ -247,7 +249,8 @@ def project_simplex_weighted(y, q):
     x = np.zeros_like(y)
     x[support] = y[support] - nu * inv
     x = np.maximum(x, 0.0)
-    if abs(np.sum(x) - 1.0) > 1e-9:
+    tol = max(1e-9, 8 * len(y) * np.finfo(float).eps * float(np.max(np.abs(y))))
+    if not abs(np.sum(x) - 1.0) <= tol < 1.0:
         msg = f"too large input (largest entry {float(np.max(y))!r})"
         raise InvalidInputError(f"weighted simplex projection of a {msg}")
     return x

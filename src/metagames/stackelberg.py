@@ -224,26 +224,16 @@ def _prefix_sums(U, C):
     return C[-1] + U[-1]
 
 
-# From this many rounds on, the draw scans columns. One numpy call per point
-# costs about a microsecond, so below it ``cumsum(Y, axis=1)`` is faster (the
-# crossover was 180-400 rounds for 20-300 points on a 2-CPU x86 host).
-SCAN_MIN_ROUNDS = 300
-
-
 def _draw(Y, thresholds, Z):
     """Index of the first point whose cumulative weight in row i of the (m, n)
     weights ``Y`` reaches ``thresholds[i]`` (the last point if none does), for
-    every round at once. ``Y`` and the (n, m) work array ``Z`` may be
-    overwritten.
+    every round at once. The (n, m) work array ``Z`` is overwritten.
 
-    From ``SCAN_MIN_ROUNDS`` rounds on, a column scan makes the cumulative
-    weights: Z holds the weights transposed, and adding row j - 1 into row j
-    for j = 1..n-1 adds in the order of ``cumsum(Y, axis=1)``, so with the
-    same bits, in n - 1 vectorized adds."""
-    m, n = Y.shape
-    if m < SCAN_MIN_ROUNDS:
-        np.cumsum(Y, axis=1, out=Y)
-        return np.minimum(np.count_nonzero(Y < thresholds[:, None], axis=1), n - 1)
+    A column scan makes the cumulative weights: Z holds the weights
+    transposed, and adding row j - 1 into row j for j = 1..n-1 adds in the
+    order of ``cumsum(Y, axis=1)``, so with the same bits, in n - 1
+    vectorized adds."""
+    n = Y.shape[1]
     Z[...] = Y.T
     rows = iter(Z)  # row views: indexing Z[j] would cost more than the adds
     prev = next(rows)
@@ -275,15 +265,22 @@ def _play_mwu(U, C, y0, eta, sampled, Y, Z):
 
 _thread_work = threading.local()
 
+# Work arrays of more bytes than this are allocated per run and freed with
+# it, not kept by the thread.
+KEEP_MAX_BYTES = 64 * 2**20
+
 
 def _work_arrays(m, n):
     """This thread's (U, C, Y, Z) work arrays for m rounds over n points:
-    three (m, n) and one (n, m), kept from run to run and reallocated only
-    when (m, n) changes, so that no run faults fresh pages in. A run fills
-    U and C on its first task, so nothing carries over between runs."""
+    three (m, n) and one (n, m). Up to ``KEEP_MAX_BYTES`` together
+    (32 m n bytes), they are kept from run to run and reallocated only when
+    (m, n) changes, so that no run faults fresh pages in; larger ones are not
+    kept, and drop the kept ones. A run fills U and C on its first task, so
+    nothing carries over between runs."""
     arrays = getattr(_thread_work, "arrays", None)
     if arrays is None or arrays[0].shape != (m, n):
-        arrays = _thread_work.arrays = (*(np.empty((m, n)) for _ in range(3)), np.empty((n, m)))
+        arrays = (*(np.empty((m, n)) for _ in range(3)), np.empty((n, m)))
+        _thread_work.arrays = arrays if 32 * m * n <= KEEP_MAX_BYTES else None
     return arrays
 
 

@@ -147,6 +147,17 @@ def test_weighted_projection_refuses_input_that_cancels_off_the_simplex():
             project_simplex_weighted(y, [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "q, expected", [([1.0, 1.0], [0.65, 0.35]), ([1e-8, 1e-8], [0.65, 0.35]), ([0.7, 1.3], [0.0, 1.0])]
+)
+def test_weighted_projection_of_large_entries_misses_by_rounding_only(q, expected):
+    # Entries of about 1e8, as a first AdaGrad diagonal of 1e-8 gives: the
+    # recompute rounds at that scale, which an absolute 1e-9 bound refused.
+    x = project_simplex_weighted([1e8 + 0.3, 1e8], q)
+    rounding = 8 * 2 * np.finfo(float).eps * 1e8
+    assert np.min(x) >= 0.0 and np.max(np.abs(x - expected)) <= rounding
+
+
 @pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.inf]])
 def test_alpha_weights_refuse_non_finite(values):
     with pytest.raises(InvalidInputError, match="positive and finite"):

@@ -189,7 +189,7 @@ def test_payoff_table_matches_scalar_tie_rule(case):
 
 def test_play_mwu_matches_per_round_loop():
     rng = np.random.default_rng(12)
-    for m, n in ((1, 1), (1, 5), (40, 1), (200, 37), (stackelberg.SCAN_MIN_ROUNDS + 50, 37)):
+    for m, n in ((1, 1), (1, 5), (40, 1), (200, 37)):
         U = rng.uniform(-1, 1, (m, n))
         y0 = rng.dirichlet(np.ones(n))
         sampled = rng.random(m)
@@ -205,13 +205,11 @@ def test_play_mwu_matches_per_round_loop():
 
 
 def test_draw_matches_row_cumsum_bitwise():
-    # Both draws, the row cumsum below SCAN_MIN_ROUNDS rounds and the column
-    # scan from it on, must add in cumsum's order: the same cumulative bits
+    # The column scan must add in cumsum's order: the same cumulative bits
     # and so the same draws, also for thresholds that hit a cumulative weight
     # exactly and for rows with zero weights.
     rng = np.random.default_rng(21)
-    scan = stackelberg.SCAN_MIN_ROUNDS
-    for m, n in ((1, 1), (7, 1), (1, 9), (40, 89), (scan - 1, 6), (scan, 1), (scan, 6), (scan + 200, 89)):
+    for m, n in ((1, 1), (7, 1), (1, 9), (40, 89), (300, 6), (500, 89)):
         Y = rng.dirichlet(np.ones(n), size=m) * rng.uniform(0.5, 2.0, (m, 1))
         Y[rng.random((m, n)) < 0.2] = 0.0
         cumulative = np.cumsum(Y, axis=1)
@@ -220,8 +218,7 @@ def test_draw_matches_row_cumsum_bitwise():
         thresholds[exact] = cumulative[exact, rng.integers(0, n, m)[exact]]
         Z = np.full((n, m), np.nan)
         choices = stackelberg._draw(Y.copy(), thresholds, Z)
-        if m >= scan:
-            assert Z.tobytes() == np.ascontiguousarray(cumulative.T).tobytes()
+        assert Z.tobytes() == np.ascontiguousarray(cumulative.T).tobytes()
         expected = np.minimum(np.count_nonzero(cumulative < thresholds[:, None], axis=1), n - 1)
         assert np.array_equal(choices, expected)
 
@@ -280,6 +277,28 @@ def test_run_reuses_the_thread_work_arrays(monkeypatch):
     new = seen[-1][:2] + seen[-1][5:]
     assert [a.shape for a in new] == [(20, n)] * 3 + [(n, 20)]
     assert not any(a is b for a in new for b in (U, C, Y, Z))
+
+
+def test_run_above_keep_max_bytes_keeps_no_work_arrays(monkeypatch):
+    # Work arrays above KEEP_MAX_BYTES belong to their run: after it the
+    # thread keeps none, neither those nor the smaller ones kept before.
+    rng = np.random.default_rng(20)
+    game = _random_game(rng, 3, 2)
+    E = build_extreme_points([game], gamma=1e-3)
+    monkeypatch.setattr(stackelberg, "KEEP_MAX_BYTES", 32 * 30 * len(E))
+
+    def run(m):
+        config = StackelbergConfig(m=m, seed=3)
+        return run_meta_stackelberg([game] * 2, [[1] * m] * 2, config, extreme_points=E)[0]
+
+    def kept():
+        return getattr(stackelberg._thread_work, "arrays", None)
+
+    small = run(30)
+    assert kept()[0].shape == (30, len(E))
+    assert run(31) == _fresh_thread(lambda: run(31))
+    assert kept() is None
+    assert run(30) == small and kept()[0].shape == (30, len(E))
 
 
 def test_rows_built_once_per_stretch_of_equal_tasks(monkeypatch):
